@@ -9,14 +9,19 @@ Subcommands:
     bench-scan  benchmark scan implementations, CSV to stdout
     eval        score a checkpoint against mixtures from a corpus manifest
 
-Exit codes: 0 success, 2 usage error (argparse), 3 malformed input data,
-4 numeric/training failure (failed gradcheck, count mismatch, divergence).
+Exit codes: 0 success, 2 usage error (argparse), 3 malformed input data
+(including a malformed checkpoint, and separate inputs whose outputs would
+collide), 4 numeric/training failure (failed gradcheck, count mismatch,
+divergence).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -63,10 +68,16 @@ def _corpus_pairs(manifest, count: int, rng: np.random.Generator,
 
 
 def _cmd_separate(args) -> int:
-    model = model_mod.SeparationModel.from_checkpoint(args.ckpt)
-    rate = model.config.sample_rate
     inputs = getattr(args, "in")
     out_dir = Path(args.out)
+    shared = sorted(s for s, n in Counter(Path(p).stem for p in inputs).items()
+                    if n > 1)
+    if shared:
+        raise DataFormatError(
+            f"inputs share the file stem(s) {', '.join(shared)}, so their "
+            f"outputs in {out_dir} would overwrite each other")
+    model = model_mod.SeparationModel.from_checkpoint(args.ckpt)
+    rate = model.config.sample_rate
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def one(path) -> list[Path]:
@@ -83,8 +94,8 @@ def _cmd_separate(args) -> int:
     if len(inputs) == 1:
         written = one(inputs[0])
     else:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=len(inputs)) as pool:
+        workers = min(len(inputs), os.cpu_count() or 1)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             written = [p for chunk in pool.map(one, inputs) for p in chunk]
     for p in written:
         print(f"wrote {p}")

@@ -41,19 +41,18 @@ class ChunkedFeature:
         return (S - 1) * self.hop + self.chunk_len
 
 
-def chunk(h: Tensor, chunk_len: int, hop: int | None = None) -> ChunkedFeature:
-    """Fold [D, N] into overlapping chunks [D, K, S].
+def chunk(h: Tensor, chunk_len: int) -> ChunkedFeature:
+    """Fold [D, N] into 50%-overlapping chunks [D, K, S], hop = K // 2.
 
     N is zero-padded up to K plus a whole number of hops, so
     S = ceil(max(N - K, 0) / hop) + 1; a short input becomes one chunk.
     """
     if h.ndim != 2:
         raise NumericsError(f"chunk expects [D, N], got {h.shape}")
-    if hop is None:
-        if chunk_len % 2:
-            raise NumericsError(
-                f"chunk_len must be even for 50% overlap, got {chunk_len}")
-        hop = chunk_len // 2
+    if chunk_len % 2:
+        raise NumericsError(
+            f"chunk_len must be even for 50% overlap, got {chunk_len}")
+    hop = chunk_len // 2
     N = h.shape[1]
     if N < chunk_len:
         pad = chunk_len - N
@@ -145,7 +144,3 @@ def dp_block(h: Tensor, w: DpBlockWeights) -> Tensor:
     inter_in = nm.permute(apply_norm(h, w.inter_norm), 1, 0, 2)     # [K, D, S]
     inter_out = blocks.bi_scan_forward(inter_in, w.inter_scan)
     return nm.add(h, nm.permute(inter_out, 1, 0, 2))
-
-
-# re-exported here so downstream modules treat this as one surface
-named_parameters = blocks.named_parameters

@@ -232,12 +232,12 @@ def suite_blocks(seed: int = 0) -> list[GradcheckResult]:
 
 
 def suite_dualpath(seed: int = 0) -> list[GradcheckResult]:
-    from . import dualpath
+    from . import blocks, dualpath
 
     rng = np.random.default_rng(seed)
     D, K, S, H = 2, 4, 3, 2
     w = dualpath.init_dp_block(D, H, "rmsnorm", rng)
-    names, params = zip(*dualpath.named_parameters(w, "block"))
+    names, params = zip(*blocks.named_parameters(w, "block"))
     x = _rand(rng, (D, K, S), -1.0, 1.0)
 
     def fn(*_args):

@@ -64,8 +64,9 @@ class ModelConfig:
             raise DataFormatError(
                 f"config: need 0 < enc_stride <= enc_kernel, got "
                 f"{self.enc_stride}/{self.enc_kernel}")
-        if self.chunk_len < 2:
-            raise DataFormatError(f"config: chunk_len must be >= 2, got {self.chunk_len}")
+        if self.chunk_len < 2 or self.chunk_len % 2:
+            raise DataFormatError(f"config: chunk_len must be even and >= 2 "
+                                  f"(chunks overlap by half), got {self.chunk_len}")
         if self.num_speakers != 2:
             raise DataFormatError("config: only two-speaker separation is implemented")
         if self.norm_kind not in NORM_KINDS:
@@ -418,6 +419,18 @@ def save_model(path: str | Path, model: SeparationModel) -> None:
     save_checkpoint(path, model.config, model.named_parameters())
 
 
+def _header_int(path, what: str, text: str) -> int:
+    """A nonnegative integer field of a checkpoint header, else DataFormatError."""
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise DataFormatError(
+        f"checkpoint {path}: {what} {text!r} is not a nonnegative integer")
+
+
 def load_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
     blob = Path(path).read_bytes()
     marker = blob.find(b"[data] ")
@@ -436,7 +449,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray
     magic = lines[0].split()
     if len(magic) != 2 or magic[0] != CHECKPOINT_MAGIC:
         raise DataFormatError(f"checkpoint {path}: bad magic line {lines[0]!r}")
-    if int(magic[1]) != CHECKPOINT_VERSION:
+    if _header_int(path, "version", magic[1]) != CHECKPOINT_VERSION:
         raise DataFormatError(f"checkpoint {path}: unsupported version {magic[1]}")
     try:
         cfg_at = lines.index("[config]")
@@ -445,7 +458,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray
         raise DataFormatError(f"checkpoint {path}: missing header section") from exc
     cfg = config_from_text("\n".join(lines[cfg_at + 1 : par_at]))
 
-    total = int(lines[-1].split()[1])
+    total = _header_int(path, "[data] size", lines[-1][len("[data] "):].strip())
     if len(payload) != total * 4:
         raise DataFormatError(
             f"checkpoint {path}: payload is {len(payload)} bytes, "
@@ -458,10 +471,11 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray
         if len(parts) != 3:
             raise DataFormatError(f"checkpoint {path}: bad param record {record!r}")
         name, shape_s, off_s = parts
-        shape = tuple(int(s) for s in shape_s.split(","))
-        off = int(off_s)
-        size = int(np.prod(shape))
-        if off < 0 or off + size > total:
+        shape = tuple(_header_int(path, f"'{name}' shape", s)
+                      for s in shape_s.split(","))
+        off = _header_int(path, f"'{name}' offset", off_s)
+        size = math.prod(shape)
+        if off + size > total:
             raise DataFormatError(
                 f"checkpoint {path}: record '{name}' overruns the payload")
         if name in arrays:

@@ -46,10 +46,6 @@ def set_debug(flag: bool) -> None:
     _DEBUG = bool(flag)
 
 
-def debug_enabled() -> bool:
-    return _DEBUG
-
-
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
@@ -107,96 +103,10 @@ class Tensor:
         tail = (", " + ", ".join(flags)) if flags else ""
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}{tail})"
 
-    # -- operator sugar -----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_wrap(other, self.dtype), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(_wrap(other, self.dtype), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    # -- method aliases for the op suite ------------------------------------
-
-    def matmul(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    def conv1d_depthwise(self, kernel: "Tensor", bias: "Tensor") -> "Tensor":
-        return conv1d_depthwise(self, kernel, bias)
-
-    def silu(self) -> "Tensor":
-        return silu(self)
-
-    def sigmoid(self) -> "Tensor":
-        return sigmoid(self)
-
-    def softplus(self) -> "Tensor":
-        return softplus(self)
-
-    def tanh(self) -> "Tensor":
-        return tanh(self)
-
-    def relu(self) -> "Tensor":
-        return relu(self)
-
-    def exp(self) -> "Tensor":
-        return exp(self)
-
-    def log(self) -> "Tensor":
-        return log(self)
-
-    def flip_last_axis(self) -> "Tensor":
-        return flip_last_axis(self)
-
-    def permute(self, *dims: int) -> "Tensor":
-        return permute(self, *dims)
-
-    def reshape(self, *shape: int) -> "Tensor":
-        return reshape(self, *shape)
+    # -- shorthand ----------------------------------------------------------
 
     def sum(self) -> "Tensor":
         return tsum(self)
-
-    def mean(self) -> "Tensor":
-        return tmean(self)
-
-    def add_bias(self, bias: "Tensor") -> "Tensor":
-        return add_bias(self, bias)
-
-    def frame(self, size: int, hop: int) -> "Tensor":
-        return frame(self, size, hop)
-
-    def overlap_add(self, hop: int, out_len: int) -> "Tensor":
-        return overlap_add(self, hop, out_len)
-
-    def pad_last(self, count: int) -> "Tensor":
-        return pad_last(self, count)
-
-    def narrow(self, axis: int, start: int, length: int) -> "Tensor":
-        return narrow(self, axis, start, length)
 
     # -- reverse mode -------------------------------------------------------
 
@@ -647,10 +557,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return primitive(a.data @ b.data, (a, b), vjp, "matmul")
 
 
-def conv1d_depthwise(x: Tensor, kernel: Tensor, bias: Tensor | None) -> Tensor:
+def conv1d_depthwise(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     """Causal depthwise convolution along the last axis.
 
-    x: [..., E, L], kernel: [E, W], bias: [E] or None.  The input is
+    x: [..., E, L], kernel: [E, W], bias: [E].  The input is
     left-padded with W - 1 zeros so position l never sees the future:
     y[..., e, l] = sum_w kernel[e, w] * x[..., e, l - (W - 1) + w] + bias[e].
     """
@@ -664,7 +574,7 @@ def conv1d_depthwise(x: Tensor, kernel: Tensor, bias: Tensor | None) -> Tensor:
             f"conv1d_depthwise: channel count mismatch, input has {x.shape[-2]} "
             f"channels but kernel has {E}"
         )
-    if bias is not None and bias.shape != (E,):
+    if bias.shape != (E,):
         raise NumericsError(
             f"conv1d_depthwise: bias {bias.shape} does not match {E} channels"
         )
@@ -675,9 +585,7 @@ def conv1d_depthwise(x: Tensor, kernel: Tensor, bias: Tensor | None) -> Tensor:
     out = np.zeros_like(x.data)
     for w in range(W):
         out += kcol[:, w] * xp[..., w : w + L]
-    if bias is not None:
-        out = out + bias.data[:, None]
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
+    out = out + bias.data[:, None]
 
     def vjp(g):
         gx = None
@@ -692,15 +600,13 @@ def conv1d_depthwise(x: Tensor, kernel: Tensor, bias: Tensor | None) -> Tensor:
             lead = tuple(range(g.ndim - 2))
             for w in range(W):
                 gk[:, w] = (g * xp[..., w : w + L]).sum(axis=lead + (g.ndim - 1,))
-        if bias is None:
-            return gx, gk
         gb = None
         if bias.requires_grad:
             axes = tuple(i for i in range(g.ndim) if i != g.ndim - 2)
             gb = g.sum(axis=axes)
         return gx, gk, gb
 
-    return primitive(out, parents, vjp, "conv1d_depthwise")
+    return primitive(out, (x, kernel, bias), vjp, "conv1d_depthwise")
 
 
 # ---------------------------------------------------------------------------
@@ -781,11 +687,6 @@ def zeros(shape, requires_grad: bool = False, dtype=np.float64) -> Tensor:
 
 def ones(shape, requires_grad: bool = False, dtype=np.float64) -> Tensor:
     return Tensor(np.ones(shape, dtype=dtype), requires_grad=requires_grad)
-
-
-def randn(shape, rng: np.random.Generator, requires_grad: bool = False,
-          dtype=np.float64) -> Tensor:
-    return Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=requires_grad)
 
 
 def uniform(shape, low: float, high: float, rng: np.random.Generator,

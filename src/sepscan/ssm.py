@@ -24,7 +24,9 @@ Three evaluation paths compute the same recurrence:
 
 Both scans differentiate through a fused adjoint that replays the forward
 recurrence in fixed-size blocks instead of storing the full hidden-state
-trajectory.
+trajectory.  The discretization arithmetic lives in one helper, _zoh,
+which discretize, both scans and the adjoint call; the sequential loop and
+the adjoint's replay share one state iterator, _states.
 """
 
 from __future__ import annotations
@@ -109,23 +111,29 @@ class SsmProjection:
 # ---------------------------------------------------------------------------
 
 
+def _zoh(dt, a, b, exact_zoh):
+    """Discretize broadcastable ndarrays: (Abar, Bbar, p) with Bbar = p * b.
+
+    p = expm1(dt a) / a under the exact hold and dt under Euler; it is
+    also dBbar/db, which the adjoint reuses.
+    """
+    z = dt * a
+    p = np.expm1(z) / a if exact_zoh else dt
+    return np.exp(z), p * b, p
+
+
 def discretize(a: Tensor, delta: Tensor, b: Tensor,
                exact_zoh: bool = False) -> tuple[Tensor, Tensor]:
     """Materialize (Abar, Bbar) for inspection and tests; value-level only.
 
     a: [E, H], delta: [E, L], b: [L, H]  ->  Abar, Bbar both [E, L, H].
-    Gradients do not flow through this helper; the scans fuse the same
-    arithmetic into their own forward/adjoint.
+    Gradients do not flow through this helper; the scans call the same
+    _zoh inside their own forward/adjoint.
     """
     if delta.ndim != 2 or a.ndim != 2 or b.ndim != 2:
         raise NumericsError("discretize expects a [E,H], delta [E,L], b [L,H]")
-    ad, dd, bd = a.data, delta.data, b.data
-    z = dd[:, :, None] * ad[:, None, :]          # [E, L, H]
-    abar = np.exp(z)
-    if exact_zoh:
-        bbar = np.expm1(z) / ad[:, None, :] * bd[None, :, :]
-    else:
-        bbar = dd[:, :, None] * bd[None, :, :]
+    abar, bbar, _ = _zoh(delta.data[:, :, None], a.data[:, None, :],
+                         b.data[None, :, :], exact_zoh)
     return Tensor(abar), Tensor(bbar)
 
 
@@ -134,21 +142,20 @@ def discretize(a: Tensor, delta: Tensor, b: Tensor,
 # ---------------------------------------------------------------------------
 
 
-def _scan_forward(xd, dd, ad, bd, cd, exact_zoh):
-    """Reference loop over [B, E, L] arrays; only O(B*E*H) live temporaries."""
+def _states(xd, dd, ad, bd, exact_zoh):
+    """Yield (t, h_t) of the recurrence over [B, E, L]; O(B*E*H) live state."""
     B, E, L = xd.shape
-    H = ad.shape[1]
-    h = np.zeros((B, E, H), dtype=xd.dtype)
-    y = np.empty_like(xd)
+    h = np.zeros((B, E, ad.shape[1]), dtype=xd.dtype)
     for t in range(L):
-        dt = dd[:, :, t, None]                   # [B, E, 1]
-        z = dt * ad                              # [B, E, H]
-        at = np.exp(z)
-        if exact_zoh:
-            bbar = np.expm1(z) / ad * bd[:, None, t, :]
-        else:
-            bbar = dt * bd[:, None, t, :]
-        h = at * h + bbar * xd[:, :, t, None]
+        abar, bbar, _ = _zoh(dd[:, :, t, None], ad, bd[:, None, t, :], exact_zoh)
+        h = abar * h + bbar * xd[:, :, t, None]
+        yield t, h
+
+
+def _scan_forward(xd, dd, ad, bd, cd, exact_zoh):
+    """Reference loop: y_t = C_t h_t."""
+    y = np.empty_like(xd)
+    for t, h in _states(xd, dd, ad, bd, exact_zoh):
         y[:, :, t] = (h * cd[:, None, t, :]).sum(axis=-1)
     return y
 
@@ -157,10 +164,11 @@ def _scan_backward(xd, dd, ad, bd, cd, exact_zoh, g):
     """Adjoint of the recurrence with blockwise state replay.
 
     Hidden states are not kept from the forward pass.  A first sweep
-    replays the recurrence, storing one checkpoint per _BLOCK steps and
-    accumulating the c-gradient (which needs states, not adjoints).  A
-    second sweep walks blocks in reverse, rebuilding the states of each
-    block from its checkpoint and running the adjoint recurrence
+    replays the recurrence, keeping h_{t0-1} for each block start t0 (one
+    per _BLOCK steps) and accumulating the c-gradient (which needs states,
+    not adjoints).  A second sweep walks blocks in reverse, rebuilding the
+    states of each block from its checkpoint and running the adjoint
+    recurrence
 
         lambda_t = g_t c_t + Abar_{t+1} lambda_{t+1}
     """
@@ -175,34 +183,20 @@ def _scan_backward(xd, dd, ad, bd, cd, exact_zoh, g):
     gc = np.empty_like(cd)
 
     # sweep 1: forward replay; checkpoints + gc
-    checkpoints = []
-    h = np.zeros((B, E, H), dtype=dtype)
-    for t in range(L):
-        if t % _BLOCK == 0:
-            checkpoints.append(h.copy())
-        dt = dd[:, :, t, None]
-        z = dt * ad
-        if exact_zoh:
-            bbar = np.expm1(z) / ad * bd[:, None, t, :]
-        else:
-            bbar = dt * bd[:, None, t, :]
-        h = np.exp(z) * h + bbar * xd[:, :, t, None]
+    checkpoints = [np.zeros((B, E, H), dtype=dtype)]
+    for t, h in _states(xd, dd, ad, bd, exact_zoh):
         gc[:, t, :] = (h * g[:, :, t, None]).sum(axis=1)
+        if (t + 1) % _BLOCK == 0 and t + 1 < L:
+            checkpoints.append(h)
 
     # sweep 2: blocks in reverse; lam_carry = Abar_{t+1} lambda_{t+1}
     lam_carry = np.zeros((B, E, H), dtype=dtype)
-    n_blocks = len(checkpoints)
-    for blk in range(n_blocks - 1, -1, -1):
+    for blk in range(len(checkpoints) - 1, -1, -1):
         t0 = blk * _BLOCK
         t1 = min(t0 + _BLOCK, L)
         n = t1 - t0
-        zb = dd[:, :, t0:t1, None] * ad[None, :, None, :]     # [B, E, n, H]
-        abar_b = np.exp(zb)
-        if exact_zoh:
-            p_b = np.expm1(zb) / ad[None, :, None, :]
-            bbar_b = p_b * bd[:, None, t0:t1, :]
-        else:
-            bbar_b = dd[:, :, t0:t1, None] * bd[:, None, t0:t1, :]
+        abar_b, bbar_b, p_b = _zoh(dd[:, :, t0:t1, None], ad[None, :, None, :],
+                                   bd[:, None, t0:t1, :], exact_zoh)
         # rebuild states h_{t0-1} .. h_{t1-1} for this block
         hbuf = np.empty((n + 1, B, E, H), dtype=dtype)
         hbuf[0] = checkpoints[blk]
@@ -218,14 +212,15 @@ def _scan_backward(xd, dd, ad, bd, cd, exact_zoh, g):
             gdelta[:, :, t] = (dabar * at * ad).sum(axis=-1)
             ga += (dabar * at * dd[:, :, t, None]).sum(axis=0)
             dbbar = lam * xd[:, :, t, None]
+            dp = dbbar * bd[:, None, t, :]               # dL/dp, as Bbar = p b
             if exact_zoh:
-                dp = dbbar * bd[:, None, t, :]
+                # p = expm1(delta a) / a: dp/ddelta = Abar and
+                # dp/da = (delta Abar - p) / a; Euler's p = delta
                 gdelta[:, :, t] += (dp * at).sum(axis=-1)
                 ga += (dp * (dd[:, :, t, None] * at - p_b[:, :, i]) / ad).sum(axis=0)
-                gb[:, t, :] = (dbbar * p_b[:, :, i]).sum(axis=1)
             else:
-                gdelta[:, :, t] += (dbbar * bd[:, None, t, :]).sum(axis=-1)
-                gb[:, t, :] = (dbbar * dd[:, :, t, None]).sum(axis=1)
+                gdelta[:, :, t] += dp.sum(axis=-1)
+            gb[:, t, :] = (dbbar * p_b[:, :, i]).sum(axis=1)
             gx[:, :, t] = (lam * bbar_b[:, :, i]).sum(axis=-1)
             lam_carry = at * lam
     return gx, gdelta, ga, gb, gc
@@ -239,12 +234,8 @@ def _scan_parallel_forward(xd, dd, ad, bd, cd, exact_zoh):
     product yields h_t directly.  log2(L) passes, each a full-width array
     op, O(L log L) work against the sequential loop's O(L).
     """
-    z = dd[..., None] * ad[None, :, None, :]                  # [B, E, L, H]
-    ea = np.exp(z)
-    if exact_zoh:
-        bbar = np.expm1(z) / ad[None, :, None, :] * bd[:, None, :, :]
-    else:
-        bbar = dd[..., None] * bd[:, None, :, :]
+    ea, bbar, _ = _zoh(dd[..., None], ad[None, :, None, :],
+                       bd[:, None, :, :], exact_zoh)             # [B, E, L, H]
     eu = bbar * xd[..., None]
     L = xd.shape[-1]
     d = 1

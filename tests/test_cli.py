@@ -2,11 +2,13 @@
 
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import sepscan.audio as audio
+import sepscan.cli as cli
 import sepscan.model as M
 import sepscan.training as T
 
@@ -134,6 +136,51 @@ class TestSeparateCommand:
                     "--in", str(workspace["mix"]),
                     "--out", str(workspace["root"] / "x"))
         assert r.returncode == 3
+
+    def test_malformed_checkpoint_is_data_error(self, workspace):
+        head, sep, rest = workspace["ckpt"].read_bytes().partition(b"\n[data] ")
+        bad = workspace["root"] / "bad.ckpt"
+        bad.write_bytes(head + sep + b"zz" + rest[rest.index(b"\n"):])
+        r = run_cli("separate", "--ckpt", str(bad),
+                    "--in", str(workspace["mix"]),
+                    "--out", str(workspace["root"] / "x"))
+        assert r.returncode == 3
+        assert "error" in r.stderr and "Traceback" not in r.stderr
+
+    def test_colliding_output_names_rejected(self, workspace):
+        ins = []
+        for sub in ("a", "b"):
+            (workspace["root"] / sub).mkdir(exist_ok=True)
+            ins.append(workspace["root"] / sub / "x.wav")
+            ins[-1].write_bytes(workspace["mix"].read_bytes())
+        out = workspace["root"] / "sep_collide"
+        r = run_cli("separate", "--ckpt", str(workspace["ckpt"]),
+                    "--in", *map(str, ins), "--out", str(out))
+        assert r.returncode == 3
+        assert "stem" in r.stderr and "wrote" not in r.stdout
+        assert list(out.glob("*.wav")) == []
+
+    # (os.cpu_count(), expected workers for two inputs); never many inputs
+    @pytest.mark.parametrize("cpus,workers", [(1, 1), (None, 1), (4, 2)])
+    def test_pool_capped_at_cpu_count(self, workspace, tmp_path, monkeypatch,
+                                      cpus, workers):
+        seen = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kw):
+                seen.append(max_workers)
+                super().__init__(max_workers=max_workers, **kw)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        ins = [tmp_path / "p.wav", tmp_path / "q.wav"]
+        for path in ins:
+            path.write_bytes(workspace["mix"].read_bytes())
+        rc = cli.main(["separate", "--ckpt", str(workspace["ckpt"]),
+                       "--in", *map(str, ins), "--out", str(tmp_path / "out")])
+        assert rc == 0
+        assert seen == [workers]
+        assert len(list((tmp_path / "out").glob("*.wav"))) == 4
 
 
 class TestTrainToyCommand:

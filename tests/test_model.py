@@ -170,6 +170,31 @@ class TestCheckpoint:
         with pytest.raises(DataFormatError, match="mismatch"):
             tiny_model().load_state(arrays)
 
+    # (header line to replace, its replacement): the magic line, the first
+    # param record (the tiny model's is "encoder 4,16 0") or the [data] line
+    MALFORMED_HEADERS = {
+        "version_not_int": ("magic", "sepscan-checkpoint one"),
+        "data_size_not_int": ("data", "[data] zz"),
+        "shape_not_int": ("record", "encoder 4,x 0"),
+        "shape_negative": ("record", "encoder -4,16 0"),
+        "offset_not_int": ("record", "encoder 4,16 0.5"),
+        "offset_negative": ("record", "encoder 4,16 -1"),
+    }
+
+    @pytest.mark.parametrize("line,text", MALFORMED_HEADERS.values(),
+                             ids=MALFORMED_HEADERS.keys())
+    def test_malformed_header_is_data_error(self, tmp_path, line, text):
+        p = tmp_path / "m.ckpt"
+        M.save_model(p, tiny_model())
+        blob = p.read_bytes()
+        end = blob.index(b"\n", blob.index(b"\n[data] ") + 1)
+        lines = blob[:end].decode("ascii").split("\n")
+        at = {"magic": 0, "record": lines.index("[params]") + 1, "data": -1}[line]
+        lines[at] = text
+        p.write_bytes("\n".join(lines).encode("ascii") + blob[end:])
+        with pytest.raises(DataFormatError, match="checkpoint"):
+            M.load_checkpoint(p)
+
 
 class TestConfig:
     def test_text_roundtrip(self):
@@ -224,3 +249,5 @@ class TestConfig:
             M.ModelConfig(d=4, r=1, norm_kind="instance")
         with pytest.raises(DataFormatError):
             M.ModelConfig(d=4, r=1, enc_stride=20)
+        with pytest.raises(DataFormatError, match="chunk_len"):
+            M.ModelConfig(d=4, r=1, chunk_len=5)

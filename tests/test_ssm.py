@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import sepscan.numerics as nm
 import sepscan.ssm as ssm
 from sepscan.gradcheck import run_suite
 from sepscan.numerics import NumericsError, Tensor
@@ -130,19 +131,21 @@ class TestDuality:
 class TestParallelScan:
     def test_matches_sequential_small_grid(self):
         rng = np.random.default_rng(4)
-        for L in (1, 2, 7, 64):
-            for E, H in ((1, 1), (2, 3)):
-                a = -np.exp(rng.uniform(-1, 1, (E, H)))
-                params = ssm.SsmParams(
-                    a=Tensor(a),
-                    delta=Tensor(rng.uniform(0.05, 0.5, (E, L))),
-                    b=Tensor(rng.standard_normal((L, H))),
-                    c=Tensor(rng.standard_normal((L, H))),
-                )
-                x = Tensor(rng.standard_normal((E, L)))
-                y_seq = ssm.scan_sequential(x, params).data
-                y_par = ssm.scan_parallel(x, params).data
-                assert np.max(np.abs(y_seq - y_par)) < 1e-8, (L, E, H)
+        for exact_zoh in (False, True):
+            for L in (1, 2, 7, 64):
+                for E, H in ((1, 1), (2, 3)):
+                    a = -np.exp(rng.uniform(-1, 1, (E, H)))
+                    params = ssm.SsmParams(
+                        a=Tensor(a),
+                        delta=Tensor(rng.uniform(0.05, 0.5, (E, L))),
+                        b=Tensor(rng.standard_normal((L, H))),
+                        c=Tensor(rng.standard_normal((L, H))),
+                        exact_zoh=exact_zoh,
+                    )
+                    x = Tensor(rng.standard_normal((E, L)))
+                    y_seq = ssm.scan_sequential(x, params).data
+                    y_par = ssm.scan_parallel(x, params).data
+                    assert np.max(np.abs(y_seq - y_par)) < 1e-8, (exact_zoh, L, E, H)
 
     def test_batched_matches_loop(self):
         rng = np.random.default_rng(5)
@@ -162,6 +165,37 @@ class TestParallelScan:
                 ssm.SsmParams(a=Tensor(a), delta=Tensor(delta[i]),
                               b=Tensor(b[i]), c=Tensor(c[i]))).data
             np.testing.assert_allclose(batched[i], single, atol=1e-12)
+
+
+class TestBlockReplay:
+    """The adjoint replays states in blocks of _BLOCK steps from checkpoints."""
+
+    @staticmethod
+    def _gradients(exact_zoh, L):
+        rng = np.random.default_rng(8)
+        B, E, H = 2, 3, 4
+        x = Tensor(rng.standard_normal((B, E, L)), requires_grad=True)
+        delta = Tensor(rng.uniform(0.05, 0.5, (B, E, L)), requires_grad=True)
+        a = Tensor(-np.exp(rng.uniform(-1, 1, (E, H))), requires_grad=True)
+        b = Tensor(rng.standard_normal((B, L, H)), requires_grad=True)
+        c = Tensor(rng.standard_normal((B, L, H)), requires_grad=True)
+        w = Tensor(rng.standard_normal((B, E, L)))
+        y = ssm.scan_sequential(
+            x, ssm.SsmParams(a=a, delta=delta, b=b, c=c, exact_zoh=exact_zoh))
+        nm.mul(y, w).sum().backward()
+        return [t.grad for t in (x, delta, a, b, c)]
+
+    @pytest.mark.parametrize("exact_zoh", [False, True])
+    def test_gradients_do_not_depend_on_block_length(self, exact_zoh,
+                                                     monkeypatch):
+        # L = 2 blocks + 5 steps: three blocks, the last one partial
+        L = 2 * ssm._BLOCK + 5
+        blocked = self._gradients(exact_zoh, L)
+        for block in (L + 1, 1):
+            monkeypatch.setattr(ssm, "_BLOCK", block)
+            replayed = self._gradients(exact_zoh, L)
+            for name, want, got in zip("x delta a b c".split(), blocked, replayed):
+                assert np.array_equal(want, got), (block, name)
 
 
 class TestStability:
