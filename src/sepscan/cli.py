@@ -12,7 +12,9 @@ Subcommands:
 Exit codes: 0 success, 2 usage error (argparse), 3 malformed input data
 (including a malformed checkpoint, and separate inputs whose outputs would
 collide), 4 numeric/training failure (failed gradcheck, count mismatch,
-divergence).
+divergence, non-finite separated stems).  When separate fails on any
+input it removes every stem it wrote, so a nonzero exit leaves no partial
+output behind.
 """
 
 from __future__ import annotations
@@ -79,24 +81,34 @@ def _cmd_separate(args) -> int:
     model = model_mod.SeparationModel.from_checkpoint(args.ckpt)
     rate = model.config.sample_rate
     out_dir.mkdir(parents=True, exist_ok=True)
+    started: list[Path] = []      # every stem file this invocation opened
 
     def one(path) -> list[Path]:
         # weights are read-only here, so workers can share the model
         mix = _load_wav_checked(path, rate)
+        stems = [est.data for est in model.separate(mix)]
+        if not all(np.isfinite(s).all() for s in stems):
+            raise NumericsError(f"{path}: separation produced non-finite samples")
         prefix = "" if len(inputs) == 1 else f"{Path(path).stem}_"
-        written = []
-        for i, est in enumerate(model.separate(mix), start=1):
-            dest = out_dir / f"{prefix}s{i}.wav"
-            audio.wav_write(dest, est.data, rate)
-            written.append(dest)
-        return written
+        dests = [out_dir / f"{prefix}s{i}.wav" for i in range(1, len(stems) + 1)]
+        for dest, stem in zip(dests, stems):
+            started.append(dest)
+            audio.wav_write(dest, stem, rate)
+        return dests
 
-    if len(inputs) == 1:
-        written = one(inputs[0])
-    else:
-        workers = min(len(inputs), os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            written = [p for chunk in pool.map(one, inputs) for p in chunk]
+    try:
+        if len(inputs) == 1:
+            written = one(inputs[0])
+        else:
+            # map cancels the inputs not yet started once one fails; the
+            # pool's exit waits for the running ones, so nothing writes later
+            workers = min(len(inputs), os.cpu_count() or 1)
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                written = [p for chunk in pool.map(one, inputs) for p in chunk]
+    except BaseException:
+        for p in started:
+            p.unlink(missing_ok=True)
+        raise
     for p in written:
         print(f"wrote {p}")
     return EXIT_OK

@@ -70,7 +70,7 @@ def dechunk(cf: ChunkedFeature) -> Tensor:
     frames = nm.permute(cf.data, 0, 2, 1)                  # [D, S, K]
     summed = nm.overlap_add(frames, cf.hop, total)         # [D, total]
     S = cf.data.shape[-1]
-    coverage = np.zeros(total)
+    coverage = np.zeros(total, dtype=cf.data.dtype)
     for s in range(S):
         coverage[s * cf.hop : s * cf.hop + cf.chunk_len] += 1.0
     inv = Tensor(np.broadcast_to(1.0 / coverage, (D, total)).copy())

@@ -71,6 +71,9 @@ class ModelConfig:
             raise DataFormatError("config: only two-speaker separation is implemented")
         if self.norm_kind not in NORM_KINDS:
             raise DataFormatError(f"config: norm_kind must be one of {NORM_KINDS}")
+        if self.sample_rate < 1:
+            raise DataFormatError(
+                f"config: sample_rate must be positive, got {self.sample_rate}")
 
     @property
     def e(self) -> int:
@@ -352,7 +355,7 @@ class SeparationModel:
     def separate(self, x) -> tuple[Tensor, ...]:
         """Waveform [T] -> per-speaker waveforms, each exactly [T]."""
         if not isinstance(x, Tensor):
-            x = Tensor(np.asarray(x, dtype=np.float64))
+            x = Tensor(x, dtype=self.weights.encoder.dtype)
         T = x.shape[0]
         feats = self.encode(x)
         est = []
@@ -363,6 +366,11 @@ class SeparationModel:
     # -- persistence --------------------------------------------------------
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
+        """Copy arrays into the parameters, cast to the model's dtype.
+
+        requires_grad is left alone, so SeparationModel(cfg).load_state(...)
+        gives a float64 model that trains (fine-tuning from a checkpoint).
+        """
         params = self.named_parameters()
         have = {n for n, _ in params}
         missing = [n for n, _ in params if n not in arrays]
@@ -379,9 +387,17 @@ class SeparationModel:
 
     @classmethod
     def from_checkpoint(cls, path: str | Path) -> "SeparationModel":
+        """An inference model: the checkpoint's float32 weights, frozen.
+
+        No weight requires a gradient, so no op records a tape node and
+        separate() runs in float32 at the memory of its live arrays.
+        """
         cfg, arrays = load_checkpoint(path)
         model = cls(cfg, rng=np.random.default_rng(0))
-        model.load_state(arrays)
+        model.load_state(arrays)            # checks names and shapes
+        for name, p in model.named_parameters():
+            p.data = arrays[name]
+            p.requires_grad = False
         return model
 
 

@@ -548,6 +548,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise NumericsError(
             f"matmul: inner dimensions disagree, {a.shape} @ {b.shape}"
         )
+    if a.dtype != b.dtype:
+        raise NumericsError(f"matmul: dtype mismatch {a.dtype} vs {b.dtype}")
 
     def vjp(g):
         ga = g @ b.data.T if a.requires_grad else None

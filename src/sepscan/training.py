@@ -294,6 +294,10 @@ def train_toy(model, examples: list[MixExample], schedule: TrainSchedule,
     """
     if not examples:
         raise NumericsError("train_toy: no examples")
+    if not all(p.requires_grad for _, p in model.named_parameters()):
+        raise NumericsError(
+            "train_toy: the model is frozen (from_checkpoint gives an inference "
+            "model); to fine-tune, build SeparationModel(cfg) and load_state")
     opt = Adam(model.named_parameters())
     total = schedule.total_steps if steps is None else steps
     refs = [tuple(Tensor(np.asarray(s, dtype=np.float64)) for s in ex.sources)

@@ -10,6 +10,7 @@ import pytest
 import sepscan.audio as audio
 import sepscan.cli as cli
 import sepscan.model as M
+import sepscan.numerics as nm
 import sepscan.training as T
 
 TINY_CFG = "d = 4\nr = 1\nh = 2\nchunk_len = 8\n"
@@ -73,6 +74,13 @@ class TestParams:
         r = run_cli("params", "--config", "no_such_file.cfg")
         assert r.returncode == 3
         assert "error" in r.stderr
+
+    def test_nonpositive_sample_rate_is_data_error(self, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("d = 8\nr = 2\nsample_rate = 0\n")
+        r = run_cli("params", "--config", str(bad))
+        assert r.returncode == 3
+        assert "sample_rate" in r.stderr and "Traceback" not in r.stderr
 
 
 class TestGradcheckCommand:
@@ -181,6 +189,33 @@ class TestSeparateCommand:
         assert rc == 0
         assert seen == [workers]
         assert len(list((tmp_path / "out").glob("*.wav"))) == 4
+
+    @pytest.mark.parametrize("missing_first", [False, True])
+    def test_failed_input_leaves_no_stems(self, workspace, tmp_path, capsys,
+                                          missing_first):
+        good = tmp_path / "good.wav"
+        good.write_bytes(workspace["mix"].read_bytes())
+        ins = [str(good), str(tmp_path / "missing.wav")]
+        if missing_first:
+            ins.reverse()
+        out = tmp_path / "out"
+        rc = cli.main(["separate", "--ckpt", str(workspace["ckpt"]),
+                       "--in", *ins, "--out", str(out)])
+        assert rc == 3
+        assert "wrote" not in capsys.readouterr().out
+        assert list(out.glob("*_s?.wav")) == []
+
+    def test_nonfinite_stems_are_numeric_error(self, workspace, tmp_path,
+                                               monkeypatch):
+        def separate(self, x):
+            return (nm.Tensor(np.full(len(x), np.nan)), nm.Tensor(np.zeros(len(x))))
+
+        monkeypatch.setattr(M.SeparationModel, "separate", separate)
+        out = tmp_path / "out"
+        rc = cli.main(["separate", "--ckpt", str(workspace["ckpt"]),
+                       "--in", str(workspace["mix"]), "--out", str(out)])
+        assert rc == 4
+        assert list(out.glob("*")) == []
 
 
 class TestTrainToyCommand:

@@ -1,5 +1,8 @@
 """Model shapes, parameter accounting, checkpoint format, config parsing."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ import sepscan.model as M
 import sepscan.numerics as nm
 from sepscan.errors import DataFormatError
 from sepscan.numerics import Tensor
+from sepscan.training import si_snr_value
 
 TINY = dict(d=4, r=1, h=2, chunk_len=4)
 
@@ -196,6 +200,70 @@ class TestCheckpoint:
             M.load_checkpoint(p)
 
 
+class TestInferenceModel:
+    """A loaded checkpoint is frozen float32; load_state keeps a trainable model."""
+
+    CFG = M.ModelConfig(d=16, r=2, h=4, chunk_len=32)
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        p = tmp_path / "m.ckpt"
+        M.save_model(p, M.SeparationModel(self.CFG, rng=np.random.default_rng(6)))
+        return p
+
+    @staticmethod
+    def mix(seconds):
+        return np.random.default_rng(7).standard_normal(int(8000 * seconds)) * 0.3
+
+    def trainable(self, path):
+        mdl = M.SeparationModel(self.CFG)
+        mdl.load_state(M.load_checkpoint(path)[1])
+        return mdl
+
+    def test_outputs_are_float32_and_tape_free(self, saved):
+        mdl = M.SeparationModel.from_checkpoint(saved)
+        assert all(p.dtype == np.float32 and not p.requires_grad
+                   for _, p in mdl.named_parameters())
+        for est in mdl.separate(self.mix(0.1)):
+            assert est.dtype == np.float32
+            assert est.requires_grad is False and est._parents == ()
+
+    def test_matches_float64_model_with_the_same_weights(self, saved):
+        x = self.mix(0.25)
+        fast = M.SeparationModel.from_checkpoint(saved).separate(x)
+        ref = self.trainable(saved).separate(x)
+        for est, r in zip(fast, ref, strict=True):
+            assert si_snr_value(est.data, r.data) >= 60.0
+
+    def test_peak_memory_a_fifth_of_the_trainable_model(self, saved):
+        x = self.mix(1.0)
+
+        def peak(mdl):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                mdl.separate(x)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        frozen = peak(M.SeparationModel.from_checkpoint(saved))
+        assert frozen * 5 <= peak(self.trainable(saved))
+
+    def test_load_state_stays_float64_and_trainable(self, saved):
+        mdl = self.trainable(saved)
+        params = mdl.named_parameters()
+        assert all(p.dtype == np.float64 and p.requires_grad for _, p in params)
+        s1, s2 = mdl.separate(self.mix(0.05))
+        nm.tsum(nm.mul(s1, s2)).backward()
+        assert all(p.grad is not None for _, p in params)
+
+    def test_float64_input_to_frozen_model_rejected(self, saved):
+        mdl = M.SeparationModel.from_checkpoint(saved)
+        with pytest.raises(nm.NumericsError, match="float32"):
+            mdl.separate(Tensor(self.mix(0.05)))
+
+
 class TestConfig:
     def test_text_roundtrip(self):
         cfg = M.ModelConfig(d=12, r=3, h=4, norm_kind="layernorm",
@@ -251,3 +319,5 @@ class TestConfig:
             M.ModelConfig(d=4, r=1, enc_stride=20)
         with pytest.raises(DataFormatError, match="chunk_len"):
             M.ModelConfig(d=4, r=1, chunk_len=5)
+        with pytest.raises(DataFormatError, match="sample_rate"):
+            M.config_from_text("d = 8\nr = 2\nsample_rate = 0\n")

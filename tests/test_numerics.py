@@ -37,6 +37,12 @@ class TestOperandRules:
         with pytest.raises(NumericsError):
             nm.add(a, b)
 
+    def test_matmul_dtype_mismatch_rejected(self):
+        a = Tensor(np.zeros((2, 3), dtype=np.float32))
+        b = Tensor(np.zeros((3, 4), dtype=np.float64))
+        with pytest.raises(NumericsError, match="float32 vs float64"):
+            nm.matmul(a, b)
+
     def test_matmul_strictly_2d(self):
         with pytest.raises(NumericsError):
             nm.matmul(t(np.zeros((2, 3, 4))), t(np.zeros((4, 5))))

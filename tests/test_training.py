@@ -249,3 +249,10 @@ class TestTrainToy:
         with pytest.raises(NumericsError):
             T.train_toy(self._model(), [],
                         T.TrainSchedule(1e-4, 1, 10))
+
+    def test_frozen_model_rejected(self, tmp_path):
+        ckpt = tmp_path / "m.ckpt"
+        M.save_model(ckpt, self._model())
+        with pytest.raises(NumericsError, match="frozen"):
+            T.train_toy(M.SeparationModel.from_checkpoint(ckpt), self._examples(),
+                        T.TrainSchedule(1e-4, 1, 10))
