@@ -14,6 +14,7 @@ corpus is reproducible byte for byte.
 from __future__ import annotations
 
 import math
+import os
 import wave
 from pathlib import Path
 
@@ -41,12 +42,15 @@ def wav_read(path) -> tuple[np.ndarray, int]:
             rate = f.getframerate()
             n = f.getnframes()
             raw = f.readframes(n)
-    except (wave.Error, EOFError, OSError) as exc:
-        raise DataFormatError(f"{path}: not a readable WAV file ({exc})") from exc
+    except (wave.Error, EOFError, OSError, RuntimeError) as exc:
+        # wave raises a bare RuntimeError when a chunk overruns its parent
+        raise DataFormatError(f"{path}: not a readable WAV file ({exc!r})") from exc
     if channels != 1:
         raise DataFormatError(f"{path}: expected mono, got {channels} channels")
     if width != 2:
         raise DataFormatError(f"{path}: expected 16-bit PCM, got {8 * width}-bit")
+    if len(raw) % width:
+        raise DataFormatError(f"{path}: truncated mid-sample ({len(raw)} data bytes)")
     data = np.frombuffer(raw, dtype="<i2").astype(np.float64) / _SCALE
     return data, rate
 
@@ -132,21 +136,29 @@ def synth_corpus(out_dir, num_speakers: int, utts_per_speaker: int,
     return paths
 
 
+def read_utf8(path: Path) -> str:
+    """The text of a UTF-8 file; any other encoding is a DataFormatError."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
 def read_manifest(path) -> list[Path]:
     """One WAV path per line, relative paths resolved against the manifest."""
     mp = Path(path)
-    if not mp.is_file():
+    if not os.path.isfile(mp):      # False, not OSError, for an unusable name
         raise DataFormatError(f"manifest {path}: no such file")
     base = mp.parent
     out: list[Path] = []
-    for lineno, raw in enumerate(mp.read_text().splitlines(), 1):
+    for lineno, raw in enumerate(read_utf8(mp).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         p = Path(line)
         if not p.is_absolute():
             p = base / p
-        if not p.is_file():
+        if not os.path.isfile(p):
             raise DataFormatError(f"manifest line {lineno}: missing file {p}")
         out.append(p)
     if not out:

@@ -141,16 +141,6 @@ def init_bi_scan(d: int, h: int, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 
 
-def linear_channels(w: Tensor, x: Tensor) -> Tensor:
-    """Apply a [O, I] map along the channel axis of [I, L] or [B, I, L]."""
-    if x.ndim == 2:
-        return nm.matmul(w, x)
-    B, I, L = x.shape
-    flat = nm.reshape(nm.permute(x, 1, 0, 2), I, B * L)
-    out = nm.matmul(w, flat)
-    return nm.permute(nm.reshape(out, w.shape[0], B, L), 1, 0, 2)
-
-
 def _direction_ssm(x: Tensor, dw: DirectionWeights, exact_zoh: bool) -> Tensor:
     a = nm.neg(nm.exp(dw.a_log))
     params = ssm.selective_parameterize(x, dw.proj, a, exact_zoh=exact_zoh)
@@ -164,15 +154,15 @@ def bi_scan_forward(h: Tensor, w: BiScanWeights,
     With return_branches=True also returns the gated forward-branch and
     (re-flipped) backward-branch sequences, for inspection in tests.
     """
-    h_in = linear_channels(w.w_in, h)
-    gate = nm.silu(linear_channels(w.w_gate, h))
+    h_in = nm.matmul(w.w_in, h)
+    gate = nm.silu(nm.matmul(w.w_gate, h))
 
     x_f = nm.silu(nm.conv1d_depthwise(h_in, w.fwd.conv_kernel, w.fwd.conv_bias))
     s_f = _direction_ssm(x_f, w.fwd, w.exact_zoh)
     y_f = nm.mul(gate, s_f)
 
     if w.bwd is None:
-        out = linear_channels(w.w_out, y_f)
+        out = nm.matmul(w.w_out, y_f)
         if return_branches:
             return out, y_f, None
         return out
@@ -183,7 +173,7 @@ def bi_scan_forward(h: Tensor, w: BiScanWeights,
     y_b = nm.mul(nm.flip_last_axis(gate), s_b)
     y_b_aligned = nm.flip_last_axis(y_b)
 
-    out = linear_channels(w.w_out, nm.mean_pair(y_f, y_b_aligned))
+    out = nm.matmul(w.w_out, nm.mean_pair(y_f, y_b_aligned))
     if return_branches:
         return out, y_f, y_b_aligned
     return out

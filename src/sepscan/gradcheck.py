@@ -167,6 +167,11 @@ def suite_numerics(seed: int = 0) -> list[GradcheckResult]:
     run("matmul",
         lambda x, y: nm.matmul(x, y).sum(),
         [_rand(rng, (3, 4)), _rand(rng, (4, 2))], ["a", "b"])
+    # B == L: a weight gradient pairing g's batch axis with b's time axis fails
+    wm = nm.Tensor(rng.uniform(-1, 1, (3, 3, 3)))
+    run("matmul_batched",
+        lambda x, y: nm.mul(nm.matmul(x, y), wm).sum(),
+        [_rand(rng, (3, 4)), _rand(rng, (3, 4, 3))], ["a", "b"])
     run("conv1d_depthwise",
         lambda x, k, c: nm.conv1d_depthwise(x, k, c).sum(),
         [_rand(rng, (3, 8)), _rand(rng, (3, 4)), _rand(rng, (3,))],

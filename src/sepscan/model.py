@@ -20,6 +20,7 @@ pager and loaded without pickle.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -28,6 +29,7 @@ import numpy as np
 from . import blocks as blocks_mod
 from . import dualpath as dp
 from . import numerics as nm
+from .audio import read_utf8
 from .dualpath import NORM_KINDS, ChunkedFeature
 from .errors import DataFormatError
 from .numerics import NumericsError, Tensor
@@ -152,8 +154,8 @@ def config_from_text(text: str) -> ModelConfig:
 def load_config(source: str | Path) -> ModelConfig:
     """Accept either a preset name or a path to a config file."""
     p = Path(source)
-    if p.exists():
-        return config_from_text(p.read_text())
+    if os.path.exists(p):      # False, not OSError, for an unusable name
+        return config_from_text(read_utf8(p))
     if str(source).lower() in PRESETS:
         return preset(str(source))
     raise DataFormatError(f"config '{source}': no such file and not a preset name")
@@ -496,5 +498,8 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray
                 f"checkpoint {path}: record '{name}' overruns the payload")
         if name in arrays:
             raise DataFormatError(f"checkpoint {path}: duplicate param '{name}'")
-        arrays[name] = flat[off : off + size].reshape(shape).copy()
+        try:      # numpy refuses some shapes even of an empty record
+            arrays[name] = flat[off : off + size].reshape(shape).copy()
+        except ValueError as exc:
+            raise DataFormatError(f"checkpoint {path}: bad shape {shape_s}") from exc
     return cfg, arrays

@@ -10,7 +10,8 @@ Shape conventions used across the package:
 Rules the engine enforces rather than glosses over:
 
   * no implicit broadcasting, except a scalar (0-d) with a tensor;
-  * matmul is strictly 2-D;
+  * an op's inputs all have its output's dtype (primitive checks this);
+  * matmul maps axis -2 of [I, L] or [B, I, L] by a 2-D [O, I] weight;
   * flip/permute/reshape materialize copies, never aliased views;
   * gradients accumulate additively across fan-out and across repeated
     backward() calls; callers reset explicitly with zero_grad().
@@ -179,6 +180,9 @@ def primitive(
     to define fused primitives (the selective scan) without touching the
     engine internals.
     """
+    for p in parents:
+        if p.data.dtype != data.dtype:
+            raise NumericsError(f"{op}: dtype mismatch {p.dtype} vs {data.dtype}")
     if _DEBUG and not np.all(np.isfinite(data)):
         raise NumericsError(f"non-finite values produced by op '{op}'")
     out = Tensor.__new__(Tensor)
@@ -212,8 +216,6 @@ def _binary_operands(a: Tensor, b, op: str) -> tuple[Tensor, Tensor]:
     if not isinstance(a, Tensor):
         a = _wrap(a, b.dtype if isinstance(b, Tensor) else np.float64)
     b = _wrap(b, a.dtype)
-    if a.dtype != b.dtype:
-        raise NumericsError(f"{op}: dtype mismatch {a.dtype} vs {b.dtype}")
     if a.shape != b.shape and a.shape != () and b.shape != ():
         raise NumericsError(
             f"{op}: shape mismatch {a.shape} vs {b.shape} "
@@ -540,19 +542,19 @@ def overlap_add(x: Tensor, hop: int, out_len: int) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2:
+    """Apply the [O, I] map a along axis -2 of b: [I, L] or [B, I, L]."""
+    if a.ndim != 2 or b.ndim not in (2, 3):
         raise NumericsError(
-            f"matmul: strictly 2-D, got ranks {a.ndim} and {b.ndim}"
+            f"matmul: needs ranks 2 and 2 or 3, got {a.ndim} and {b.ndim}"
         )
-    if a.shape[1] != b.shape[0]:
+    if a.shape[1] != b.shape[-2]:
         raise NumericsError(
             f"matmul: inner dimensions disagree, {a.shape} @ {b.shape}"
         )
-    if a.dtype != b.dtype:
-        raise NumericsError(f"matmul: dtype mismatch {a.dtype} vs {b.dtype}")
+    axes = tuple(i for i in range(b.ndim) if i != b.ndim - 2)
 
     def vjp(g):
-        ga = g @ b.data.T if a.requires_grad else None
+        ga = np.tensordot(g, b.data, axes=(axes, axes)) if a.requires_grad else None
         gb = a.data.T @ g if b.requires_grad else None
         return ga, gb
 

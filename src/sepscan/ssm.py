@@ -310,32 +310,13 @@ def selective_parameterize(x: Tensor, proj: SsmProjection, a: Tensor,
     delta = softplus(W_up (W_down x) + bias) through a rank-reduced pair,
     b and c are direct linear readouts of each step.  x: [E, L] or [B, E, L].
     """
-    if x.ndim == 2:
-        flat = x
-        unflatten = None
-    elif x.ndim == 3:
-        B, E, L = x.shape
-        flat = nm.reshape(nm.permute(x, 1, 0, 2), E, B * L)
-        unflatten = (B, L)
-    else:
+    if x.ndim not in (2, 3):
         raise NumericsError(f"selective_parameterize: bad input rank {x.ndim}")
-
-    dt = nm.matmul(proj.w_delta_up, nm.matmul(proj.w_delta_down, flat))
-    dt = nm.softplus(nm.add_bias(dt, proj.b_delta))          # [E, B*L]
-    bproj = nm.matmul(proj.w_b, flat)                        # [H, B*L]
-    cproj = nm.matmul(proj.w_c, flat)
-
-    if unflatten is None:
-        delta = dt
-        b = nm.permute(bproj, 1, 0)
-        c = nm.permute(cproj, 1, 0)
-    else:
-        B, L = unflatten
-        E = x.shape[1]
-        H = proj.w_b.shape[0]
-        delta = nm.permute(nm.reshape(dt, E, B, L), 1, 0, 2)
-        b = nm.permute(nm.reshape(bproj, H, B, L), 1, 2, 0)
-        c = nm.permute(nm.reshape(cproj, H, B, L), 1, 2, 0)
+    dt = nm.matmul(proj.w_delta_up, nm.matmul(proj.w_delta_down, x))
+    delta = nm.softplus(nm.add_bias(dt, proj.b_delta))
+    swap = (*range(x.ndim - 2), x.ndim - 1, x.ndim - 2)
+    b = nm.permute(nm.matmul(proj.w_b, x), *swap)
+    c = nm.permute(nm.matmul(proj.w_c, x), *swap)
     return SsmParams(a=a, delta=delta, b=b, c=c, exact_zoh=exact_zoh)
 
 

@@ -1,6 +1,7 @@
 """WAV round trips, format rejection, and synthetic-speaker properties."""
 
 import math
+import struct
 import wave
 
 import numpy as np
@@ -66,6 +67,22 @@ class TestWavRejection:
     def test_garbage_rejected(self, tmp_path):
         p = tmp_path / "junk.wav"
         p.write_bytes(b"this is not audio at all")
+        with pytest.raises(DataFormatError):
+            audio.wav_read(p)
+
+    def test_truncated_mid_sample_rejected(self, tmp_path):
+        p = tmp_path / "cut.wav"
+        audio.wav_write(p, np.linspace(-0.5, 0.5, 20), 8000)
+        p.write_bytes(p.read_bytes()[:-1])
+        with pytest.raises(DataFormatError, match="truncated"):
+            audio.wav_read(p)
+
+    def test_chunk_overrunning_the_file_rejected(self, tmp_path):
+        # wave itself raises a bare RuntimeError when it skips this chunk
+        p = tmp_path / "overrun.wav"
+        audio.wav_write(p, np.zeros(20), 8000)
+        blob = p.read_bytes()
+        p.write_bytes(blob[:36] + b"LIST" + struct.pack("<I", 1000) + blob[36:])
         with pytest.raises(DataFormatError):
             audio.wav_read(p)
 
@@ -150,4 +167,16 @@ class TestCorpus:
         m = tmp_path / "manifest.txt"
         m.write_text("# nothing\n")
         with pytest.raises(DataFormatError, match="no entries"):
+            audio.read_manifest(m)
+
+    def test_manifest_not_utf8_rejected(self, tmp_path):
+        m = tmp_path / "manifest.txt"
+        m.write_bytes(b"caf\xe9.wav\n")
+        with pytest.raises(DataFormatError, match="UTF-8"):
+            audio.read_manifest(m)
+
+    def test_manifest_overlong_name_rejected(self, tmp_path):
+        m = tmp_path / "manifest.txt"
+        m.write_text("a" * 5000 + ".wav\n")
+        with pytest.raises(DataFormatError, match="line 1"):
             audio.read_manifest(m)

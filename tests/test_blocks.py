@@ -117,8 +117,7 @@ class TestGating:
         w = blocks.init_bi_scan(3, 4, rng)
         x = _input(rng, 3, 8)
         y, y_f, y_b = blocks.bi_scan_forward(x, w, return_branches=True)
-        merged = blocks.linear_channels(
-            w.w_out, nm.mean_pair(y_f, y_b))
+        merged = nm.matmul(w.w_out, nm.mean_pair(y_f, y_b))
         np.testing.assert_allclose(y.data, merged.data, atol=1e-12)
 
     def test_gradient_reaches_every_parameter(self):

@@ -83,6 +83,20 @@ class TestParams:
         assert "sample_rate" in r.stderr and "Traceback" not in r.stderr
 
 
+    def test_non_utf8_config_is_data_error(self, tmp_path):
+        bad = tmp_path / "latin1.cfg"
+        bad.write_bytes(b"d = 8\nr = 2\n# caf\xe9\n")
+        r = run_cli("params", "--config", str(bad))
+        assert r.returncode == 3
+        assert "UTF-8" in r.stderr and "Traceback" not in r.stderr
+
+
+    def test_overlong_config_name_is_data_error(self):
+        r = run_cli("params", "--config", "a" * 5000)
+        assert r.returncode == 3
+        assert "Traceback" not in r.stderr
+
+
 class TestGradcheckCommand:
     def test_numerics_suite_passes(self):
         r = run_cli("gradcheck", "--module", "numerics")
@@ -154,6 +168,14 @@ class TestSeparateCommand:
                     "--out", str(workspace["root"] / "x"))
         assert r.returncode == 3
         assert "error" in r.stderr and "Traceback" not in r.stderr
+
+    def test_truncated_wav_is_data_error(self, workspace, tmp_path):
+        cut = tmp_path / "cut.wav"
+        cut.write_bytes(workspace["mix"].read_bytes()[:-1])
+        r = run_cli("separate", "--ckpt", str(workspace["ckpt"]),
+                    "--in", str(cut), "--out", str(tmp_path / "out"))
+        assert r.returncode == 3
+        assert "truncated" in r.stderr and "Traceback" not in r.stderr
 
     def test_colliding_output_names_rejected(self, workspace):
         ins = []

@@ -183,6 +183,7 @@ class TestCheckpoint:
         "shape_negative": ("record", "encoder -4,16 0"),
         "offset_not_int": ("record", "encoder 4,16 0.5"),
         "offset_negative": ("record", "encoder 4,16 -1"),
+        "shape_too_large": ("record", "encoder 0,1000000000000000000000 0"),
     }
 
     @pytest.mark.parametrize("line,text", MALFORMED_HEADERS.values(),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sepscan.numerics as nm
+import sepscan.ssm as ssm
 from sepscan.gradcheck import run_suite
 from sepscan.numerics import NumericsError, Tensor
 
@@ -50,12 +51,47 @@ class TestOperandRules:
             nm.matmul(t(np.zeros((2, 3))), t(np.zeros((4, 5))))
         assert "(2, 3)" in str(e.value) and "(4, 5)" in str(e.value)
 
+    def test_matmul_maps_axis_minus_2_of_a_batch(self):
+        rng = np.random.default_rng(3)
+        w, x = t(rng.standard_normal((5, 3))), t(rng.standard_normal((4, 3, 6)))
+        y = nm.matmul(w, x)
+        assert y.shape == (4, 5, 6)
+        for i in range(4):
+            np.testing.assert_allclose(y.data[i], w.data @ x.data[i], rtol=1e-14)
+        with pytest.raises(NumericsError):
+            nm.matmul(w, t(np.zeros((2, 4, 3, 6))))
+
     def test_views_are_copies(self):
         x = t(np.arange(6.0).reshape(2, 3))
         for y in (nm.reshape(x, 3, 2), nm.permute(x, 1, 0),
                   nm.flip_last_axis(x)):
             y.data[...] = -1.0
             assert np.array_equal(x.data, np.arange(6.0).reshape(2, 3))
+
+
+_F32 = Tensor(np.ones((3, 5), dtype=np.float32))
+_W64 = Tensor(np.ones(3))
+_SCAN_PARAMS = ssm.SsmParams(
+    a=Tensor(-np.ones((3, 2))),
+    delta=Tensor(np.full((3, 5), 0.1, dtype=np.float32)),
+    b=Tensor(np.ones((5, 2), dtype=np.float32)),
+    c=Tensor(np.ones((5, 2), dtype=np.float32)),
+)
+MIXED_DTYPE_OPS = {
+    "add_bias": lambda: nm.add_bias(_F32, _W64),
+    "scale_channels": lambda: nm.scale_channels(_F32, _W64),
+    "conv1d_depthwise": lambda: nm.conv1d_depthwise(
+        _F32, Tensor(np.ones((3, 4))), _W64),
+    "rmsnorm": lambda: nm.rmsnorm(_F32, _W64),
+    "layernorm": lambda: nm.layernorm(_F32, _W64, _W64),
+    "scan_sequential": lambda: ssm.scan_sequential(_F32, _SCAN_PARAMS),
+}
+
+
+@pytest.mark.parametrize("op", MIXED_DTYPE_OPS)
+def test_float64_weight_on_float32_input_rejected(op):
+    with pytest.raises(NumericsError, match=rf"^{op}: dtype mismatch float"):
+        MIXED_DTYPE_OPS[op]()
 
 
 # ---------------------------------------------------------------------------
