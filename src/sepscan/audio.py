@@ -49,8 +49,10 @@ def wav_read(path) -> tuple[np.ndarray, int]:
         raise DataFormatError(f"{path}: expected mono, got {channels} channels")
     if width != 2:
         raise DataFormatError(f"{path}: expected 16-bit PCM, got {8 * width}-bit")
-    if len(raw) % width:
-        raise DataFormatError(f"{path}: truncated mid-sample ({len(raw)} data bytes)")
+    if len(raw) < n * width:
+        raise DataFormatError(
+            f"{path}: truncated: the header promises {n} samples, the data "
+            f"holds {len(raw)} bytes")
     data = np.frombuffer(raw, dtype="<i2").astype(np.float64) / _SCALE
     return data, rate
 

@@ -10,11 +10,11 @@ Subcommands:
     eval        score a checkpoint against mixtures from a corpus manifest
 
 Exit codes: 0 success, 2 usage error (argparse), 3 malformed input data
-(including a malformed checkpoint, and separate inputs whose outputs would
-collide), 4 numeric/training failure (failed gradcheck, count mismatch,
-divergence, non-finite separated stems).  When separate fails on any
-input it removes every stem it wrote, so a nonzero exit leaves no partial
-output behind.
+(including a malformed checkpoint, a path the operating system refuses,
+and separate inputs whose outputs would collide), 4 numeric/training
+failure (failed gradcheck, count mismatch, divergence, non-finite
+separated stems).  When separate fails on any input it removes every
+stem it wrote, so a nonzero exit leaves no partial output behind.
 """
 
 from __future__ import annotations
@@ -247,8 +247,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (DataFormatError, FileNotFoundError, IsADirectoryError,
-            PermissionError) as exc:
+    except (DataFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (NumericsError, TrainingDiverged) as exc:

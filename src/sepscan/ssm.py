@@ -16,7 +16,7 @@ while A stays input-independent.
 
 Three evaluation paths compute the same recurrence:
 
-  * scan_sequential: the reference loop, O(E*H) live state;
+  * scan_sequential: the stepwise loop, O(B*E*H) live state;
   * scan_parallel:   associative prefix doubling over (Abar, Bbar x) pairs;
   * kernel_convolve: a dense-matrix convolution oracle, valid only for
     time-invariant parameters, kept deliberately independent so the fast
@@ -27,6 +27,16 @@ recurrence in fixed-size blocks instead of storing the full hidden-state
 trajectory.  The discretization arithmetic lives in one helper, _zoh,
 which discretize, both scans and the adjoint call; the sequential loop and
 the adjoint's replay share one state iterator, _states.
+
+The sequential loop and the adjoint run time-major.  On entry x, delta
+(and the adjoint's g) go from [B, E, L] to [L, B, E], b and c from
+[B, L, H] to [L, B, H] and a to [H, E], so each step reads contiguous
+slices and every broadcast runs over E in its inner loop.  The state is
+one [B, H, E] buffer updated in place (h *= Abar; h += Bbar x), with the
+step's Abar and Bbar written into two reused buffers through _zoh's out=,
+so live state stays O(B*E*H) whatever L is; the contractions over H
+(y_t = c_t h_t, and the adjoint's h_t g_t and b_t lambda_t) are matmuls.
+Outputs go back to the caller's layout.
 """
 
 from __future__ import annotations
@@ -40,7 +50,7 @@ from . import numerics as nm
 from .numerics import NumericsError, Tensor
 
 # block length for the backward-pass state replay; bounds the recompute
-# buffer at _BLOCK * E * H regardless of sequence length
+# buffers at _BLOCK * B * E * H regardless of sequence length
 _BLOCK = 64
 
 # the dense oracle is a correctness instrument, not a compute path
@@ -111,15 +121,21 @@ class SsmProjection:
 # ---------------------------------------------------------------------------
 
 
-def _zoh(dt, a, b, exact_zoh):
+def _zoh(dt, a, b, exact_zoh, out=(None, None)):
     """Discretize broadcastable ndarrays: (Abar, Bbar, p) with Bbar = p * b.
 
     p = expm1(dt a) / a under the exact hold and dt under Euler; it is
-    also dBbar/db, which the adjoint reuses.
+    also dBbar/db, which the adjoint reuses.  out = (abar, bbar) writes
+    Abar and Bbar into those arrays in place of fresh ones.
     """
-    z = dt * a
-    p = np.expm1(z) / a if exact_zoh else dt
-    return np.exp(z), p * b, p
+    abar, bbar = out
+    z = np.multiply(dt, a, out=abar)
+    if exact_zoh:
+        p = np.expm1(z)
+        p /= a
+    else:
+        p = dt
+    return np.exp(z, out=z), np.multiply(p, b, out=bbar), p
 
 
 def discretize(a: Tensor, delta: Tensor, b: Tensor,
@@ -142,22 +158,38 @@ def discretize(a: Tensor, delta: Tensor, b: Tensor,
 # ---------------------------------------------------------------------------
 
 
-def _states(xd, dd, ad, bd, exact_zoh):
-    """Yield (t, h_t) of the recurrence over [B, E, L]; O(B*E*H) live state."""
-    B, E, L = xd.shape
-    h = np.zeros((B, E, ad.shape[1]), dtype=xd.dtype)
+def _time_major(xd, dd, ad, bd, cd):
+    """One relayout on entry: [B, E, L] -> [L, B, E], [B, L, H] -> [L, B, H]
+    and a [E, H] -> aT [H, E], so every per-step slice is contiguous."""
+    tm = np.ascontiguousarray
+    return (tm(xd.transpose(2, 0, 1)), tm(dd.transpose(2, 0, 1)), tm(ad.T),
+            tm(bd.transpose(1, 0, 2)), tm(cd.transpose(1, 0, 2)))
+
+
+def _states(x, d, aT, b, exact_zoh):
+    """Yield (t, h_t) of the recurrence; O(B*E*H) live state.
+
+    x, d: [L, B, E], aT: [H, E], b: [L, B, H].  h_t is [B, H, E] and is the
+    same buffer at every step: a caller that keeps a state must copy it.
+    """
+    L, B, E = x.shape
+    h = np.zeros((B, aT.shape[0], E), dtype=x.dtype)
+    abar, bbar = np.empty_like(h), np.empty_like(h)
     for t in range(L):
-        abar, bbar, _ = _zoh(dd[:, :, t, None], ad, bd[:, None, t, :], exact_zoh)
-        h = abar * h + bbar * xd[:, :, t, None]
+        _zoh(d[t, :, None, :], aT, b[t, :, :, None], exact_zoh, out=(abar, bbar))
+        bbar *= x[t, :, None, :]
+        h *= abar
+        h += bbar
         yield t, h
 
 
 def _scan_forward(xd, dd, ad, bd, cd, exact_zoh):
-    """Reference loop: y_t = C_t h_t."""
-    y = np.empty_like(xd)
-    for t, h in _states(xd, dd, ad, bd, exact_zoh):
-        y[:, :, t] = (h * cd[:, None, t, :]).sum(axis=-1)
-    return y
+    """Reference loop: y_t = c_t h_t, one matmul over H per step."""
+    x, d, aT, b, c = _time_major(xd, dd, ad, bd, cd)
+    y = np.empty_like(x)
+    for t, h in _states(x, d, aT, b, exact_zoh):
+        np.matmul(c[t, :, None, :], h, out=y[t, :, None, :])
+    return y.transpose(1, 2, 0)
 
 
 def _scan_backward(xd, dd, ad, bd, cd, exact_zoh, g):
@@ -171,59 +203,80 @@ def _scan_backward(xd, dd, ad, bd, cd, exact_zoh, g):
     recurrence
 
         lambda_t = g_t c_t + Abar_{t+1} lambda_{t+1}
+
+    Both sweeps run time-major with [B, H, E] states, like the forward.
     """
-    B, E, L = xd.shape
-    H = ad.shape[1]
-    dtype = xd.dtype
+    x, d, aT, b, c = _time_major(xd, dd, ad, bd, cd)
+    g = np.ascontiguousarray(g.transpose(2, 0, 1))
+    L, B, E = x.shape
+    H = aT.shape[0]
+    dtype = x.dtype
 
-    gx = np.empty_like(xd)
-    gdelta = np.empty_like(dd)
-    ga = np.zeros((E, H), dtype=dtype)
-    gb = np.empty_like(bd)
-    gc = np.empty_like(cd)
+    gx = np.empty_like(x)
+    gdelta = np.empty_like(d)
+    ga = np.zeros((H, E), dtype=dtype)
+    gb = np.empty_like(b)
+    gc = np.empty_like(c)
 
-    # sweep 1: forward replay; checkpoints + gc
-    checkpoints = [np.zeros((B, E, H), dtype=dtype)]
-    for t, h in _states(xd, dd, ad, bd, exact_zoh):
-        gc[:, t, :] = (h * g[:, :, t, None]).sum(axis=1)
+    # sweep 1: forward replay; checkpoints + gc_t = h_t g_t
+    checkpoints = [np.zeros((B, H, E), dtype=dtype)]
+    for t, h in _states(x, d, aT, b, exact_zoh):
+        np.matmul(h, g[t, :, :, None], out=gc[t, :, :, None])
         if (t + 1) % _BLOCK == 0 and t + 1 < L:
-            checkpoints.append(h)
+            checkpoints.append(h.copy())
 
     # sweep 2: blocks in reverse; lam_carry = Abar_{t+1} lambda_{t+1}
-    lam_carry = np.zeros((B, E, H), dtype=dtype)
+    n_max = min(_BLOCK, L)
+    abar_b = np.empty((n_max, B, H, E), dtype=dtype)
+    bbar_b = np.empty_like(abar_b)
+    hbuf = np.empty((n_max + 1, B, H, E), dtype=dtype)
+    lam = np.empty((B, H, E), dtype=dtype)
+    lam_carry = np.zeros_like(lam)
+    w = np.empty_like(lam)
+    wa = np.empty_like(lam)
+    s = np.empty((B, 1, E), dtype=dtype)
     for blk in range(len(checkpoints) - 1, -1, -1):
         t0 = blk * _BLOCK
         t1 = min(t0 + _BLOCK, L)
         n = t1 - t0
-        abar_b, bbar_b, p_b = _zoh(dd[:, :, t0:t1, None], ad[None, :, None, :],
-                                   bd[:, None, t0:t1, :], exact_zoh)
+        _, _, p_b = _zoh(d[t0:t1, :, None, :], aT, b[t0:t1, :, :, None],
+                         exact_zoh, out=(abar_b[:n], bbar_b[:n]))
         # rebuild states h_{t0-1} .. h_{t1-1} for this block
-        hbuf = np.empty((n + 1, B, E, H), dtype=dtype)
         hbuf[0] = checkpoints[blk]
         for i in range(n):
-            t = t0 + i
-            hbuf[i + 1] = (abar_b[:, :, i] * hbuf[i]
-                           + bbar_b[:, :, i] * xd[:, :, t, None])
+            np.multiply(abar_b[i], hbuf[i], out=hbuf[i + 1])
+            np.multiply(bbar_b[i], x[t0 + i, :, None, :], out=w)
+            hbuf[i + 1] += w
         for i in range(n - 1, -1, -1):
             t = t0 + i
-            lam = g[:, :, t, None] * cd[:, None, t, :] + lam_carry
-            at = abar_b[:, :, i]
-            dabar = lam * hbuf[i]
-            gdelta[:, :, t] = (dabar * at * ad).sum(axis=-1)
-            ga += (dabar * at * dd[:, :, t, None]).sum(axis=0)
-            dbbar = lam * xd[:, :, t, None]
-            dp = dbbar * bd[:, None, t, :]               # dL/dp, as Bbar = p b
+            at = abar_b[i]
+            np.multiply(c[t, :, :, None], g[t, :, None, :], out=lam)
+            lam += lam_carry
+            np.multiply(at, lam, out=lam_carry)
+            # w = dL/dAbar * Abar; dAbar/ddelta = Abar a, dAbar/da = Abar delta
+            np.multiply(lam_carry, hbuf[i], out=w)
+            np.multiply(w, aT, out=wa)
+            wa.sum(axis=1, out=gdelta[t])
+            w *= d[t, :, None, :]
+            ga += w.sum(axis=0)
             if exact_zoh:
                 # p = expm1(delta a) / a: dp/ddelta = Abar and
-                # dp/da = (delta Abar - p) / a; Euler's p = delta
-                gdelta[:, :, t] += (dp * at).sum(axis=-1)
-                ga += (dp * (dd[:, :, t, None] * at - p_b[:, :, i]) / ad).sum(axis=0)
+                # dp/da = (delta Abar - p) / a; dL/dp = lambda x_t b_t
+                dbbar = lam * x[t, :, None, :]
+                dp = dbbar * b[t, :, :, None]
+                gdelta[t] += (dp * at).sum(axis=1)
+                ga += (dp * (d[t, :, None, :] * at - p_b[i]) / aT).sum(axis=0)
+                gb[t] = (dbbar * p_b[i]).sum(axis=-1)
+                gx[t] = (lam * bbar_b[i]).sum(axis=1)
             else:
-                gdelta[:, :, t] += dp.sum(axis=-1)
-            gb[:, t, :] = (dbbar * p_b[:, :, i]).sum(axis=1)
-            gx[:, :, t] = (lam * bbar_b[:, :, i]).sum(axis=-1)
-            lam_carry = at * lam
-    return gx, gdelta, ga, gb, gc
+                # Euler: Bbar = delta b, so with s = b_t lambda_t the x- and
+                # delta-gradients are delta_t s and x_t s, and gb sums over E
+                np.matmul(b[t, :, None, :], lam, out=s)
+                np.multiply(d[t], s[:, 0], out=gx[t])
+                gdelta[t] += x[t] * s[:, 0]
+                np.matmul(lam, (x[t] * d[t])[:, :, None], out=gb[t, :, :, None])
+    return (gx.transpose(1, 2, 0), gdelta.transpose(1, 2, 0), ga.T,
+            gb.transpose(1, 0, 2), gc.transpose(1, 0, 2))
 
 
 def _scan_parallel_forward(xd, dd, ad, bd, cd, exact_zoh):

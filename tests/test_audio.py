@@ -77,6 +77,14 @@ class TestWavRejection:
         with pytest.raises(DataFormatError, match="truncated"):
             audio.wav_read(p)
 
+    def test_truncated_on_a_sample_boundary_rejected(self, tmp_path):
+        # 19 whole samples where the header promises 20
+        p = tmp_path / "short.wav"
+        audio.wav_write(p, np.linspace(-0.5, 0.5, 20), 8000)
+        p.write_bytes(p.read_bytes()[:-2])
+        with pytest.raises(DataFormatError, match="truncated"):
+            audio.wav_read(p)
+
     def test_chunk_overrunning_the_file_rejected(self, tmp_path):
         # wave itself raises a bare RuntimeError when it skips this chunk
         p = tmp_path / "overrun.wav"

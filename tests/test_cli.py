@@ -177,6 +177,20 @@ class TestSeparateCommand:
         assert r.returncode == 3
         assert "truncated" in r.stderr and "Traceback" not in r.stderr
 
+    def test_wav_cut_on_a_sample_boundary_is_data_error(self, workspace,
+                                                         tmp_path):
+        cut = tmp_path / "cut.wav"
+        cut.write_bytes(workspace["mix"].read_bytes()[:-2])
+        rc = cli.main(["separate", "--ckpt", str(workspace["ckpt"]),
+                       "--in", str(cut), "--out", str(tmp_path / "out")])
+        assert rc == 3
+
+    def test_overlong_checkpoint_name_is_data_error(self, workspace, tmp_path):
+        # the OS refuses the name itself (ENAMETOOLONG), not a missing file
+        rc = cli.main(["separate", "--ckpt", "c" * 5000,
+                       "--in", str(workspace["mix"]), "--out", str(tmp_path)])
+        assert rc == 3
+
     def test_colliding_output_names_rejected(self, workspace):
         ins = []
         for sub in ("a", "b"):
@@ -238,6 +252,49 @@ class TestSeparateCommand:
                        "--in", str(workspace["mix"]), "--out", str(out)])
         assert rc == 4
         assert list(out.glob("*")) == []
+
+
+_t = np.arange(400) / 8000
+EDGE_INPUTS = {
+    "silence": np.zeros(400),
+    "constant": np.full(400, 0.25),
+    "single_sample": np.array([0.3]),
+    "shorter_than_enc_kernel": np.linspace(-0.2, 0.2, 7),     # enc_kernel 16
+    "clipped_square": np.where(np.sin(2 * np.pi * 200 * _t) >= 0, 1.0, -1.0),
+}
+
+
+class TestEdgeInputs:
+    """Degenerate mixtures still give finite stems of the input's length."""
+
+    @pytest.mark.parametrize("name", sorted(EDGE_INPUTS))
+    def test_loaded_model(self, workspace, name):
+        x = EDGE_INPUTS[name]
+        model = M.SeparationModel.from_checkpoint(workspace["ckpt"])
+        for est in model.separate(x):
+            assert est.dtype == np.float32 and est.shape == x.shape
+            assert np.all(np.isfinite(est.data))
+
+    @pytest.mark.parametrize("name", sorted(EDGE_INPUTS))
+    def test_separate_command(self, workspace, tmp_path, name):
+        x = EDGE_INPUTS[name]
+        mix = tmp_path / f"{name}.wav"
+        audio.wav_write(mix, x, 8000)
+        out = tmp_path / "out"
+        rc = cli.main(["separate", "--ckpt", str(workspace["ckpt"]),
+                       "--in", str(mix), "--out", str(out)])
+        assert rc == 0
+        for stem in ("s1.wav", "s2.wav"):
+            est, _ = audio.wav_read(out / stem)
+            assert est.shape == x.shape
+
+    def test_empty_wav_is_data_error(self, workspace, tmp_path):
+        mix = tmp_path / "empty.wav"
+        audio.wav_write(mix, np.zeros(0), 8000)
+        rc = cli.main(["separate", "--ckpt", str(workspace["ckpt"]),
+                       "--in", str(mix), "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert not (tmp_path / "out" / "s1.wav").exists()
 
 
 class TestTrainToyCommand:

@@ -198,6 +198,106 @@ class TestBlockReplay:
                 assert np.array_equal(want, got), (block, name)
 
 
+def _oracle(x, delta, a, b, c, exact_zoh):
+    """Literal float64 loop over [B, E, L]: h_t = exp(delta_t a) h_{t-1}
+    + p_t b_t x_t and y_t = c_t . h_t, with p = expm1(delta a) / a or delta."""
+    y = np.empty(x.shape)
+    h = np.zeros(x.shape[:2] + a.shape[1:])                 # [B, E, H]
+    for t in range(x.shape[-1]):
+        z = delta[:, :, t, None] * a
+        p = np.expm1(z) / a if exact_zoh else delta[:, :, t, None]
+        h = np.exp(z) * h + p * b[:, None, t, :] * x[:, :, t, None]
+        y[:, :, t] = (h * c[:, None, t, :]).sum(axis=-1)
+    return y
+
+
+def _random_scan(rng, B, E, L, H):
+    return (rng.standard_normal((B, E, L)), rng.uniform(0.05, 0.5, (B, E, L)),
+            -np.exp(rng.uniform(-1, 1, (E, H))), rng.standard_normal((B, L, H)),
+            rng.standard_normal((B, L, H)))
+
+
+def _sequential(x, delta, a, b, c, exact_zoh, batched=True):
+    lift = (lambda arr: arr) if batched else (lambda arr: arr[0])
+    params = ssm.SsmParams(a=Tensor(a), delta=Tensor(lift(delta)),
+                           b=Tensor(lift(b)), c=Tensor(lift(c)),
+                           exact_zoh=exact_zoh)
+    return ssm.scan_sequential(Tensor(lift(x)), params).data
+
+
+class TestKernelParity:
+    """The time-major kernel against the float64 literal loop."""
+
+    @pytest.mark.parametrize("exact_zoh", [False, True])
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("L", [1, 63, 64, 65, 200])
+    def test_matches_literal_loop(self, L, batched, exact_zoh):
+        rng = np.random.default_rng(L)
+        args = _random_scan(rng, 3 if batched else 1, 5, L, 4)
+        want = _oracle(*args, exact_zoh)
+        got = _sequential(*args, exact_zoh, batched)
+        if not batched:
+            want = want[0]
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("exact_zoh", [False, True])
+    def test_float32_tracks_float64(self, exact_zoh):
+        args = _random_scan(np.random.default_rng(9), 3, 8, 200, 16)
+        want = _sequential(*args, exact_zoh)
+        got = _sequential(*(arr.astype(np.float32) for arr in args), exact_zoh)
+        assert got.dtype == np.float32
+        assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("exact_zoh", [False, True])
+    def test_gradients_match_central_differences(self, exact_zoh):
+        # L = 65 spans two replay blocks, so the checkpointed state is used
+        rng = np.random.default_rng(10)
+        args = _random_scan(rng, 2, 3, 65, 4)
+        w = rng.standard_normal((2, 3, 65))
+        leaves = [Tensor(arr, requires_grad=True) for arr in args]
+        x, delta, a, b, c = leaves
+        y = ssm.scan_sequential(x, ssm.SsmParams(a=a, delta=delta, b=b, c=c,
+                                                 exact_zoh=exact_zoh))
+        nm.mul(y, Tensor(w)).sum().backward()
+
+        def loss(arrs):
+            return float(np.sum(w * _oracle(*arrs, exact_zoh)))
+
+        def central(k, direction, eps=1e-6):
+            up = [arr.copy() for arr in args]
+            dn = [arr.copy() for arr in args]
+            up[k] += eps * direction
+            dn[k] -= eps * direction
+            return (loss(up) - loss(dn)) / (2 * eps)
+
+        # every entry along one random direction, then 24 single entries
+        for k, name in enumerate("x delta a b c".split()):
+            grad = leaves[k].grad
+            v = rng.standard_normal(grad.shape)
+            fd = central(k, v)
+            assert abs(np.sum(grad * v) - fd) < 1e-7 * abs(fd), name
+            for flat in rng.choice(grad.size, size=min(24, grad.size), replace=False):
+                e = np.zeros(grad.size)
+                e[flat] = 1.0
+                fd = central(k, e.reshape(grad.shape))
+                want = grad.flat[flat]
+                assert abs(want - fd) < 1e-6 * np.max(np.abs(grad)), (name, flat)
+
+    @pytest.mark.parametrize("exact_zoh", [False, True])
+    def test_zoh_out_buffers_give_the_same_arrays(self, exact_zoh):
+        rng = np.random.default_rng(11)
+        dt = rng.uniform(0.05, 0.5, (2, 1, 5))
+        a = -np.exp(rng.uniform(-1, 1, (4, 5)))
+        b = rng.standard_normal((2, 4, 1))
+        fresh = ssm._zoh(dt, a, b, exact_zoh)
+        out = (np.empty((2, 4, 5)), np.empty((2, 4, 5)))
+        into = ssm._zoh(dt, a, b, exact_zoh, out=out)
+        assert into[0] is out[0] and into[1] is out[1]
+        for want, got in zip(fresh, into):
+            assert np.array_equal(want, got)
+
+
 class TestStability:
     def test_state_bounded_on_long_input(self):
         # a < 0 and delta > 0 keep |Abar| < 1; with |x| <= 1 the output
