@@ -315,7 +315,13 @@ def silu(x: Tensor) -> Tensor:
 
 
 def softplus(x: Tensor) -> Tensor:
-    out = np.logaddexp(0.0, x.data)
+    # the stable split max(x, 0) + log1p(exp(-|x|)), in place: exp never
+    # overflows, and unlike np.logaddexp each ufunc has a SIMD loop
+    out = np.abs(x.data)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out += np.maximum(x.data, 0.0)
 
     def vjp(g):
         return (g * _stable_sigmoid(x.data),)
@@ -582,28 +588,34 @@ def conv1d_depthwise(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         raise NumericsError(
             f"conv1d_depthwise: bias {bias.shape} does not match {E} channels"
         )
+    # tap w reads x shifted right by s = W - 1 - w, so the first s outputs
+    # see only the zero padding; taps before w0 see nothing else.  The
+    # first tap writes the output, which saves a padded copy and a zero fill
     L = x.shape[-1]
-    pad = [(0, 0)] * (x.ndim - 1) + [(W - 1, 0)]
-    xp = np.pad(x.data, pad)
+    w0 = max(W - L, 0)
+    shifts = [(w, W - 1 - w) for w in range(w0, W)]
     kcol = kernel.data[..., None]  # [E, W, 1] for broadcasting over L
-    out = np.zeros_like(x.data)
-    for w in range(W):
-        out += kcol[:, w] * xp[..., w : w + L]
-    out = out + bias.data[:, None]
+    out = np.empty_like(x.data)
+    s0 = shifts[0][1]
+    out[..., :s0] = 0.0
+    np.multiply(kcol[:, w0], x.data[..., : L - s0], out=out[..., s0:])
+    for w, s in shifts[1:]:
+        out[..., s:] += kcol[:, w] * x.data[..., : L - s]
+    out += bias.data[:, None]
 
     def vjp(g):
         gx = None
         if x.requires_grad:
-            gp = np.zeros(xp.shape, dtype=g.dtype)
-            for w in range(W):
-                gp[..., w : w + L] += kcol[:, w] * g
-            gx = gp[..., W - 1 :].copy()
+            gx = np.zeros_like(g)
+            for w, s in shifts:
+                gx[..., : L - s] += kcol[:, w] * g[..., s:]
         gk = None
         if kernel.requires_grad:
-            gk = np.empty_like(kernel.data)
+            gk = np.zeros_like(kernel.data)
             lead = tuple(range(g.ndim - 2))
-            for w in range(W):
-                gk[:, w] = (g * xp[..., w : w + L]).sum(axis=lead + (g.ndim - 1,))
+            for w, s in shifts:
+                gk[:, w] = (g[..., s:] * x.data[..., : L - s]).sum(
+                    axis=lead + (g.ndim - 1,))
         gb = None
         if bias.requires_grad:
             axes = tuple(i for i in range(g.ndim) if i != g.ndim - 2)

@@ -33,10 +33,21 @@ The sequential loop and the adjoint run time-major.  On entry x, delta
 [B, L, H] to [L, B, H] and a to [H, E], so each step reads contiguous
 slices and every broadcast runs over E in its inner loop.  The state is
 one [B, H, E] buffer updated in place (h *= Abar; h += Bbar x), with the
-step's Abar and Bbar written into two reused buffers through _zoh's out=,
+step's Abar and Bbar x written into two reused buffers through _zoh's out=,
 so live state stays O(B*E*H) whatever L is; the contractions over H
 (y_t = c_t h_t, and the adjoint's h_t g_t and b_t lambda_t) are matmuls.
-Outputs go back to the caller's layout.
+Outputs go back to the caller's layout.  Under Euler the input term
+Bbar_t x_t = b_t (delta_t x_t) takes one state-sized multiply per step,
+with delta x formed once per call.
+
+Both kernels run over contiguous tiles of the batch axis, each a full
+scan of its rows.  A state is touched several times per step, so it
+should stay in cache from one step to the next: the tile is sized in
+bytes, from H*E*itemsize against _TILE_BYTES, so the same rule serves
+every (E, H, dtype) and a batch whose whole state fits is one tile.  The
+inter-chunk scans of a wide model are where this matters: at E = 256,
+H = 16 a batch of 250 chunks is a 4 MB float32 state, which untiled
+streams through memory at every step.
 """
 
 from __future__ import annotations
@@ -52,6 +63,10 @@ from .numerics import NumericsError, Tensor
 # block length for the backward-pass state replay; bounds the recompute
 # buffers at _BLOCK * B * E * H regardless of sequence length
 _BLOCK = 64
+
+# bytes of one batch tile's [B, H, E] state in the sequential kernels, so
+# the state and its two step buffers stay in L2 from one step to the next
+_TILE_BYTES = 256 * 1024
 
 # the dense oracle is a correctness instrument, not a compute path
 MAX_ORACLE_H = 32
@@ -121,21 +136,29 @@ class SsmProjection:
 # ---------------------------------------------------------------------------
 
 
-def _zoh(dt, a, b, exact_zoh, out=(None, None)):
+def _zoh(dt, a, b, exact_zoh, u=None, out=(None, None)):
     """Discretize broadcastable ndarrays: (Abar, Bbar, p) with Bbar = p * b.
 
     p = expm1(dt a) / a under the exact hold and dt under Euler; it is
-    also dBbar/db, which the adjoint reuses.  out = (abar, bbar) writes
-    Abar and Bbar into those arrays in place of fresh ones.
+    also dBbar/db, which the adjoint reuses.  Given u, which is x under
+    the exact hold and dt x under Euler (where Bbar x = b (dt x), one
+    multiply once u is formed), the second result is the input term Bbar x
+    in place of Bbar.  out =
+    (abar, bbar) writes the first two results into those arrays in place
+    of fresh ones.
     """
     abar, bbar = out
     z = np.multiply(dt, a, out=abar)
     if exact_zoh:
         p = np.expm1(z)
         p /= a
+        bbar = np.multiply(p, b, out=bbar)
+        if u is not None:
+            bbar *= u
     else:
         p = dt
-    return np.exp(z, out=z), np.multiply(p, b, out=bbar), p
+        bbar = np.multiply(p if u is None else u, b, out=bbar)
+    return np.exp(z, out=z), bbar, p
 
 
 def discretize(a: Tensor, delta: Tensor, b: Tensor,
@@ -166,41 +189,53 @@ def _time_major(xd, dd, ad, bd, cd):
             tm(bd.transpose(1, 0, 2)), tm(cd.transpose(1, 0, 2)))
 
 
-def _states(x, d, aT, b, exact_zoh):
+def _tiles(B, H, E, itemsize):
+    """Contiguous slices of the batch axis whose [b, H, E] states each fit
+    in _TILE_BYTES; one slice when the whole batch's state fits."""
+    n = max(1, _TILE_BYTES // (H * E * itemsize))
+    return [slice(i, min(i + n, B)) for i in range(0, B, n)]
+
+
+def _states(u, d, aT, b, exact_zoh):
     """Yield (t, h_t) of the recurrence; O(B*E*H) live state.
 
-    x, d: [L, B, E], aT: [H, E], b: [L, B, H].  h_t is [B, H, E] and is the
-    same buffer at every step: a caller that keeps a state must copy it.
+    u and d: [L, B, E], with u as _zoh takes it (x under the exact hold,
+    delta x under Euler), aT: [H, E], b: [L, B, H].  h_t is [B, H, E] and
+    is the same buffer at every step: a caller that keeps a state must
+    copy it.
     """
-    L, B, E = x.shape
-    h = np.zeros((B, aT.shape[0], E), dtype=x.dtype)
-    abar, bbar = np.empty_like(h), np.empty_like(h)
+    L, B, E = d.shape
+    h = np.zeros((B, aT.shape[0], E), dtype=d.dtype)
+    abar, bx = np.empty_like(h), np.empty_like(h)
     for t in range(L):
-        _zoh(d[t, :, None, :], aT, b[t, :, :, None], exact_zoh, out=(abar, bbar))
-        bbar *= x[t, :, None, :]
+        _zoh(d[t, :, None, :], aT, b[t, :, :, None], exact_zoh,
+             u[t, :, None, :], out=(abar, bx))
         h *= abar
-        h += bbar
+        h += bx
         yield t, h
 
 
 def _scan_forward(xd, dd, ad, bd, cd, exact_zoh):
     """Reference loop: y_t = c_t h_t, one matmul over H per step."""
     x, d, aT, b, c = _time_major(xd, dd, ad, bd, cd)
+    u = x if exact_zoh else d * x
     y = np.empty_like(x)
-    for t, h in _states(x, d, aT, b, exact_zoh):
-        np.matmul(c[t, :, None, :], h, out=y[t, :, None, :])
+    for k in _tiles(x.shape[1], *aT.shape, x.itemsize):
+        yk = y[:, k]
+        for t, h in _states(u[:, k], d[:, k], aT, b[:, k], exact_zoh):
+            np.matmul(c[t, k, None, :], h, out=yk[t, :, None, :])
     return y.transpose(1, 2, 0)
 
 
 def _scan_backward(xd, dd, ad, bd, cd, exact_zoh, g):
     """Adjoint of the recurrence with blockwise state replay.
 
-    Hidden states are not kept from the forward pass.  A first sweep
-    replays the recurrence, keeping h_{t0-1} for each block start t0 (one
-    per _BLOCK steps) and accumulating the c-gradient (which needs states,
-    not adjoints).  A second sweep walks blocks in reverse, rebuilding the
-    states of each block from its checkpoint and running the adjoint
-    recurrence
+    Hidden states are not kept from the forward pass.  Per batch tile, a
+    first sweep replays the recurrence, keeping h_{t0-1} for each block
+    start t0 (one per _BLOCK steps) and accumulating the c-gradient (which
+    needs states, not adjoints).  A second sweep walks blocks in reverse,
+    rebuilding the states of each block from its checkpoint and running
+    the adjoint recurrence
 
         lambda_t = g_t c_t + Abar_{t+1} lambda_{t+1}
 
@@ -208,19 +243,26 @@ def _scan_backward(xd, dd, ad, bd, cd, exact_zoh, g):
     """
     x, d, aT, b, c = _time_major(xd, dd, ad, bd, cd)
     g = np.ascontiguousarray(g.transpose(2, 0, 1))
+    u = x if exact_zoh else d * x
+    gx, gdelta, gb, gc = (np.empty_like(arr) for arr in (x, d, b, c))
+    ga = np.zeros(aT.shape, dtype=x.dtype)
+    for k in _tiles(x.shape[1], *aT.shape, x.itemsize):
+        _adjoint(*(arr[:, k] for arr in (x, u, d, b, c, g, gx, gdelta, gb, gc)),
+                 aT, ga, exact_zoh)
+    return (gx.transpose(1, 2, 0), gdelta.transpose(1, 2, 0), ga.T,
+            gb.transpose(1, 0, 2), gc.transpose(1, 0, 2))
+
+
+def _adjoint(x, u, d, b, c, g, gx, gdelta, gb, gc, aT, ga, exact_zoh):
+    """Both sweeps of _scan_backward on one batch tile: writes its rows of
+    gx, gdelta, gb and gc and adds its share of the [H, E] ga."""
     L, B, E = x.shape
     H = aT.shape[0]
     dtype = x.dtype
 
-    gx = np.empty_like(x)
-    gdelta = np.empty_like(d)
-    ga = np.zeros((H, E), dtype=dtype)
-    gb = np.empty_like(b)
-    gc = np.empty_like(c)
-
     # sweep 1: forward replay; checkpoints + gc_t = h_t g_t
     checkpoints = [np.zeros((B, H, E), dtype=dtype)]
-    for t, h in _states(x, d, aT, b, exact_zoh):
+    for t, h in _states(u, d, aT, b, exact_zoh):
         np.matmul(h, g[t, :, :, None], out=gc[t, :, :, None])
         if (t + 1) % _BLOCK == 0 and t + 1 < L:
             checkpoints.append(h.copy())
@@ -228,7 +270,7 @@ def _scan_backward(xd, dd, ad, bd, cd, exact_zoh, g):
     # sweep 2: blocks in reverse; lam_carry = Abar_{t+1} lambda_{t+1}
     n_max = min(_BLOCK, L)
     abar_b = np.empty((n_max, B, H, E), dtype=dtype)
-    bbar_b = np.empty_like(abar_b)
+    bx_b = np.empty_like(abar_b)
     hbuf = np.empty((n_max + 1, B, H, E), dtype=dtype)
     lam = np.empty((B, H, E), dtype=dtype)
     lam_carry = np.zeros_like(lam)
@@ -239,14 +281,16 @@ def _scan_backward(xd, dd, ad, bd, cd, exact_zoh, g):
         t0 = blk * _BLOCK
         t1 = min(t0 + _BLOCK, L)
         n = t1 - t0
+        # the same _zoh input term as _states, so the rebuilt states are
+        # bit-identical to the ones sweep 1 checkpointed
         _, _, p_b = _zoh(d[t0:t1, :, None, :], aT, b[t0:t1, :, :, None],
-                         exact_zoh, out=(abar_b[:n], bbar_b[:n]))
+                         exact_zoh, u[t0:t1, :, None, :],
+                         out=(abar_b[:n], bx_b[:n]))
         # rebuild states h_{t0-1} .. h_{t1-1} for this block
         hbuf[0] = checkpoints[blk]
         for i in range(n):
             np.multiply(abar_b[i], hbuf[i], out=hbuf[i + 1])
-            np.multiply(bbar_b[i], x[t0 + i, :, None, :], out=w)
-            hbuf[i + 1] += w
+            hbuf[i + 1] += bx_b[i]
         for i in range(n - 1, -1, -1):
             t = t0 + i
             at = abar_b[i]
@@ -267,16 +311,15 @@ def _scan_backward(xd, dd, ad, bd, cd, exact_zoh, g):
                 gdelta[t] += (dp * at).sum(axis=1)
                 ga += (dp * (d[t, :, None, :] * at - p_b[i]) / aT).sum(axis=0)
                 gb[t] = (dbbar * p_b[i]).sum(axis=-1)
-                gx[t] = (lam * bbar_b[i]).sum(axis=1)
+                gx[t] = (lam * p_b[i] * b[t, :, :, None]).sum(axis=1)
             else:
                 # Euler: Bbar = delta b, so with s = b_t lambda_t the x- and
-                # delta-gradients are delta_t s and x_t s, and gb sums over E
+                # delta-gradients are delta_t s and x_t s, and gb sums
+                # lambda_t over E against u_t = delta_t x_t
                 np.matmul(b[t, :, None, :], lam, out=s)
                 np.multiply(d[t], s[:, 0], out=gx[t])
                 gdelta[t] += x[t] * s[:, 0]
-                np.matmul(lam, (x[t] * d[t])[:, :, None], out=gb[t, :, :, None])
-    return (gx.transpose(1, 2, 0), gdelta.transpose(1, 2, 0), ga.T,
-            gb.transpose(1, 0, 2), gc.transpose(1, 0, 2))
+                np.matmul(lam, u[t, :, :, None], out=gb[t, :, :, None])
 
 
 def _scan_parallel_forward(xd, dd, ad, bd, cd, exact_zoh):

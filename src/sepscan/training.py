@@ -270,10 +270,18 @@ class TrainResult:
 
 
 def _eval_si_snri(model, examples: list[MixExample]) -> float:
-    vals = []
-    for ex in examples:
-        est = model.separate(ex.mix)
-        vals.append(si_snri(tuple(e.data for e in est), ex.sources, ex.mix))
+    # with requires_grad cleared no op records a tape; the values are the same
+    params = [p for _, p in model.named_parameters() if p.requires_grad]
+    for p in params:
+        p.requires_grad = False
+    try:
+        vals = []
+        for ex in examples:
+            est = model.separate(ex.mix)
+            vals.append(si_snri(tuple(e.data for e in est), ex.sources, ex.mix))
+    finally:
+        for p in params:
+            p.requires_grad = True
     return float(np.mean(vals))
 
 

@@ -170,9 +170,15 @@ class TestOpSemantics:
         assert np.all(np.isfinite(y.data))
         np.testing.assert_allclose(y.data, [0.0, 0.5, 1.0], atol=1e-12)
 
-    def test_softplus_large_input_linear(self):
-        y = nm.softplus(t([500.0]))
-        np.testing.assert_allclose(y.data, [500.0], rtol=1e-12)
+    @pytest.mark.parametrize("dtype,rtol", [(np.float32, 1e-6), (np.float64, 1e-14)],
+                             ids=["float32", "float64"])
+    def test_softplus_large_input_linear(self, dtype, rtol):
+        x = np.array([-1e4, -88, -20, 0, 1e-8, 20, 88, 500, 1e4], dtype=dtype)
+        with np.errstate(over="raise", invalid="raise"):
+            y = nm.softplus(Tensor(x)).data
+            want = np.logaddexp(dtype(0), x)
+        assert y.dtype == dtype
+        np.testing.assert_allclose(y, want, rtol=rtol, atol=0)
 
     def test_pad_narrow_roundtrip(self):
         x = t(np.arange(12.0).reshape(3, 4))

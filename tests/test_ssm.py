@@ -171,9 +171,10 @@ class TestBlockReplay:
     """The adjoint replays states in blocks of _BLOCK steps from checkpoints."""
 
     @staticmethod
-    def _gradients(exact_zoh, L):
+    def _scan(exact_zoh, L, B=2):
+        """y and the gradients of x, delta, a, b, c of a weighted sum of y."""
         rng = np.random.default_rng(8)
-        B, E, H = 2, 3, 4
+        E, H = 3, 4
         x = Tensor(rng.standard_normal((B, E, L)), requires_grad=True)
         delta = Tensor(rng.uniform(0.05, 0.5, (B, E, L)), requires_grad=True)
         a = Tensor(-np.exp(rng.uniform(-1, 1, (E, H))), requires_grad=True)
@@ -183,7 +184,11 @@ class TestBlockReplay:
         y = ssm.scan_sequential(
             x, ssm.SsmParams(a=a, delta=delta, b=b, c=c, exact_zoh=exact_zoh))
         nm.mul(y, w).sum().backward()
-        return [t.grad for t in (x, delta, a, b, c)]
+        return y.data, [t.grad for t in (x, delta, a, b, c)]
+
+    @classmethod
+    def _gradients(cls, exact_zoh, L):
+        return cls._scan(exact_zoh, L)[1]
 
     @pytest.mark.parametrize("exact_zoh", [False, True])
     def test_gradients_do_not_depend_on_block_length(self, exact_zoh,
@@ -196,6 +201,22 @@ class TestBlockReplay:
             replayed = self._gradients(exact_zoh, L)
             for name, want, got in zip("x delta a b c".split(), blocked, replayed):
                 assert np.array_equal(want, got), (block, name)
+
+    @pytest.mark.parametrize("exact_zoh", [False, True])
+    def test_batch_tiles_match_one_tile(self, exact_zoh, monkeypatch):
+        L = 2 * ssm._BLOCK + 5
+        assert ssm._tiles(5, 4, 3, 8) == [slice(0, 5)]
+        y_one, g_one = self._scan(exact_zoh, L, B=5)
+        # a [2, H, E] float64 state is 2 * 4 * 3 * 8 bytes: tiles of 2 + 2 + 1
+        monkeypatch.setattr(ssm, "_TILE_BYTES", 2 * 4 * 3 * 8)
+        assert [k.stop - k.start for k in ssm._tiles(5, 4, 3, 8)] == [2, 2, 1]
+        y_tiled, g_tiled = self._scan(exact_zoh, L, B=5)
+        assert np.array_equal(y_one, y_tiled)
+        for name, want, got in zip("x delta a b c".split(), g_one, g_tiled):
+            if name == "a":  # summed over the tiles
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+            else:
+                assert np.array_equal(want, got), name
 
 
 def _oracle(x, delta, a, b, c, exact_zoh):

@@ -250,6 +250,34 @@ class TestTrainToy:
             T.train_toy(self._model(), [],
                         T.TrainSchedule(1e-4, 1, 10))
 
+    def test_validation_records_no_tape(self, monkeypatch):
+        sched = T.TrainSchedule(peak_lr=1.5e-4, warmup_steps=2, total_steps=3)
+        stems = []
+        separate = M.SeparationModel.separate
+
+        def spy(self, x):
+            out = separate(self, x)
+            stems.append(out[0])
+            return out
+
+        monkeypatch.setattr(M.SeparationModel, "separate", spy)
+        model = self._model(seed=5)
+        res = T.train_toy(model, self._examples(), sched, val_every=1)
+        # each step runs the training forward, then the validation
+        assert [bool(s._parents) for s in stems] == [True, False] * 3
+        assert all(p.requires_grad for _, p in model.named_parameters())
+
+        def taped(model, examples):
+            vals = [T.si_snri(tuple(e.data for e in model.separate(ex.mix)),
+                              ex.sources, ex.mix) for ex in examples]
+            return float(np.mean(vals))
+
+        monkeypatch.setattr(T, "_eval_si_snri", taped)
+        ref = T.train_toy(self._model(seed=5), self._examples(), sched,
+                          val_every=1)
+        assert res.history == ref.history
+        assert res.final_si_snri == ref.final_si_snri
+
     def test_frozen_model_rejected(self, tmp_path):
         ckpt = tmp_path / "m.ckpt"
         M.save_model(ckpt, self._model())
