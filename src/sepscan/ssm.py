@@ -183,9 +183,11 @@ def discretize(a: Tensor, delta: Tensor, b: Tensor,
 
 def _time_major(xd, dd, ad, bd, cd):
     """One relayout on entry: [B, E, L] -> [L, B, E], [B, L, H] -> [L, B, H]
-    and a [E, H] -> aT [H, E], so every per-step slice is contiguous."""
+    and a [E, H] -> aT [H, E], so every per-step slice is contiguous.
+    x is always a fresh copy, which the forward may overwrite."""
     tm = np.ascontiguousarray
-    return (tm(xd.transpose(2, 0, 1)), tm(dd.transpose(2, 0, 1)), tm(ad.T),
+    x = np.array(xd.transpose(2, 0, 1), order="C")
+    return (x, tm(dd.transpose(2, 0, 1)), tm(ad.T),
             tm(bd.transpose(1, 0, 2)), tm(cd.transpose(1, 0, 2)))
 
 
@@ -218,7 +220,8 @@ def _states(u, d, aT, b, exact_zoh):
 def _scan_forward(xd, dd, ad, bd, cd, exact_zoh):
     """Reference loop: y_t = c_t h_t, one matmul over H per step."""
     x, d, aT, b, c = _time_major(xd, dd, ad, bd, cd)
-    u = x if exact_zoh else d * x
+    # Euler needs x only as delta x, formed in x's own copy
+    u = x if exact_zoh else np.multiply(d, x, out=x)
     y = np.empty_like(x)
     for k in _tiles(x.shape[1], *aT.shape, x.itemsize):
         yk = y[:, k]
