@@ -588,9 +588,9 @@ def conv1d_depthwise(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         raise NumericsError(
             f"conv1d_depthwise: bias {bias.shape} does not match {E} channels"
         )
-    # tap w reads x shifted right by s = W - 1 - w, so the first s outputs
-    # see only the zero padding; taps before w0 see nothing else.  The
-    # first tap writes the output, which saves a padded copy and a zero fill
+    # tap w reads x shifted right by s = W - 1 - w, so its first s outputs
+    # see only the causal zero padding, and a tap with s >= L sees nothing
+    # else.  The first tap writes the output: no padded copy, no zero fill
     L = x.shape[-1]
     w0 = max(W - L, 0)
     shifts = [(w, W - 1 - w) for w in range(w0, W)]
