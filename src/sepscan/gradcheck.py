@@ -189,6 +189,18 @@ def suite_numerics(seed: int = 0) -> list[GradcheckResult]:
         lambda x, gn, c: nm.mul(nm.layernorm(x, gn, c), wn).sum(),
         [_rand(rng, (3, 4, 2)), _rand(rng, (3,)), _rand(rng, (3,))],
         ["x", "gain", "bias"], tol=COMPOSITE_TOL)
+    # an input shorter than the kernel: the first taps see only padding,
+    # so their kernel gradient is zero
+    wc = nm.Tensor(rng.standard_normal((2, 3, 2)))
+    run("conv1d_depthwise_short",
+        lambda x, k, c: nm.mul(nm.conv1d_depthwise(x, k, c),
+                               nm.Tensor(wc.data[0])).sum(),
+        [_rand(rng, (3, 2)), _rand(rng, (3, 4)), _rand(rng, (3,))],
+        ["x", "kernel", "bias"])
+    run("conv1d_depthwise_short_batched",
+        lambda x, k, c: nm.mul(nm.conv1d_depthwise(x, k, c), wc).sum(),
+        [_rand(rng, (2, 3, 2)), _rand(rng, (3, 4)), _rand(rng, (3,))],
+        ["x", "kernel", "bias"])
     return checks
 
 

@@ -590,9 +590,10 @@ def conv1d_depthwise(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         )
     # tap w reads x shifted right by s = W - 1 - w, so its first s outputs
     # see only the causal zero padding, and a tap with s >= L sees nothing
-    # else.  The first tap writes the output: no padded copy, no zero fill
+    # else.  The first tap writes the output: no padded copy, no zero fill.
+    # An empty input keeps the last tap, whose slices are all empty
     L = x.shape[-1]
-    w0 = max(W - L, 0)
+    w0 = max(W - max(L, 1), 0)
     shifts = [(w, W - 1 - w) for w in range(w0, W)]
     kcol = kernel.data[..., None]  # [E, W, 1] for broadcasting over L
     out = np.empty_like(x.data)

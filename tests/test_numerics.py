@@ -212,6 +212,16 @@ class TestOpSemantics:
         assert np.array_equal(out[:, :6], base[:, :6])
         assert not np.array_equal(out[:, 6:], base[:, 6:])
 
+    @pytest.mark.parametrize("shape", [(3, 0), (2, 3, 0)])
+    def test_conv_of_empty_input_is_empty(self, shape):
+        x = t(np.zeros(shape), grad=True)
+        k, b = t(np.ones((3, 4)), grad=True), t(np.ones(3), grad=True)
+        y = nm.conv1d_depthwise(x, k, b)
+        assert y.shape == shape
+        nm.tsum(y).backward()
+        assert x.grad.shape == shape
+        assert not k.grad.any() and not b.grad.any()
+
     def test_layernorm_standardizes_columns(self):
         rng = np.random.default_rng(1)
         x = t(rng.standard_normal((16, 5)) * 3 + 1)

@@ -1,14 +1,14 @@
 """Alternating parent/change benchmark pairs, collated into BENCH_<topic>.json.
 
-    python3 tools/bench_pairs.py PARENT CHANGE --seeds 101-110 --out BENCH_x.json
-    python3 tools/bench_pairs.py PARENT CHANGE --seeds 101-110 --out BENCH_x.json \\
-        --collate-only
+    python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_x.json
+    python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_x.json --collate-only
 
 PARENT and CHANGE are two checkouts of the repository (git clones, so that
 run.py records their commits). For every seed and workload the script runs
 `python3 perfbench/run.py --workload W --seed N --trace 0` once in each
 checkout, the parent first on odd seeds and the change first on even ones,
-then one traced run per checkout and workload at the first seed. Each run
+then one traced run per checkout and workload at the first seed. Every run
+takes run.py's own run length, so both sides are timed alike. Each run
 leaves its result file in that checkout's perfbench/out/, which is what
 --collate-only reads back.
 
@@ -29,35 +29,29 @@ import numpy as np
 
 WORKLOADS = ("separate_xs_1s", "separate_cli_2x0.5s", "train_toy_step")
 END_TO_END = ("setup_s", "rtf_p50", "step_s_p50", "step_s_p90", "peak_mb")
-
-
-def seeds_arg(text: str) -> list[int]:
-    lo, _, hi = text.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
+SEEDS = tuple(range(101, 111))
 
 
 def result_path(root: Path, workload: str, seed: int, trace: int) -> Path:
     return root / "perfbench" / "out" / f"{workload}-seed{seed}-trace{trace}.json"
 
 
-def run(root: Path, workload: str, seed: int, trace: int, seconds) -> None:
+def run(root: Path, workload: str, seed: int, trace: int) -> None:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--trace", str(trace)]
-    if seconds is not None:
-        cmd += ["--seconds", str(seconds)]
     print(f"{root.name}: {' '.join(cmd[1:])}", flush=True)
     subprocess.run(cmd, cwd=root, check=True, stdout=subprocess.DEVNULL)
 
 
-def run_pairs(parent: Path, change: Path, seeds: list[int], seconds) -> None:
-    for seed in seeds:
+def run_pairs(parent: Path, change: Path) -> None:
+    for seed in SEEDS:
         order = (parent, change) if seed % 2 else (change, parent)
         for workload in WORKLOADS:
             for root in order:
-                run(root, workload, seed, 0, seconds)
+                run(root, workload, seed, 0)
     for workload in WORKLOADS:
         for root in (parent, change):
-            run(root, workload, seeds[0], 1, seconds)
+            run(root, workload, SEEDS[0], 1)
 
 
 def summary(values: list[float]) -> dict:
@@ -65,7 +59,8 @@ def summary(values: list[float]) -> dict:
     return {"median": float(med), "q1": float(q1), "q3": float(q3)}
 
 
-def collate(parent: Path, change: Path, seeds: list[int]) -> dict:
+def collate(parent: Path, change: Path) -> dict:
+    seeds = list(SEEDS)
     out = {"seeds": seeds, "pairs": len(seeds),
            "protocol": "untraced runs alternate per seed (parent first on odd "
                        "seeds); per-layer metrics from one traced run per side "
@@ -108,15 +103,13 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent", type=Path)
     p.add_argument("change", type=Path)
-    p.add_argument("--seeds", type=seeds_arg, default=seeds_arg("101-110"))
-    p.add_argument("--seconds", type=float)
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--collate-only", action="store_true")
     args = p.parse_args(argv)
     parent, change = args.parent.resolve(), args.change.resolve()
     if not args.collate_only:
-        run_pairs(parent, change, args.seeds, args.seconds)
-    args.out.write_text(json.dumps(collate(parent, change, args.seeds),
+        run_pairs(parent, change)
+    args.out.write_text(json.dumps(collate(parent, change),
                                    indent=1) + "\n")
     print(f"wrote {args.out}")
     return 0
