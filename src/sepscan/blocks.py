@@ -6,18 +6,19 @@ gate projections:
 
     h_in  = W_in h                      expanded to E = 2D channels
     z     = W_gate h
-    x_d   = SiLU(conv_d(h_d))           causal depthwise conv, kernel 4
-    s_d   = scan(x_d) + d_skip * x_d    selective scan per direction
-    y_fwd = SiLU(z) * s_fwd
-    y_bwd = flip(SiLU(z)) * s_bwd       gate flipped to track positions
-    out   = W_out((y_fwd + flip(y_bwd)) / 2)
+    x_fwd = SiLU(conv_fwd(h_in))        causal depthwise conv, kernel 4
+    x_bwd = SiLU(conv_bwd(h_in))        anti-causal: the mirrored conv
+    s_d   = scan_d(x_d) + d_skip * x_d  selective scan per direction,
+                                        the backward one from t = L - 1 down
+    y_d   = SiLU(z) * s_d
+    out   = W_out((y_fwd + y_bwd) / 2)
 
-The backward branch consumes flip(h_in) so its scan runs anti-causally
-over the original sequence; flipping the shared gate keeps each gate
-value aligned with the same sequence position in both branches, which
-is what makes the block exactly flip-equivariant when the two
-directions carry tied weights.  A unidirectional variant drops the
-backward branch and the final averaging.
+The backward branch reads the same h_in and gate as the forward one, at
+the same positions; only its conv and its scan run against time.  Each
+of those is exactly its causal counterpart applied to the time-reversed
+sequence and reversed back, and every other op acts on one position at
+a time, so with tied weights the block is exactly flip-equivariant.  A
+unidirectional variant drops the backward branch and the final averaging.
 """
 
 from __future__ import annotations
@@ -141,10 +142,16 @@ def init_bi_scan(d: int, h: int, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 
 
-def _direction_ssm(x: Tensor, dw: DirectionWeights, exact_zoh: bool) -> Tensor:
+def _branch(h_in: Tensor, gate: Tensor, dw: DirectionWeights, exact_zoh: bool,
+            reverse: bool) -> Tensor:
+    """One direction: SiLU(conv(h_in)) through its scan plus skip, gated."""
+    x = nm.silu(nm.conv1d_depthwise(h_in, dw.conv_kernel, dw.conv_bias,
+                                    reverse=reverse))
     a = nm.neg(nm.exp(dw.a_log))
     params = ssm.selective_parameterize(x, dw.proj, a, exact_zoh=exact_zoh)
-    return nm.add(ssm.scan_sequential(x, params), nm.scale_channels(x, dw.d_skip))
+    s = nm.add(ssm.scan_sequential(x, params, reverse=reverse),
+               nm.scale_channels(x, dw.d_skip))
+    return nm.mul(gate, s)
 
 
 def bi_scan_forward(h: Tensor, w: BiScanWeights,
@@ -152,28 +159,17 @@ def bi_scan_forward(h: Tensor, w: BiScanWeights,
     """Run one block over h: [D, L] or [B, D, L]; output matches the input shape.
 
     With return_branches=True also returns the gated forward-branch and
-    (re-flipped) backward-branch sequences, for inspection in tests.
+    backward-branch sequences, for inspection in tests.
     """
     h_in = nm.matmul(w.w_in, h)
     gate = nm.silu(nm.matmul(w.w_gate, h))
-
-    x_f = nm.silu(nm.conv1d_depthwise(h_in, w.fwd.conv_kernel, w.fwd.conv_bias))
-    s_f = _direction_ssm(x_f, w.fwd, w.exact_zoh)
-    y_f = nm.mul(gate, s_f)
-
+    y_f = _branch(h_in, gate, w.fwd, w.exact_zoh, reverse=False)
+    y_b = None
     if w.bwd is None:
         out = nm.matmul(w.w_out, y_f)
-        if return_branches:
-            return out, y_f, None
-        return out
-
-    h_rev = nm.flip_last_axis(h_in)
-    x_b = nm.silu(nm.conv1d_depthwise(h_rev, w.bwd.conv_kernel, w.bwd.conv_bias))
-    s_b = _direction_ssm(x_b, w.bwd, w.exact_zoh)
-    y_b = nm.mul(nm.flip_last_axis(gate), s_b)
-    y_b_aligned = nm.flip_last_axis(y_b)
-
-    out = nm.matmul(w.w_out, nm.mean_pair(y_f, y_b_aligned))
+    else:
+        y_b = _branch(h_in, gate, w.bwd, w.exact_zoh, reverse=True)
+        out = nm.matmul(w.w_out, nm.mean_pair(y_f, y_b))
     if return_branches:
-        return out, y_f, y_b_aligned
+        return out, y_f, y_b
     return out

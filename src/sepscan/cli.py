@@ -97,14 +97,11 @@ def _cmd_separate(args) -> int:
         return dests
 
     try:
-        if len(inputs) == 1:
-            written = one(inputs[0])
-        else:
-            # map cancels the inputs not yet started once one fails; the
-            # pool's exit waits for the running ones, so nothing writes later
-            workers = min(len(inputs), os.cpu_count() or 1)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                written = [p for chunk in pool.map(one, inputs) for p in chunk]
+        # map cancels the inputs not yet started once one fails; the pool's
+        # exit waits for the running ones, so nothing writes later
+        workers = min(len(inputs), os.cpu_count() or 1)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            written = [p for chunk in pool.map(one, inputs) for p in chunk]
     except BaseException:
         for p in started:
             p.unlink(missing_ok=True)

@@ -59,16 +59,15 @@ def chunk(h: Tensor, chunk_len: int) -> ChunkedFeature:
     else:
         pad = (-(N - chunk_len)) % hop
     framed = nm.frame(nm.pad_last(h, pad) if pad else h, chunk_len, hop)
-    return ChunkedFeature(data=nm.permute(framed, 0, 2, 1),
-                          original_len=N, chunk_len=chunk_len, hop=hop)
+    return ChunkedFeature(data=framed, original_len=N, chunk_len=chunk_len,
+                          hop=hop)
 
 
 def dechunk(cf: ChunkedFeature) -> Tensor:
     """Invert chunk: overlap-add, normalize by coverage, trim padding."""
     D = cf.data.shape[0]
     total = cf.padded_len
-    frames = nm.permute(cf.data, 0, 2, 1)                  # [D, S, K]
-    summed = nm.overlap_add(frames, cf.hop, total)         # [D, total]
+    summed = nm.overlap_add(cf.data, cf.hop, total)        # [D, total]
     S = cf.data.shape[-1]
     coverage = np.zeros(total, dtype=cf.data.dtype)
     for s in range(S):

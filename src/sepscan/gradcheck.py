@@ -136,15 +136,10 @@ def suite_numerics(seed: int = 0) -> list[GradcheckResult]:
     lpos = Tensor(rng.uniform(0.5, 3.0, size=(4, 3)), requires_grad=True)
     run("log", lambda x: nm.log(x).sum(), [lpos], ["x"])
 
-    run("flip_last_axis",
-        lambda x, y: nm.mul(nm.flip_last_axis(x), y).sum(), [a, b], ["x", "w"])
     w6 = _rand(rng, (2, 3, 4))
     run("permute",
         lambda x, y: nm.mul(nm.permute(x, 2, 0, 1), y).sum(),
         [w6, _rand(rng, (4, 2, 3))], ["x", "w"])
-    run("reshape",
-        lambda x, y: nm.mul(nm.reshape(x, 6, 4), y).sum(),
-        [w6, _rand(rng, (6, 4))], ["x", "w"])
     run("sum", lambda x: nm.tsum(x), [_rand(rng, (7,))], ["x"])
     run("mean", lambda x: nm.tmean(x), [_rand(rng, (7,))], ["x"])
     wb = nm.Tensor(rng.uniform(-1, 1, (3, 5)))
@@ -201,6 +196,12 @@ def suite_numerics(seed: int = 0) -> list[GradcheckResult]:
         lambda x, k, c: nm.mul(nm.conv1d_depthwise(x, k, c), wc).sum(),
         [_rand(rng, (2, 3, 2)), _rand(rng, (3, 4)), _rand(rng, (3,))],
         ["x", "kernel", "bias"])
+    wr = nm.Tensor(rng.standard_normal((2, 3, 8)))
+    run("conv1d_depthwise_reverse",
+        lambda x, k, c: nm.mul(nm.conv1d_depthwise(x, k, c, reverse=True),
+                               wr).sum(),
+        [_rand(rng, (2, 3, 8)), _rand(rng, (3, 4)), _rand(rng, (3,))],
+        ["x", "kernel", "bias"])
     return checks
 
 
@@ -209,25 +210,28 @@ def suite_ssm(seed: int = 0) -> list[GradcheckResult]:
 
     rng = np.random.default_rng(seed)
     checks = []
-    for mode, tag in ((False, "euler"), (True, "exact_zoh")):
-        for batched in (False, True):
-            E, L, H = 3, 6, 2
-            shape_x = (2, E, L) if batched else (E, L)
-            shape_bc = (2, L, H) if batched else (L, H)
-            x = _rand(rng, shape_x, -1.0, 1.0)
-            delta = Tensor(rng.uniform(0.05, 0.4, size=shape_x), requires_grad=True)
-            a = Tensor(rng.uniform(-2.0, -0.2, size=(E, H)), requires_grad=True)
-            bmat = _rand(rng, shape_bc, -1.0, 1.0)
-            cmat = _rand(rng, shape_bc, -1.0, 1.0)
+    E, L, H = 3, 6, 2
+    # the reverse scan comes last, so the entries before it keep their draws
+    for mode, tag, batched, reverse in (
+            (False, "euler", False, False), (False, "euler", True, False),
+            (True, "exact_zoh", False, False), (True, "exact_zoh", True, False),
+            (False, "reverse", True, True)):
+        shape_x = (2, E, L) if batched else (E, L)
+        shape_bc = (2, L, H) if batched else (L, H)
+        x = _rand(rng, shape_x, -1.0, 1.0)
+        delta = Tensor(rng.uniform(0.05, 0.4, size=shape_x), requires_grad=True)
+        a = Tensor(rng.uniform(-2.0, -0.2, size=(E, H)), requires_grad=True)
+        bmat = _rand(rng, shape_bc, -1.0, 1.0)
+        cmat = _rand(rng, shape_bc, -1.0, 1.0)
 
-            def fn(xv, dv, av, bv, cv, _mode=mode):
-                params = ssm.SsmParams(a=av, delta=dv, b=bv, c=cv, exact_zoh=_mode)
-                return ssm.scan_sequential(xv, params).sum()
+        def fn(xv, dv, av, bv, cv, _mode=mode, _reverse=reverse):
+            params = ssm.SsmParams(a=av, delta=dv, b=bv, c=cv, exact_zoh=_mode)
+            return ssm.scan_sequential(xv, params, reverse=_reverse).sum()
 
-            name = f"selective_scan_{tag}" + ("_batched" if batched else "")
-            checks.append(gradcheck(fn, [x, delta, a, bmat, cmat], name=name,
-                                    tol=PRIMITIVE_TOL,
-                                    input_names=["x", "delta", "a", "b", "c"]))
+        name = f"selective_scan_{tag}" + ("_batched" if batched else "")
+        checks.append(gradcheck(fn, [x, delta, a, bmat, cmat], name=name,
+                                tol=PRIMITIVE_TOL,
+                                input_names=["x", "delta", "a", "b", "c"]))
     return checks
 
 

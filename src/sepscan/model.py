@@ -8,8 +8,11 @@ length.
 
 The masking network is the standard dual-path shell:
 
-    norm -> 1x1 -> chunk -> R dual-path blocks -> mask head (D -> 2D)
-    -> dechunk -> per speaker: tanh(1x1) * sigmoid(1x1) -> 1x1 -> ReLU
+    norm -> 1x1 -> chunk -> R dual-path blocks -> dechunk -> mask head
+    (D -> 2D) -> per speaker: tanh(1x1) * sigmoid(1x1) -> 1x1 -> ReLU
+
+The head maps each frame alone and dechunk averages the chunks covering a
+frame, so the two commute: the head runs on N frames rather than K * S.
 
 Checkpoints are a readable text header (format line, config key-values,
 one name/shape/offset record per parameter) followed by raw
@@ -30,7 +33,7 @@ from . import blocks as blocks_mod
 from . import dualpath as dp
 from . import numerics as nm
 from .audio import read_utf8
-from .dualpath import NORM_KINDS, ChunkedFeature
+from .dualpath import NORM_KINDS
 from .errors import DataFormatError
 from .numerics import NumericsError, Tensor
 
@@ -311,7 +314,7 @@ class SeparationModel:
         pad = self._encode_padding(x.shape[0])
         xp = nm.pad_last(x, pad) if pad else x
         frames = nm.frame(xp, self.config.enc_kernel, self.config.enc_stride)
-        feats = nm.matmul(self.weights.encoder, nm.permute(frames, 1, 0))
+        feats = nm.matmul(self.weights.encoder, frames)
         if self.config.encoder_relu:
             feats = nm.relu(feats)
         return feats
@@ -322,7 +325,7 @@ class SeparationModel:
             raise NumericsError(f"decode expects [D, N], got {feats.shape}")
         k, st = self.config.enc_kernel, self.config.enc_stride
         N = feats.shape[1]
-        frames = nm.permute(nm.matmul(self.weights.decoder, feats), 1, 0)
+        frames = nm.matmul(self.weights.decoder, feats)
         covered = (N - 1) * st + k
         if out_len > covered:
             raise NumericsError(
@@ -337,18 +340,13 @@ class SeparationModel:
         h = dp.apply_norm(feats, w.pre_norm)
         h = nm.matmul(w.input_proj, h)
         cf = dp.chunk(h, cfg.chunk_len)
-        data = cf.data
         for blk in w.blocks:
-            data = dp.dp_block(data, blk)
-        D, K, S = data.shape
-        flat = nm.reshape(data, D, K * S)
-        head = nm.add_bias(nm.matmul(w.mask_head_w, flat), w.mask_head_b)
-        head = nm.reshape(head, cfg.num_speakers * D, K, S)
-        merged = dp.dechunk(ChunkedFeature(head, cf.original_len,
-                                           cf.chunk_len, cf.hop))
+            cf.data = dp.dp_block(cf.data, blk)
+        merged = nm.add_bias(nm.matmul(w.mask_head_w, dp.dechunk(cf)),
+                             w.mask_head_b)
         out = []
         for i in range(cfg.num_speakers):
-            sl = nm.narrow(merged, 0, i * D, D)
+            sl = nm.narrow(merged, 0, i * cfg.d, cfg.d)
             o = nm.tanh(nm.add_bias(nm.matmul(w.out_proj_w, sl), w.out_proj_b))
             g = nm.sigmoid(nm.add_bias(nm.matmul(w.out_gate_w, sl), w.out_gate_b))
             out.append(nm.relu(nm.matmul(w.final_proj, nm.mul(o, g))))

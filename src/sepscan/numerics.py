@@ -4,6 +4,7 @@ Shape conventions used across the package:
 
     waveform     [T]
     features     [D, N]       (channels, frames)
+    framed       [..., size, S]  (window position, window index)
     chunked      [D, K, S]    (channels, chunk length, chunk count)
     batched seq  [B, E, L]    (batch, channels, time)
 
@@ -12,7 +13,7 @@ Rules the engine enforces rather than glosses over:
   * no implicit broadcasting, except a scalar (0-d) with a tensor;
   * an op's inputs all have its output's dtype (primitive checks this);
   * matmul maps axis -2 of [I, L] or [B, I, L] by a 2-D [O, I] weight;
-  * flip/permute/reshape materialize copies, never aliased views;
+  * permute materializes a copy, never an aliased view;
   * gradients accumulate additively across fan-out and across repeated
     backward() calls; callers reset explicitly with zero_grad().
 
@@ -373,13 +374,6 @@ def log(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def flip_last_axis(x: Tensor) -> Tensor:
-    def vjp(g):
-        return (np.flip(g, axis=-1).copy(),)
-
-    return primitive(np.flip(x.data, axis=-1).copy(), (x,), vjp, "flip_last_axis")
-
-
 def permute(x: Tensor, *dims: int) -> Tensor:
     if sorted(dims) != list(range(x.ndim)):
         raise NumericsError(f"permute: {dims} is not a permutation of rank {x.ndim}")
@@ -389,17 +383,6 @@ def permute(x: Tensor, *dims: int) -> Tensor:
         return (np.transpose(g, inverse).copy(),)
 
     return primitive(np.transpose(x.data, dims).copy(), (x,), vjp, "permute")
-
-
-def reshape(x: Tensor, *shape: int) -> Tensor:
-    if int(np.prod(shape, dtype=np.int64)) != x.size:
-        raise NumericsError(f"reshape: cannot view {x.shape} as {tuple(shape)}")
-    old = x.shape
-
-    def vjp(g):
-        return (g.reshape(old).copy(),)
-
-    return primitive(x.data.reshape(shape).copy(), (x,), vjp, "reshape")
 
 
 def tsum(x: Tensor) -> Tensor:
@@ -489,9 +472,16 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     return primitive(x.data[index].copy(), (x,), vjp, "narrow")
 
 
-def frame(x: Tensor, size: int, hop: int) -> Tensor:
-    """Slice the last axis into overlapping windows: [..., T] -> [..., S, size].
+def _frame_array(a: np.ndarray, size: int, hop: int) -> np.ndarray:
+    """[..., T] -> a copy [..., size, S] of the windows of `size` every `hop`."""
+    windows = np.lib.stride_tricks.sliding_window_view(a, size, axis=-1)
+    return windows[..., ::hop, :].swapaxes(-1, -2).copy()
 
+
+def frame(x: Tensor, size: int, hop: int) -> Tensor:
+    """Slice the last axis into overlapping windows: [..., T] -> [..., size, S].
+
+    Window position precedes window index, so no caller transposes.
     Requires (T - size) to be an exact multiple of hop; callers pad first.
     The adjoint is overlap_add, so gradients scatter-add back into place.
     """
@@ -502,33 +492,31 @@ def frame(x: Tensor, size: int, hop: int) -> Tensor:
         raise NumericsError(
             f"frame: length {T} does not align with size {size}, hop {hop}"
         )
-    windows = np.lib.stride_tricks.sliding_window_view(x.data, size, axis=-1)
-    out = windows[..., ::hop, :].copy()
 
     def vjp(g):
         return (_overlap_add_array(g, hop, T),)
 
-    return primitive(out, (x,), vjp, "frame")
+    return primitive(_frame_array(x.data, size, hop), (x,), vjp, "frame")
 
 
 def _overlap_add_array(frames: np.ndarray, hop: int, out_len: int) -> np.ndarray:
-    S, size = frames.shape[-2], frames.shape[-1]
+    size, S = frames.shape[-2], frames.shape[-1]
     out = np.zeros(frames.shape[:-2] + (out_len,), dtype=frames.dtype)
     for s in range(S):
         lo = s * hop
-        out[..., lo : lo + size] += frames[..., s, :]
+        out[..., lo : lo + size] += frames[..., s]
     return out
 
 
 def overlap_add(x: Tensor, hop: int, out_len: int) -> Tensor:
-    """Sum overlapping windows back onto a line: [..., S, size] -> [..., out_len].
+    """Sum overlapping windows back onto a line: [..., size, S] -> [..., out_len].
 
     out_len must equal (S - 1) * hop + size; this op is the exact adjoint
     of frame, so its gradient is a framing of the upstream gradient.
     """
     if x.ndim < 2:
         raise NumericsError(f"overlap_add: expected framed input, got {x.shape}")
-    S, size = x.shape[-2], x.shape[-1]
+    size, S = x.shape[-2], x.shape[-1]
     if out_len != (S - 1) * hop + size:
         raise NumericsError(
             f"overlap_add: {S} frames of {size} at hop {hop} cover "
@@ -536,8 +524,7 @@ def overlap_add(x: Tensor, hop: int, out_len: int) -> Tensor:
         )
 
     def vjp(g):
-        windows = np.lib.stride_tricks.sliding_window_view(g, size, axis=-1)
-        return (windows[..., ::hop, :].copy(),)
+        return (_frame_array(g, size, hop),)
 
     return primitive(_overlap_add_array(x.data, hop, out_len), (x,), vjp, "overlap_add")
 
@@ -567,12 +554,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return primitive(a.data @ b.data, (a, b), vjp, "matmul")
 
 
-def conv1d_depthwise(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
+def conv1d_depthwise(x: Tensor, kernel: Tensor, bias: Tensor,
+                     reverse: bool = False) -> Tensor:
     """Causal depthwise convolution along the last axis.
 
     x: [..., E, L], kernel: [E, W], bias: [E].  The input is
     left-padded with W - 1 zeros so position l never sees the future:
     y[..., e, l] = sum_w kernel[e, w] * x[..., e, l - (W - 1) + w] + bias[e].
+    reverse=True is the anti-causal mirror, x[..., e, l + (W - 1) - w]:
+    the causal convolution of the time-reversed input, reversed back.
     """
     if x.ndim < 2:
         raise NumericsError(f"conv1d_depthwise: input must be [..., E, L], got {x.shape}")
@@ -588,35 +578,39 @@ def conv1d_depthwise(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         raise NumericsError(
             f"conv1d_depthwise: bias {bias.shape} does not match {E} channels"
         )
-    # tap w reads x shifted right by s = W - 1 - w, so its first s outputs
-    # see only the causal zero padding, and a tap with s >= L sees nothing
-    # else.  The first tap writes the output: no padded copy, no zero fill.
-    # An empty input keeps the last tap, whose slices are all empty
+    # tap w reads x shifted by s = W - 1 - w (right; left under reverse), so
+    # its first (last) s outputs see only the zero padding, and a tap with
+    # s >= L sees nothing else.  A tap is (w, output slice, input slice),
+    # shared by the VJP.  The first tap writes the output: no padded copy,
+    # no zero fill.  An empty input keeps the last tap, whose slices are empty
     L = x.shape[-1]
     w0 = max(W - max(L, 1), 0)
-    shifts = [(w, W - 1 - w) for w in range(w0, W)]
+    taps = []
+    for w in range(w0, W):
+        s = W - 1 - w
+        late, early = slice(s, None), slice(None, L - s)
+        taps.append((w, early, late) if reverse else (w, late, early))
     kcol = kernel.data[..., None]  # [E, W, 1] for broadcasting over L
     out = np.empty_like(x.data)
-    s0 = shifts[0][1]
-    out[..., :s0] = 0.0
-    np.multiply(kcol[:, w0], x.data[..., : L - s0], out=out[..., s0:])
-    for w, s in shifts[1:]:
-        out[..., s:] += kcol[:, w] * x.data[..., : L - s]
+    (_, o, i), s0 = taps[0], W - 1 - w0
+    out[..., slice(L - s0, None) if reverse else slice(None, s0)] = 0.0
+    np.multiply(kcol[:, w0], x.data[..., i], out=out[..., o])
+    for w, o, i in taps[1:]:
+        out[..., o] += kcol[:, w] * x.data[..., i]
     out += bias.data[:, None]
 
     def vjp(g):
         gx = None
         if x.requires_grad:
             gx = np.zeros_like(g)
-            for w, s in shifts:
-                gx[..., : L - s] += kcol[:, w] * g[..., s:]
+            for w, o, i in taps:
+                gx[..., i] += kcol[:, w] * g[..., o]
         gk = None
         if kernel.requires_grad:
             gk = np.zeros_like(kernel.data)
             lead = tuple(range(g.ndim - 2))
-            for w, s in shifts:
-                gk[:, w] = (g[..., s:] * x.data[..., : L - s]).sum(
-                    axis=lead + (g.ndim - 1,))
+            for w, o, i in taps:
+                gk[:, w] = (g[..., o] * x.data[..., i]).sum(axis=lead + (g.ndim - 1,))
         gb = None
         if bias.requires_grad:
             axes = tuple(i for i in range(g.ndim) if i != g.ndim - 2)

@@ -355,46 +355,55 @@ def _scan_parallel_forward(xd, dd, ad, bd, cd, exact_zoh):
 # ---------------------------------------------------------------------------
 
 
-def _run_scan(x: Tensor, params: SsmParams, forward_fn, op_name: str) -> Tensor:
+def _run_scan(x: Tensor, params: SsmParams, forward_fn, op_name: str,
+              reverse: bool) -> Tensor:
     params.validate(x)
     batched = x.ndim == 3
     xt, dt, bt, ct = x, params.delta, params.b, params.c
     a = params.a
     exact = params.exact_zoh
+    # time is axis -1 of x and delta and axis -2 of b and c; under reverse
+    # the kernels see time-reversed views, which _time_major copies anyway
 
-    def lift(arr):
+    def lift(arr, axis=-1):
+        arr = np.flip(arr, axis) if reverse else arr
         return arr if batched else arr[None]
 
-    y = forward_fn(lift(xt.data), lift(dt.data), a.data, lift(bt.data),
-                   lift(ct.data), exact)
-    if not batched:
-        y = y[0]
+    def back(arr, axis=-1):
+        """Inverse of lift: a kernel result in the caller's layout."""
+        arr = np.flip(arr, axis) if reverse else arr
+        return arr if batched else arr[0]
+
+    y = back(forward_fn(lift(xt.data), lift(dt.data), a.data,
+                        lift(bt.data, -2), lift(ct.data, -2), exact))
 
     def vjp(g):
         gx, gd, ga, gb, gc = _scan_backward(
-            lift(xt.data), lift(dt.data), a.data, lift(bt.data), lift(ct.data),
-            exact, lift(g),
+            lift(xt.data), lift(dt.data), a.data, lift(bt.data, -2),
+            lift(ct.data, -2), exact, lift(g),
         )
-        if not batched:
-            gx, gd, gb, gc = gx[0], gd[0], gb[0], gc[0]
-        return gx, gd, ga, gb, gc
+        return back(gx), back(gd), ga, back(gb, -2), back(gc, -2)
 
     return nm.primitive(y.copy() if y.base is not None else y,
                         (xt, dt, a, bt, ct), vjp, op_name)
 
 
-def scan_sequential(x: Tensor, params: SsmParams) -> Tensor:
-    """Evaluate the selective recurrence stepwise.  x: [E, L] or [B, E, L]."""
-    return _run_scan(x, params, _scan_forward, "scan_sequential")
+def scan_sequential(x: Tensor, params: SsmParams, reverse: bool = False) -> Tensor:
+    """Evaluate the selective recurrence stepwise.  x: [E, L] or [B, E, L].
+
+    reverse=True steps t from L - 1 down to 0: the scan of the
+    time-reversed sequence, reversed back.
+    """
+    return _run_scan(x, params, _scan_forward, "scan_sequential", reverse)
 
 
-def scan_parallel(x: Tensor, params: SsmParams) -> Tensor:
+def scan_parallel(x: Tensor, params: SsmParams, reverse: bool = False) -> Tensor:
     """Evaluate the selective recurrence by associative prefix doubling.
 
     Exactly the same contract and gradients as scan_sequential; results
     agree to reassociation-level rounding (1e-8 scale in float64).
     """
-    return _run_scan(x, params, _scan_parallel_forward, "scan_parallel")
+    return _run_scan(x, params, _scan_parallel_forward, "scan_parallel", reverse)
 
 
 # ---------------------------------------------------------------------------

@@ -364,9 +364,9 @@ def train_toy(model, examples: list[MixExample], schedule: TrainSchedule,
     finally:
         if log_file is not None:
             log_file.close()
-    if not math.isinf(val) or not history:
-        final_val = val if not math.isinf(val) else _eval_si_snri(model, examples)
-    else:
-        final_val = _eval_si_snri(model, examples)
+    # the time budget can stop training between validation steps: score
+    # the weights that are returned, not the ones the last validation saw
+    if not history or history[-1]["si_snri"] == "":
+        val = _eval_si_snri(model, examples)
     return TrainResult(steps_run=len(history), final_loss=loss_val,
-                       final_si_snri=final_val, history=history)
+                       final_si_snri=val, history=history)

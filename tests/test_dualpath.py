@@ -56,6 +56,23 @@ class TestChunk:
         out = dp.dechunk(dp.chunk(x, 8)).data
         np.testing.assert_array_equal(out, np.ones((1, 20)))
 
+    def test_frame_affine_map_commutes_with_dechunk(self):
+        # dechunk averages the chunks covering each frame (weights summing
+        # to 1), so the mask head may run after it instead of before
+        rng = np.random.default_rng(2)
+        cases = [(int(rng.integers(1, 5)), int(rng.integers(1, 400)),
+                  int(rng.integers(1, 40)) * 2) for _ in range(30)]
+        assert any(n < k for _, n, k in cases)
+        for d, n, k in cases:
+            w = rng.standard_normal((2 * d, d))
+            bias = rng.standard_normal(2 * d)
+            cf = dp.chunk(Tensor(rng.standard_normal((d, n))), k)
+            after = w @ dp.dechunk(cf).data + bias[:, None]
+            cf.data = Tensor(np.einsum("od,dks->oks", w, cf.data.data)
+                             + bias[:, None, None])
+            before = dp.dechunk(cf).data
+            np.testing.assert_allclose(before, after, rtol=0, atol=1e-12)
+
     def test_odd_chunk_rejected(self):
         with pytest.raises(NumericsError):
             dp.chunk(Tensor(np.zeros((1, 10))), 5)

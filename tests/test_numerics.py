@@ -63,10 +63,9 @@ class TestOperandRules:
 
     def test_views_are_copies(self):
         x = t(np.arange(6.0).reshape(2, 3))
-        for y in (nm.reshape(x, 3, 2), nm.permute(x, 1, 0),
-                  nm.flip_last_axis(x)):
-            y.data[...] = -1.0
-            assert np.array_equal(x.data, np.arange(6.0).reshape(2, 3))
+        y = nm.permute(x, 1, 0)
+        y.data[...] = -1.0
+        assert np.array_equal(x.data, np.arange(6.0).reshape(2, 3))
 
 
 _F32 = Tensor(np.ones((3, 5), dtype=np.float32))
@@ -191,11 +190,11 @@ class TestOpSemantics:
     def test_frame_contents(self):
         x = t(np.arange(8.0))
         f = nm.frame(x, size=4, hop=2)
-        assert f.shape == (3, 4)
-        assert np.array_equal(f.data[1], [2, 3, 4, 5])
+        assert f.shape == (4, 3)
+        assert np.array_equal(f.data[:, 1], [2, 3, 4, 5])
 
     def test_overlap_add_constant_coverage(self):
-        frames = t(np.ones((3, 4)))
+        frames = t(np.ones((4, 3)))
         y = nm.overlap_add(frames, hop=2, out_len=8)
         assert np.array_equal(y.data, [1, 1, 2, 2, 2, 2, 1, 1])
 
@@ -212,15 +211,38 @@ class TestOpSemantics:
         assert np.array_equal(out[:, :6], base[:, :6])
         assert not np.array_equal(out[:, 6:], base[:, 6:])
 
-    @pytest.mark.parametrize("shape", [(3, 0), (2, 3, 0)])
-    def test_conv_of_empty_input_is_empty(self, shape):
+    @pytest.mark.parametrize(
+        "shape,reverse",
+        [((3, 0), False), ((2, 3, 0), False), ((3, 0), True), ((2, 3, 0), True)],
+        ids=["shape0", "shape1", "shape0-reverse", "shape1-reverse"])
+    def test_conv_of_empty_input_is_empty(self, shape, reverse):
         x = t(np.zeros(shape), grad=True)
         k, b = t(np.ones((3, 4)), grad=True), t(np.ones(3), grad=True)
-        y = nm.conv1d_depthwise(x, k, b)
+        y = nm.conv1d_depthwise(x, k, b, reverse=reverse)
         assert y.shape == shape
         nm.tsum(y).backward()
         assert x.grad.shape == shape
         assert not k.grad.any() and not b.grad.any()
+
+    @pytest.mark.parametrize("shape", [(3, 2), (3, 9), (2, 3, 2), (2, 3, 9)])
+    def test_reverse_conv_is_the_flipped_causal_conv(self, shape):
+        # dyadic values keep every product and sum exact, so the kernel and
+        # bias gradients, which sum in reversed order, compare exactly too
+        rng = np.random.default_rng(len(shape) * 10 + shape[-1])
+        x, k, b, w = (rng.integers(-32, 33, size=s) / 8.0
+                      for s in (shape, (3, 4), (3,), shape))
+
+        def run(reverse):
+            # reverse=False runs flip o conv o flip, reverse=True the mirror
+            flip = (lambda a: a) if reverse else (lambda a: np.flip(a, -1).copy())
+            leaves = [t(flip(x), grad=True), t(k, grad=True), t(b, grad=True)]
+            y = nm.conv1d_depthwise(*leaves, reverse=reverse)
+            nm.mul(y, t(flip(w))).sum().backward()
+            return [flip(y.data), flip(leaves[0].grad), leaves[1].grad,
+                    leaves[2].grad]
+
+        for name, want, got in zip("y x kernel bias".split(), run(False), run(True)):
+            assert np.array_equal(want, got), name
 
     def test_layernorm_standardizes_columns(self):
         rng = np.random.default_rng(1)

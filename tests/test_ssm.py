@@ -319,6 +319,43 @@ class TestKernelParity:
             assert np.array_equal(want, got)
 
 
+class TestReverseScan:
+    """reverse=True is the scan of the time-reversed sequence, reversed back."""
+
+    @staticmethod
+    def _grads(scan, args, w, exact_zoh, reverse):
+        leaves = [Tensor(arr, requires_grad=True) for arr in args]
+        x, delta, a, b, c = leaves
+        y = scan(x, ssm.SsmParams(a=a, delta=delta, b=b, c=c, exact_zoh=exact_zoh),
+                 reverse=reverse)
+        nm.mul(y, Tensor(w)).sum().backward()
+        return [y.data] + [leaf.grad for leaf in leaves]
+
+    @pytest.mark.parametrize("scan", [ssm.scan_sequential, ssm.scan_parallel])
+    @pytest.mark.parametrize("exact_zoh", [False, True])
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("L", [1, 65, 2 * ssm._BLOCK + 5])
+    def test_equals_flipped_forward_scan(self, scan, exact_zoh, batched, L):
+        rng = np.random.default_rng(L)
+        x, delta, a, b, c = _random_scan(rng, 3, 5, L, 4)
+        w = rng.standard_normal((3, 5, L))
+        if not batched:
+            x, delta, b, c, w = x[0], delta[0], b[0], c[0], w[0]
+        args = [x, delta, a, b, c]
+        # time is the last axis of x, delta and the weights, axis -2 of b, c
+        axes = (-1, -1, None, -2, -2)
+
+        def flip(arr, axis=-1):
+            return arr if axis is None else np.flip(arr, axis).copy()
+
+        got = self._grads(scan, args, w, exact_zoh, reverse=True)
+        flipped = self._grads(scan, [flip(arr, ax) for arr, ax in zip(args, axes)],
+                              flip(w), exact_zoh, reverse=False)
+        want = [flip(flipped[0])] + [flip(g, ax) for g, ax in zip(flipped[1:], axes)]
+        for name, wv, gv in zip("y x delta a b c".split(), want, got):
+            assert np.array_equal(wv, gv), name
+
+
 class TestStability:
     def test_state_bounded_on_long_input(self):
         # a < 0 and delta > 0 keep |Abar| < 1; with |x| <= 1 the output

@@ -278,6 +278,19 @@ class TestTrainToy:
         assert res.history == ref.history
         assert res.final_si_snri == ref.final_si_snri
 
+    def test_time_budget_between_validations_scores_returned_weights(
+            self, monkeypatch):
+        # the clock passes the budget at the check after step 7; the last
+        # validation ran at step 4
+        ticks = iter(range(100))
+        monkeypatch.setattr(T.time, "monotonic", lambda: float(next(ticks)))
+        sched = T.TrainSchedule(peak_lr=1e-2, warmup_steps=0, total_steps=50)
+        model = self._model()
+        res = T.train_toy(model, self._examples(), sched, val_every=5,
+                          time_budget_s=7.5)
+        assert res.steps_run == 8
+        assert res.final_si_snri == T._eval_si_snri(model, self._examples())
+
     def test_frozen_model_rejected(self, tmp_path):
         ckpt = tmp_path / "m.ckpt"
         M.save_model(ckpt, self._model())
