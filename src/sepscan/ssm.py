@@ -397,13 +397,13 @@ def scan_sequential(x: Tensor, params: SsmParams, reverse: bool = False) -> Tens
     return _run_scan(x, params, _scan_forward, "scan_sequential", reverse)
 
 
-def scan_parallel(x: Tensor, params: SsmParams, reverse: bool = False) -> Tensor:
+def scan_parallel(x: Tensor, params: SsmParams) -> Tensor:
     """Evaluate the selective recurrence by associative prefix doubling.
 
-    Exactly the same contract and gradients as scan_sequential; results
-    agree to reassociation-level rounding (1e-8 scale in float64).
+    Exactly the same contract and gradients as the forward scan_sequential;
+    results agree to reassociation-level rounding (1e-8 scale in float64).
     """
-    return _run_scan(x, params, _scan_parallel_forward, "scan_parallel", reverse)
+    return _run_scan(x, params, _scan_parallel_forward, "scan_parallel", False)
 
 
 # ---------------------------------------------------------------------------

@@ -323,19 +323,18 @@ class TestReverseScan:
     """reverse=True is the scan of the time-reversed sequence, reversed back."""
 
     @staticmethod
-    def _grads(scan, args, w, exact_zoh, reverse):
+    def _grads(args, w, exact_zoh, reverse):
         leaves = [Tensor(arr, requires_grad=True) for arr in args]
         x, delta, a, b, c = leaves
-        y = scan(x, ssm.SsmParams(a=a, delta=delta, b=b, c=c, exact_zoh=exact_zoh),
-                 reverse=reverse)
+        params = ssm.SsmParams(a=a, delta=delta, b=b, c=c, exact_zoh=exact_zoh)
+        y = ssm.scan_sequential(x, params, reverse=reverse)
         nm.mul(y, Tensor(w)).sum().backward()
         return [y.data] + [leaf.grad for leaf in leaves]
 
-    @pytest.mark.parametrize("scan", [ssm.scan_sequential, ssm.scan_parallel])
     @pytest.mark.parametrize("exact_zoh", [False, True])
     @pytest.mark.parametrize("batched", [False, True])
     @pytest.mark.parametrize("L", [1, 65, 2 * ssm._BLOCK + 5])
-    def test_equals_flipped_forward_scan(self, scan, exact_zoh, batched, L):
+    def test_equals_flipped_forward_scan(self, exact_zoh, batched, L):
         rng = np.random.default_rng(L)
         x, delta, a, b, c = _random_scan(rng, 3, 5, L, 4)
         w = rng.standard_normal((3, 5, L))
@@ -348,8 +347,8 @@ class TestReverseScan:
         def flip(arr, axis=-1):
             return arr if axis is None else np.flip(arr, axis).copy()
 
-        got = self._grads(scan, args, w, exact_zoh, reverse=True)
-        flipped = self._grads(scan, [flip(arr, ax) for arr, ax in zip(args, axes)],
+        got = self._grads(args, w, exact_zoh, reverse=True)
+        flipped = self._grads([flip(arr, ax) for arr, ax in zip(args, axes)],
                               flip(w), exact_zoh, reverse=False)
         want = [flip(flipped[0])] + [flip(g, ax) for g, ax in zip(flipped[1:], axes)]
         for name, wv, gv in zip("y x delta a b c".split(), want, got):
