@@ -42,12 +42,12 @@ print(f"eigenvalues of A (continuous time): {np.sort(diag)[::-1].round(3)}")
 # system is the special case where every step carries the same values.
 params = ssm.SsmParams(
     a=Tensor(diag[None, :]),                                   # [E=1, H]
-    delta=Tensor(np.full((1, L), delta)),                      # [E, L]
+    delta=Tensor(np.full((L, 1), delta)),                      # [L, E]
     b=Tensor(np.broadcast_to(bvec, (L, H)).copy()),            # [L, H]
     c=Tensor(np.broadcast_to(cvec, (L, H)).copy()),            # [L, H]
     exact_zoh=True,   # exact hold, so both paths discretize identically
 )
-y_recurrence = ssm.scan_sequential(Tensor(x[None, :]), params).data[0]
+y_recurrence = ssm.scan_sequential(Tensor(x[:, None]), params).data[:, 0]
 
 # ---------------------------------------------------------------------------
 # path 2: materialize the kernel and convolve

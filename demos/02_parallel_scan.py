@@ -27,10 +27,10 @@ from sepscan.numerics import Tensor
 
 def random_case(L, E, H, seed):
     rng = np.random.default_rng(seed)
-    x = Tensor(rng.standard_normal((E, L)))
+    x = Tensor(rng.standard_normal((L, E)))
     params = ssm.SsmParams(
         a=Tensor(-np.exp(rng.uniform(-1.0, 1.0, (E, H)))),
-        delta=Tensor(np.exp(rng.uniform(-3.0, -1.0, (E, L)))),
+        delta=Tensor(np.exp(rng.uniform(-3.0, -1.0, (L, E)))),
         b=Tensor(rng.standard_normal((L, H))),
         c=Tensor(rng.standard_normal((L, H))),
     )

@@ -27,10 +27,10 @@ IMPLS = ("seq", "par", "oracle")
 def _selective_inputs(L: int, E: int, H: int, seed: int):
     rng = np.random.default_rng(seed)
     a = -np.exp(rng.uniform(-1.0, 1.0, (E, H)))
-    delta = rng.uniform(0.05, 0.5, (E, L))
+    delta = rng.uniform(0.05, 0.5, (L, E))
     b = 0.5 * rng.standard_normal((L, H))
     c = 0.5 * rng.standard_normal((L, H))
-    x = rng.standard_normal((E, L))
+    x = rng.standard_normal((L, E))
     params = ssm.SsmParams(a=Tensor(a), delta=Tensor(delta),
                            b=Tensor(b), c=Tensor(c))
     return params, Tensor(x)
@@ -54,9 +54,9 @@ def _run_oracle(L: int, E: int, H: int, seed: int) -> None:
     a = a - (np.abs(a).sum(axis=1).max() + 0.5) * np.eye(H)   # strictly stable
     sys = ssm.DenseSsm(a=a, b=rng.standard_normal((H, 1)),
                        c=rng.standard_normal((1, H)), delta=0.1)
-    x = rng.standard_normal((E, L))
+    x = rng.standard_normal((L, E))
     for e in range(E):
-        ssm.kernel_convolve(x[e], sys)
+        ssm.kernel_convolve(x[:, e], sys)
 
 
 _RUNNERS = {"seq": _run_seq, "par": _run_par, "oracle": _run_oracle}

@@ -1,8 +1,8 @@
 """Bidirectional selective-scan block.
 
-One block sees a sequence h [D, L] (or a batch [B, D, L]) and runs it
-through two directional selective-SSM branches that share the input and
-gate projections:
+One block sees a time-major sequence h [L, D] (or a batch [L, B, D]) and
+runs it through two directional selective-SSM branches that share the
+input and gate projections:
 
     h_in  = W_in h                      expanded to E = 2D channels
     z     = W_gate h
@@ -19,6 +19,8 @@ of those is exactly its causal counterpart applied to the time-reversed
 sequence and reversed back, and every other op acts on one position at
 a time, so with tied weights the block is exactly flip-equivariant.  A
 unidirectional variant drops the backward branch and the final averaging.
+The projections act on the channel axis (the last) and the convs and
+scans on time (axis 0), so no operand is permuted on its way to a scan.
 """
 
 from __future__ import annotations
@@ -156,7 +158,7 @@ def _branch(h_in: Tensor, gate: Tensor, dw: DirectionWeights, exact_zoh: bool,
 
 def bi_scan_forward(h: Tensor, w: BiScanWeights,
                     return_branches: bool = False):
-    """Run one block over h: [D, L] or [B, D, L]; output matches the input shape.
+    """Run one block over h: [L, D] or [L, B, D]; output matches the input shape.
 
     With return_branches=True also returns the gated forward-branch and
     backward-branch sequences, for inspection in tests.

@@ -20,6 +20,7 @@ stem it wrote, so a nonzero exit leaves no partial output behind.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from collections import Counter
@@ -183,6 +184,18 @@ def _cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _bounded(kind, low, strict=False):
+    """An argparse type: finite `kind` values >= low (> low when strict)."""
+    def parse(text):
+        value = kind(text)
+        if not math.isfinite(value) or value < low or (strict and value == low):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {low}, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__    # argparse names the type in its errors
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="sepscan",
                                 description="dual-path scan speech separation")
@@ -199,11 +212,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--config", required=True, help="config file or preset name")
     s.add_argument("--corpus", required=True, help="manifest of WAV files")
     s.add_argument("--out", required=True, help="checkpoint output path")
-    s.add_argument("--steps", type=int, default=2000)
-    s.add_argument("--warmup", type=int, default=200)
+    s.add_argument("--steps", type=_bounded(int, 0), default=2000)
+    s.add_argument("--warmup", type=_bounded(int, 0), default=200)
     s.add_argument("--peak-lr", type=float, default=1.5e-4)
-    s.add_argument("--pairs", type=int, default=2)
-    s.add_argument("--val-every", type=int, default=25)
+    s.add_argument("--pairs", type=_bounded(int, 1), default=2)
+    s.add_argument("--val-every", type=_bounded(int, 1), default=25)
     s.add_argument("--stop-at", type=float, default=None,
                    help="stop once si_snri reaches this many dB")
     s.add_argument("--log", default=None, help="CSV training log path")
@@ -218,23 +231,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("params", help="parameter count for a config")
     s.add_argument("--config", required=True, help="config file or preset name")
-    s.add_argument("--expect", type=float, default=None)
-    s.add_argument("--tol", type=float, default=0.02)
+    s.add_argument("--expect", type=_bounded(float, 0, strict=True), default=None)
+    s.add_argument("--tol", type=_bounded(float, 0), default=0.02)
     s.set_defaults(fn=_cmd_params)
 
     s = sub.add_parser("bench-scan", help="scan benchmarks as CSV")
     s.add_argument("--impl", nargs="+", choices=list(bench.IMPLS),
                    default=list(bench.IMPLS))
-    s.add_argument("--L", type=int, nargs="+", default=[1000, 8000])
-    s.add_argument("--E", type=int, default=4)
-    s.add_argument("--H", type=int, default=16)
+    s.add_argument("--L", type=_bounded(int, 1), nargs="+", default=[1000, 8000])
+    s.add_argument("--E", type=_bounded(int, 1), default=4)
+    s.add_argument("--H", type=_bounded(int, 1), default=16)
     s.add_argument("--seed", type=int, default=0)
     s.set_defaults(fn=_cmd_bench_scan)
 
     s = sub.add_parser("eval", help="score a checkpoint on corpus mixtures")
     s.add_argument("--ckpt", required=True)
     s.add_argument("--manifest", required=True)
-    s.add_argument("--pairs", type=int, default=4)
+    s.add_argument("--pairs", type=_bounded(int, 1), default=4)
     s.add_argument("--seed", type=int, default=0)
     s.set_defaults(fn=_cmd_eval)
     return p

@@ -1,15 +1,17 @@
 """Dual-path processing: chunking, normalization, and intra/inter blocks.
 
-A long frame sequence h [D, N] is folded into overlapping chunks
-[D, K, S] (50% overlap by default), so that one block can alternate
+A long frame sequence h [N, D] is folded into overlapping chunks
+[S, K, D] (50% overlap by default), so that one block can alternate
 
     h <- h + block_intra(norm(h))   sequences along K, batched over S
     h <- h + block_inter(norm(h))   sequences along S, batched over K
 
 giving every output frame a path to every input frame while each scan
-only ever runs over K or S steps.  dechunk inverts chunk exactly: the
-overlap-add sum is divided by how many chunks cover each frame, and the
-alignment padding is cut off.
+only ever runs over K or S steps.  The blocks take time-major [L, B, D]
+sequences, so the inter pass runs on [S, K, D] as it is and only the
+intra pass swaps the two leading axes, in and out.  dechunk inverts
+chunk exactly: the overlap-add sum is divided by how many chunks cover
+each frame, and the alignment padding is cut off.
 """
 
 from __future__ import annotations
@@ -30,52 +32,44 @@ from .numerics import NumericsError, Tensor
 
 @dataclass
 class ChunkedFeature:
-    data: Tensor          # [D, K, S]
+    data: Tensor          # [S, K, D], hop K // 2
     original_len: int     # N before alignment padding
-    chunk_len: int        # K
-    hop: int
-
-    @property
-    def padded_len(self) -> int:
-        S = self.data.shape[-1]
-        return (S - 1) * self.hop + self.chunk_len
 
 
 def chunk(h: Tensor, chunk_len: int) -> ChunkedFeature:
-    """Fold [D, N] into 50%-overlapping chunks [D, K, S], hop = K // 2.
+    """Fold [N, D] into 50%-overlapping chunks [S, K, D], hop = K // 2.
 
     N is zero-padded up to K plus a whole number of hops, so
     S = ceil(max(N - K, 0) / hop) + 1; a short input becomes one chunk.
     """
     if h.ndim != 2:
-        raise NumericsError(f"chunk expects [D, N], got {h.shape}")
+        raise NumericsError(f"chunk expects [N, D], got {h.shape}")
     if chunk_len % 2:
         raise NumericsError(
             f"chunk_len must be even for 50% overlap, got {chunk_len}")
     hop = chunk_len // 2
-    N = h.shape[1]
+    N = h.shape[0]
     if N < chunk_len:
         pad = chunk_len - N
     else:
         pad = (-(N - chunk_len)) % hop
-    framed = nm.frame(nm.pad_last(h, pad) if pad else h, chunk_len, hop)
-    return ChunkedFeature(data=framed, original_len=N, chunk_len=chunk_len,
-                          hop=hop)
+    framed = nm.frame(nm.pad_end(h, pad) if pad else h, chunk_len, hop)
+    return ChunkedFeature(data=framed, original_len=N)
 
 
 def dechunk(cf: ChunkedFeature) -> Tensor:
     """Invert chunk: overlap-add, normalize by coverage, trim padding."""
-    D = cf.data.shape[0]
-    total = cf.padded_len
-    summed = nm.overlap_add(cf.data, cf.hop, total)        # [D, total]
-    S = cf.data.shape[-1]
+    S, K, D = cf.data.shape
+    hop = K // 2
+    total = (S - 1) * hop + K
+    summed = nm.overlap_add(cf.data, hop, total)           # [total, D]
     coverage = np.zeros(total, dtype=cf.data.dtype)
     for s in range(S):
-        coverage[s * cf.hop : s * cf.hop + cf.chunk_len] += 1.0
-    inv = Tensor(np.broadcast_to(1.0 / coverage, (D, total)).copy())
+        coverage[s * hop : s * hop + K] += 1.0
+    inv = Tensor(np.broadcast_to((1.0 / coverage)[:, None], (total, D)))
     out = nm.mul(summed, inv)
     if total != cf.original_len:
-        out = nm.narrow(out, 1, 0, cf.original_len)
+        out = nm.narrow(out, 0, 0, cf.original_len)
     return out
 
 
@@ -102,7 +96,7 @@ def init_norm(d: int, kind: str) -> NormWeights:
 
 
 def apply_norm(x: Tensor, w: NormWeights, eps: float = 1e-8) -> Tensor:
-    """Normalize over the channel axis (axis 0) at every remaining position."""
+    """Normalize over the channel axis (the last) at every position."""
     if w.kind == "rmsnorm":
         return nm.rmsnorm(x, w.gain, eps=eps)
     return nm.layernorm(x, w.gain, w.bias, eps=eps)
@@ -135,11 +129,10 @@ def init_dp_block(d: int, h: int, norm_kind: str, rng: np.random.Generator,
 def dp_block(h: Tensor, w: DpBlockWeights) -> Tensor:
     """One intra-chunk pass and one inter-chunk pass, each with a skip."""
     if h.ndim != 3:
-        raise NumericsError(f"dp_block expects [D, K, S], got {h.shape}")
-    intra_in = nm.permute(apply_norm(h, w.intra_norm), 2, 0, 1)     # [S, D, K]
+        raise NumericsError(f"dp_block expects [S, K, D], got {h.shape}")
+    intra_in = nm.permute(apply_norm(h, w.intra_norm), 1, 0, 2)     # [K, S, D]
     intra_out = blocks.bi_scan_forward(intra_in, w.intra_scan)
-    h = nm.add(h, nm.permute(intra_out, 1, 2, 0))                   # [D, K, S]
+    h = nm.add(h, nm.permute(intra_out, 1, 0, 2))                   # [S, K, D]
 
-    inter_in = nm.permute(apply_norm(h, w.inter_norm), 1, 0, 2)     # [K, D, S]
-    inter_out = blocks.bi_scan_forward(inter_in, w.inter_scan)
-    return nm.add(h, nm.permute(inter_out, 1, 0, 2))
+    inter_out = blocks.bi_scan_forward(apply_norm(h, w.inter_norm), w.inter_scan)
+    return nm.add(h, inter_out)

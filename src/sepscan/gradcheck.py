@@ -101,8 +101,15 @@ def gradcheck(
 # ---------------------------------------------------------------------------
 
 
-def _rand(rng, shape, lo=-2.0, hi=2.0):
-    return Tensor(rng.uniform(lo, hi, size=shape), requires_grad=True)
+def _rand(rng, shape, lo=-2.0, hi=2.0, axes=None):
+    """A uniform draw of `shape`, transposed by `axes` into the package
+    layout: the draws, and so every check's inputs, predate that layout."""
+    arr = rng.uniform(lo, hi, size=shape)
+    return Tensor(arr if axes is None else arr.transpose(axes), requires_grad=True)
+
+
+# [C, L] -> [L, C]; [B, C, L] -> [L, B, C]; [D, ., .] or [., size, S] reversed
+_T, _TM, _T3 = (1, 0), (2, 0, 1), (2, 1, 0)
 
 
 def suite_numerics(seed: int = 0) -> list[GradcheckResult]:
@@ -142,65 +149,65 @@ def suite_numerics(seed: int = 0) -> list[GradcheckResult]:
         [w6, _rand(rng, (4, 2, 3))], ["x", "w"])
     run("sum", lambda x: nm.tsum(x), [_rand(rng, (7,))], ["x"])
     run("mean", lambda x: nm.tmean(x), [_rand(rng, (7,))], ["x"])
-    wb = nm.Tensor(rng.uniform(-1, 1, (3, 5)))
+    wb = nm.Tensor(rng.uniform(-1, 1, (3, 5)).transpose(_T))
     run("add_bias",
         lambda x, c: nm.mul(nm.add_bias(x, c), wb).sum(),
-        [_rand(rng, (3, 5)), _rand(rng, (3,))], ["x", "bias"])
+        [_rand(rng, (3, 5), axes=_T), _rand(rng, (3,))], ["x", "bias"])
     run("scale_channels",
         lambda x, c: nm.mul(nm.scale_channels(x, c), wb).sum(),
-        [_rand(rng, (3, 5)), _rand(rng, (3,))], ["x", "scale"])
+        [_rand(rng, (3, 5), axes=_T), _rand(rng, (3,))], ["x", "scale"])
     run("pad_narrow",
-        lambda x, y: nm.mul(nm.narrow(nm.pad_last(x, 3), -1, 1, 4), y).sum(),
-        [_rand(rng, (2, 5)), _rand(rng, (2, 4))], ["x", "w"])
+        lambda x, y: nm.mul(nm.narrow(nm.pad_end(x, 3), 0, 1, 4), y).sum(),
+        [_rand(rng, (2, 5), axes=_T), _rand(rng, (2, 4), axes=_T)], ["x", "w"])
     run("frame",
         lambda x, y: nm.mul(nm.frame(x, 4, 2), y).sum(),
-        [_rand(rng, (2, 10)), _rand(rng, (2, 4, 4))], ["x", "w"])
+        [_rand(rng, (2, 10), axes=_T), _rand(rng, (2, 4, 4), axes=_T3)], ["x", "w"])
     run("overlap_add",
         lambda x, y: nm.mul(nm.overlap_add(x, 2, 10), y).sum(),
-        [_rand(rng, (2, 4, 4)), _rand(rng, (2, 10))], ["x", "w"])
+        [_rand(rng, (2, 4, 4), axes=_T3), _rand(rng, (2, 10), axes=_T)], ["x", "w"])
 
     run("matmul",
         lambda x, y: nm.matmul(x, y).sum(),
-        [_rand(rng, (3, 4)), _rand(rng, (4, 2))], ["a", "b"])
+        [_rand(rng, (3, 4)), _rand(rng, (4, 2), axes=_T)], ["a", "b"])
     # B == L: a weight gradient pairing g's batch axis with b's time axis fails
-    wm = nm.Tensor(rng.uniform(-1, 1, (3, 3, 3)))
+    wm = nm.Tensor(rng.uniform(-1, 1, (3, 3, 3)).transpose(_TM))
     run("matmul_batched",
         lambda x, y: nm.mul(nm.matmul(x, y), wm).sum(),
-        [_rand(rng, (3, 4)), _rand(rng, (3, 4, 3))], ["a", "b"])
+        [_rand(rng, (3, 4)), _rand(rng, (3, 4, 3), axes=_TM)], ["a", "b"])
     run("conv1d_depthwise",
         lambda x, k, c: nm.conv1d_depthwise(x, k, c).sum(),
-        [_rand(rng, (3, 8)), _rand(rng, (3, 4)), _rand(rng, (3,))],
+        [_rand(rng, (3, 8), axes=_T), _rand(rng, (3, 4)), _rand(rng, (3,))],
         ["x", "kernel", "bias"])
     run("conv1d_depthwise_batched",
         lambda x, k, c: nm.conv1d_depthwise(x, k, c).sum(),
-        [_rand(rng, (2, 3, 8)), _rand(rng, (3, 4)), _rand(rng, (3,))],
+        [_rand(rng, (2, 3, 8), axes=_TM), _rand(rng, (3, 4)), _rand(rng, (3,))],
         ["x", "kernel", "bias"])
-    wn = nm.Tensor(rng.standard_normal((3, 4, 2)))
+    wn = nm.Tensor(rng.standard_normal((3, 4, 2)).transpose(_T3))
     run("rmsnorm",
         lambda x, gn: nm.mul(nm.rmsnorm(x, gn), wn).sum(),
-        [_rand(rng, (3, 4, 2)), _rand(rng, (3,))], ["x", "gain"],
+        [_rand(rng, (3, 4, 2), axes=_T3), _rand(rng, (3,))], ["x", "gain"],
         tol=COMPOSITE_TOL)
     run("layernorm",
         lambda x, gn, c: nm.mul(nm.layernorm(x, gn, c), wn).sum(),
-        [_rand(rng, (3, 4, 2)), _rand(rng, (3,)), _rand(rng, (3,))],
+        [_rand(rng, (3, 4, 2), axes=_T3), _rand(rng, (3,)), _rand(rng, (3,))],
         ["x", "gain", "bias"], tol=COMPOSITE_TOL)
     # an input shorter than the kernel: the first taps see only padding,
     # so their kernel gradient is zero
-    wc = nm.Tensor(rng.standard_normal((2, 3, 2)))
+    wc = nm.Tensor(rng.standard_normal((2, 3, 2)).transpose(_TM))
     run("conv1d_depthwise_short",
         lambda x, k, c: nm.mul(nm.conv1d_depthwise(x, k, c),
-                               nm.Tensor(wc.data[0])).sum(),
-        [_rand(rng, (3, 2)), _rand(rng, (3, 4)), _rand(rng, (3,))],
+                               nm.Tensor(wc.data[:, 0])).sum(),
+        [_rand(rng, (3, 2), axes=_T), _rand(rng, (3, 4)), _rand(rng, (3,))],
         ["x", "kernel", "bias"])
     run("conv1d_depthwise_short_batched",
         lambda x, k, c: nm.mul(nm.conv1d_depthwise(x, k, c), wc).sum(),
-        [_rand(rng, (2, 3, 2)), _rand(rng, (3, 4)), _rand(rng, (3,))],
+        [_rand(rng, (2, 3, 2), axes=_TM), _rand(rng, (3, 4)), _rand(rng, (3,))],
         ["x", "kernel", "bias"])
-    wr = nm.Tensor(rng.standard_normal((2, 3, 8)))
+    wr = nm.Tensor(rng.standard_normal((2, 3, 8)).transpose(_TM))
     run("conv1d_depthwise_reverse",
         lambda x, k, c: nm.mul(nm.conv1d_depthwise(x, k, c, reverse=True),
                                wr).sum(),
-        [_rand(rng, (2, 3, 8)), _rand(rng, (3, 4)), _rand(rng, (3,))],
+        [_rand(rng, (2, 3, 8), axes=_TM), _rand(rng, (3, 4)), _rand(rng, (3,))],
         ["x", "kernel", "bias"])
     return checks
 
@@ -218,11 +225,13 @@ def suite_ssm(seed: int = 0) -> list[GradcheckResult]:
             (False, "reverse", True, True)):
         shape_x = (2, E, L) if batched else (E, L)
         shape_bc = (2, L, H) if batched else (L, H)
-        x = _rand(rng, shape_x, -1.0, 1.0)
-        delta = Tensor(rng.uniform(0.05, 0.4, size=shape_x), requires_grad=True)
+        # x and delta to [L, B, E] or [L, E], b and c to [L, B, H]
+        to_x, to_bc = (_TM, (1, 0, 2)) if batched else (_T, None)
+        x = _rand(rng, shape_x, -1.0, 1.0, to_x)
+        delta = _rand(rng, shape_x, 0.05, 0.4, to_x)
         a = Tensor(rng.uniform(-2.0, -0.2, size=(E, H)), requires_grad=True)
-        bmat = _rand(rng, shape_bc, -1.0, 1.0)
-        cmat = _rand(rng, shape_bc, -1.0, 1.0)
+        bmat = _rand(rng, shape_bc, -1.0, 1.0, to_bc)
+        cmat = _rand(rng, shape_bc, -1.0, 1.0, to_bc)
 
         def fn(xv, dv, av, bv, cv, _mode=mode, _reverse=reverse):
             params = ssm.SsmParams(a=av, delta=dv, b=bv, c=cv, exact_zoh=_mode)
@@ -242,7 +251,7 @@ def suite_blocks(seed: int = 0) -> list[GradcheckResult]:
     D, L, H = 3, 5, 2
     w = blocks.init_bi_scan(D, H, rng)
     names, params = zip(*blocks.named_parameters(w, "bi_scan"))
-    x = _rand(rng, (D, L), -1.0, 1.0)
+    x = _rand(rng, (D, L), -1.0, 1.0, _T)
 
     def fn(*_args):
         return blocks.bi_scan_forward(x, w).sum()
@@ -259,7 +268,7 @@ def suite_dualpath(seed: int = 0) -> list[GradcheckResult]:
     D, K, S, H = 2, 4, 3, 2
     w = dualpath.init_dp_block(D, H, "rmsnorm", rng)
     names, params = zip(*blocks.named_parameters(w, "block"))
-    x = _rand(rng, (D, K, S), -1.0, 1.0)
+    x = _rand(rng, (D, K, S), -1.0, 1.0, _T3)            # [S, K, D]
 
     def fn(*_args):
         return dualpath.dp_block(x, w).sum()

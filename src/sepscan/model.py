@@ -1,10 +1,11 @@
 """Two-speaker time-domain separation model, its config, and its checkpoint.
 
-Signal path: a strided linear encoder lifts the waveform to D-channel
-frames (kernel 16, stride 8); a dual-path masking network produces one
-nonnegative mask per speaker; masked frames go through a transposed
-strided linear decoder (overlap-add) back to waveforms of the original
-length.
+Signal path: a strided linear encoder lifts the waveform [T] to
+D-channel frames [N, D] (kernel 16, stride 8); a dual-path masking
+network produces one nonnegative mask [N, D] per speaker; masked frames
+go through a transposed strided linear decoder (overlap-add) back to
+waveforms of the original length.  Frames stay on axis 0 and channels
+on the last axis throughout; only a block's intra-chunk pass swaps axes.
 
 The masking network is the standard dual-path shell:
 
@@ -306,13 +307,13 @@ class SeparationModel:
         return (-(T - k)) % st
 
     def encode(self, x: Tensor) -> Tensor:
-        """Waveform [T] -> frames [D, N], N = (T_padded - kernel) / stride + 1."""
+        """Waveform [T] -> frames [N, D], N = (T_padded - kernel) / stride + 1."""
         if x.ndim != 1:
             raise NumericsError(f"encode expects a 1-D waveform, got {x.shape}")
         if x.shape[0] < 1:
             raise NumericsError("encode: empty waveform")
         pad = self._encode_padding(x.shape[0])
-        xp = nm.pad_last(x, pad) if pad else x
+        xp = nm.pad_end(x, pad) if pad else x
         frames = nm.frame(xp, self.config.enc_kernel, self.config.enc_stride)
         feats = nm.matmul(self.weights.encoder, frames)
         if self.config.encoder_relu:
@@ -320,11 +321,11 @@ class SeparationModel:
         return feats
 
     def decode(self, feats: Tensor, out_len: int) -> Tensor:
-        """Frames [D, N] -> waveform [out_len] by transposed strided projection."""
-        if feats.ndim != 2 or feats.shape[0] != self.config.d:
-            raise NumericsError(f"decode expects [D, N], got {feats.shape}")
+        """Frames [N, D] -> waveform [out_len] by transposed strided projection."""
+        if feats.ndim != 2 or feats.shape[1] != self.config.d:
+            raise NumericsError(f"decode expects [N, D], got {feats.shape}")
         k, st = self.config.enc_kernel, self.config.enc_stride
-        N = feats.shape[1]
+        N = feats.shape[0]
         frames = nm.matmul(self.weights.decoder, feats)
         covered = (N - 1) * st + k
         if out_len > covered:
@@ -334,7 +335,7 @@ class SeparationModel:
         return nm.narrow(wave, 0, 0, out_len) if out_len < covered else wave
 
     def masks(self, feats: Tensor) -> tuple[Tensor, ...]:
-        """Frames [D, N] -> one nonnegative mask [D, N] per speaker."""
+        """Frames [N, D] -> one nonnegative mask [N, D] per speaker."""
         w = self.weights
         cfg = self.config
         h = dp.apply_norm(feats, w.pre_norm)
@@ -346,7 +347,7 @@ class SeparationModel:
                              w.mask_head_b)
         out = []
         for i in range(cfg.num_speakers):
-            sl = nm.narrow(merged, 0, i * cfg.d, cfg.d)
+            sl = nm.narrow(merged, 1, i * cfg.d, cfg.d)
             o = nm.tanh(nm.add_bias(nm.matmul(w.out_proj_w, sl), w.out_proj_b))
             g = nm.sigmoid(nm.add_bias(nm.matmul(w.out_gate_w, sl), w.out_gate_b))
             out.append(nm.relu(nm.matmul(w.final_proj, nm.mul(o, g))))

@@ -1,19 +1,21 @@
 """Dense-tensor reverse-mode autodiff on numpy storage.
 
-Shape conventions used across the package:
+Shape conventions used across the package (time on axis 0, channels last):
 
     waveform     [T]
-    features     [D, N]       (channels, frames)
-    framed       [..., size, S]  (window position, window index)
-    chunked      [D, K, S]    (channels, chunk length, chunk count)
-    batched seq  [B, E, L]    (batch, channels, time)
+    features     [N, D]          (frames, channels)
+    framed       [S, size, ...]  (window index, window position, ...)
+    chunked      [S, K, D]       (chunk index, chunk position, channels)
+    batched seq  [L, B, E]       (time, batch, channels)
 
 Rules the engine enforces rather than glosses over:
 
   * no implicit broadcasting, except a scalar (0-d) with a tensor;
   * an op's inputs all have its output's dtype (primitive checks this);
-  * matmul maps axis -2 of [I, L] or [B, I, L] by a 2-D [O, I] weight;
-  * permute materializes a copy, never an aliased view;
+  * matmul maps the last axis of [L, I] or [L, B, I] by a 2-D [O, I]
+    weight as one 2-D GEMM; the per-channel ops (add_bias, scale_channels,
+    the norms) act on the last axis and conv1d_depthwise along axis 0;
+  * Tensor() and permute materialize C-ordered copies, never aliased views;
   * gradients accumulate additively across fan-out and across repeated
     backward() calls; callers reset explicitly with zero_grad().
 
@@ -57,7 +59,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_op")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.array(data, dtype=dtype, copy=True)
+        arr = np.array(data, dtype=dtype, copy=True, order="C")
         if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float64)
         self.data: np.ndarray = arr
@@ -401,55 +403,54 @@ def tmean(x: Tensor) -> Tensor:
     return primitive(np.asarray(x.data.mean(), dtype=x.dtype), (x,), vjp, "mean")
 
 
+def _channel_sum(g: np.ndarray) -> np.ndarray:
+    """Sum over every axis but the last: the gradient of a per-channel weight."""
+    return g.reshape(-1, g.shape[-1]).sum(axis=0)
+
+
 def add_bias(x: Tensor, bias: Tensor) -> Tensor:
-    """Add a per-channel bias along axis -2 of x ([..., C, L] + [C])."""
+    """Add a per-channel bias along the last axis of x ([..., C] + [C])."""
     if x.ndim < 2:
         raise NumericsError(f"add_bias: input must have a channel axis, got {x.shape}")
-    if bias.ndim != 1 or bias.shape[0] != x.shape[-2]:
+    if bias.ndim != 1 or bias.shape[0] != x.shape[-1]:
         raise NumericsError(
-            f"add_bias: bias {bias.shape} does not match channel count {x.shape[-2]}"
+            f"add_bias: bias {bias.shape} does not match channel count {x.shape[-1]}"
         )
-    col = bias.data[:, None]
 
     def vjp(g):
-        axes = tuple(i for i in range(g.ndim) if i != g.ndim - 2)
-        return g, g.sum(axis=axes)
+        return g, _channel_sum(g)
 
-    return primitive(x.data + col, (x, bias), vjp, "add_bias")
+    return primitive(x.data + bias.data, (x, bias), vjp, "add_bias")
 
 
 def scale_channels(x: Tensor, scale: Tensor) -> Tensor:
-    """Multiply by a per-channel factor along axis -2 of x ([..., C, L] * [C])."""
+    """Multiply by a per-channel factor along the last axis of x ([..., C] * [C])."""
     if x.ndim < 2:
         raise NumericsError(f"scale_channels: input must have a channel axis, got {x.shape}")
-    if scale.ndim != 1 or scale.shape[0] != x.shape[-2]:
+    if scale.ndim != 1 or scale.shape[0] != x.shape[-1]:
         raise NumericsError(
-            f"scale_channels: scale {scale.shape} does not match channel count {x.shape[-2]}"
+            f"scale_channels: scale {scale.shape} does not match channel count {x.shape[-1]}"
         )
-    col = scale.data[:, None]
 
     def vjp(g):
-        gx = g * col if x.requires_grad else None
-        gs = None
-        if scale.requires_grad:
-            axes = tuple(i for i in range(g.ndim) if i != g.ndim - 2)
-            gs = (g * x.data).sum(axis=axes)
+        gx = g * scale.data if x.requires_grad else None
+        gs = _channel_sum(g * x.data) if scale.requires_grad else None
         return gx, gs
 
-    return primitive(x.data * col, (x, scale), vjp, "scale_channels")
+    return primitive(x.data * scale.data, (x, scale), vjp, "scale_channels")
 
 
-def pad_last(x: Tensor, count: int) -> Tensor:
-    """Append `count` zeros along the last axis."""
+def pad_end(x: Tensor, count: int) -> Tensor:
+    """Append `count` zeros along axis 0, the time axis."""
     if count < 0:
-        raise NumericsError("pad_last: count must be nonnegative")
-    widths = [(0, 0)] * (x.ndim - 1) + [(0, count)]
-    L = x.shape[-1]
+        raise NumericsError("pad_end: count must be nonnegative")
+    widths = [(0, count)] + [(0, 0)] * (x.ndim - 1)
+    L = x.shape[0]
 
     def vjp(g):
-        return (g[..., :L].copy(),)
+        return (g[:L].copy(),)
 
-    return primitive(np.pad(x.data, widths), (x,), vjp, "pad_last")
+    return primitive(np.pad(x.data, widths), (x,), vjp, "pad_end")
 
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -473,19 +474,20 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
 
 
 def _frame_array(a: np.ndarray, size: int, hop: int) -> np.ndarray:
-    """[..., T] -> a copy [..., size, S] of the windows of `size` every `hop`."""
-    windows = np.lib.stride_tricks.sliding_window_view(a, size, axis=-1)
-    return windows[..., ::hop, :].swapaxes(-1, -2).copy()
+    """[T, ...] -> a copy [S, size, ...] of the windows of `size` every `hop`."""
+    windows = np.lib.stride_tricks.sliding_window_view(a, size, axis=0)[::hop]
+    return np.moveaxis(windows, -1, 1).copy()
 
 
 def frame(x: Tensor, size: int, hop: int) -> Tensor:
-    """Slice the last axis into overlapping windows: [..., T] -> [..., size, S].
+    """Slice axis 0 into overlapping windows: [T, ...] -> [S, size, ...].
 
-    Window position precedes window index, so no caller transposes.
-    Requires (T - size) to be an exact multiple of hop; callers pad first.
-    The adjoint is overlap_add, so gradients scatter-add back into place.
+    The encoder frames a waveform [T] into [N, size] and chunk frames
+    features [N, D] into [S, K, D], both with this one op.  Requires
+    (T - size) to be an exact multiple of hop; callers pad first.  The
+    adjoint is overlap_add, so gradients scatter-add back into place.
     """
-    T = x.shape[-1]
+    T = x.shape[0]
     if size <= 0 or hop <= 0:
         raise NumericsError("frame: size and hop must be positive")
     if T < size or (T - size) % hop != 0:
@@ -500,23 +502,23 @@ def frame(x: Tensor, size: int, hop: int) -> Tensor:
 
 
 def _overlap_add_array(frames: np.ndarray, hop: int, out_len: int) -> np.ndarray:
-    size, S = frames.shape[-2], frames.shape[-1]
-    out = np.zeros(frames.shape[:-2] + (out_len,), dtype=frames.dtype)
+    S, size = frames.shape[:2]
+    out = np.zeros((out_len,) + frames.shape[2:], dtype=frames.dtype)
     for s in range(S):
         lo = s * hop
-        out[..., lo : lo + size] += frames[..., s]
+        out[lo : lo + size] += frames[s]
     return out
 
 
 def overlap_add(x: Tensor, hop: int, out_len: int) -> Tensor:
-    """Sum overlapping windows back onto a line: [..., size, S] -> [..., out_len].
+    """Sum overlapping windows back onto a line: [S, size, ...] -> [out_len, ...].
 
     out_len must equal (S - 1) * hop + size; this op is the exact adjoint
     of frame, so its gradient is a framing of the upstream gradient.
     """
     if x.ndim < 2:
         raise NumericsError(f"overlap_add: expected framed input, got {x.shape}")
-    size, S = x.shape[-2], x.shape[-1]
+    S, size = x.shape[:2]
     if out_len != (S - 1) * hop + size:
         raise NumericsError(
             f"overlap_add: {S} frames of {size} at hop {hop} cover "
@@ -535,153 +537,147 @@ def overlap_add(x: Tensor, hop: int, out_len: int) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Apply the [O, I] map a along axis -2 of b: [I, L] or [B, I, L]."""
+    """Apply the [O, I] map a to the last axis of b: [L, I] or [L, B, I].
+
+    The leading axes of b are reshaped away, so the product and both
+    gradients are each one 2-D GEMM.
+    """
     if a.ndim != 2 or b.ndim not in (2, 3):
         raise NumericsError(
             f"matmul: needs ranks 2 and 2 or 3, got {a.ndim} and {b.ndim}"
         )
-    if a.shape[1] != b.shape[-2]:
+    O, I = a.shape
+    if b.shape[-1] != I:
         raise NumericsError(
             f"matmul: inner dimensions disagree, {a.shape} @ {b.shape}"
         )
-    axes = tuple(i for i in range(b.ndim) if i != b.ndim - 2)
 
     def vjp(g):
-        ga = np.tensordot(g, b.data, axes=(axes, axes)) if a.requires_grad else None
-        gb = a.data.T @ g if b.requires_grad else None
+        g = g.reshape(-1, O)
+        ga = g.T @ b.data.reshape(-1, I) if a.requires_grad else None
+        gb = (g @ a.data).reshape(b.shape) if b.requires_grad else None
         return ga, gb
 
-    return primitive(a.data @ b.data, (a, b), vjp, "matmul")
+    out = (b.data.reshape(-1, I) @ a.data.T).reshape(b.shape[:-1] + (O,))
+    return primitive(out, (a, b), vjp, "matmul")
 
 
 def conv1d_depthwise(x: Tensor, kernel: Tensor, bias: Tensor,
                      reverse: bool = False) -> Tensor:
-    """Causal depthwise convolution along the last axis.
+    """Causal depthwise convolution along axis 0.
 
-    x: [..., E, L], kernel: [E, W], bias: [E].  The input is
-    left-padded with W - 1 zeros so position l never sees the future:
-    y[..., e, l] = sum_w kernel[e, w] * x[..., e, l - (W - 1) + w] + bias[e].
-    reverse=True is the anti-causal mirror, x[..., e, l + (W - 1) - w]:
+    x: [L, ..., E], kernel: [E, W], bias: [E].  The input is
+    front-padded with W - 1 zeros so position l never sees the future:
+    y[l, ..., e] = sum_w kernel[e, w] * x[l - (W - 1) + w, ..., e] + bias[e].
+    reverse=True is the anti-causal mirror, x[l + (W - 1) - w, ..., e]:
     the causal convolution of the time-reversed input, reversed back.
     """
     if x.ndim < 2:
-        raise NumericsError(f"conv1d_depthwise: input must be [..., E, L], got {x.shape}")
+        raise NumericsError(f"conv1d_depthwise: input must be [L, ..., E], got {x.shape}")
     if kernel.ndim != 2:
         raise NumericsError(f"conv1d_depthwise: kernel must be [E, W], got {kernel.shape}")
     E, W = kernel.shape
-    if x.shape[-2] != E:
+    if x.shape[-1] != E:
         raise NumericsError(
-            f"conv1d_depthwise: channel count mismatch, input has {x.shape[-2]} "
+            f"conv1d_depthwise: channel count mismatch, input has {x.shape[-1]} "
             f"channels but kernel has {E}"
         )
     if bias.shape != (E,):
         raise NumericsError(
             f"conv1d_depthwise: bias {bias.shape} does not match {E} channels"
         )
-    # tap w reads x shifted by s = W - 1 - w (right; left under reverse), so
-    # its first (last) s outputs see only the zero padding, and a tap with
-    # s >= L sees nothing else.  A tap is (w, output slice, input slice),
-    # shared by the VJP.  The first tap writes the output: no padded copy,
-    # no zero fill.  An empty input keeps the last tap, whose slices are empty
-    L = x.shape[-1]
+    # tap w reads x shifted by s = W - 1 - w (later; earlier under reverse),
+    # so its first (last) s outputs see only the zero padding, and a tap
+    # with s >= L sees nothing else.  A tap is (w, output slice, input
+    # slice) on axis 0, shared by the VJP.  The first tap writes the output:
+    # no padded copy, no zero fill.  An empty input keeps the last tap,
+    # whose slices are empty
+    L = x.shape[0]
     w0 = max(W - max(L, 1), 0)
     taps = []
     for w in range(w0, W):
         s = W - 1 - w
         late, early = slice(s, None), slice(None, L - s)
         taps.append((w, early, late) if reverse else (w, late, early))
-    kcol = kernel.data[..., None]  # [E, W, 1] for broadcasting over L
+    taps_k = kernel.data.T  # [W, E]: tap w's weights broadcast over the rows
     out = np.empty_like(x.data)
     (_, o, i), s0 = taps[0], W - 1 - w0
-    out[..., slice(L - s0, None) if reverse else slice(None, s0)] = 0.0
-    np.multiply(kcol[:, w0], x.data[..., i], out=out[..., o])
+    out[slice(L - s0, None) if reverse else slice(None, s0)] = 0.0
+    np.multiply(taps_k[w0], x.data[i], out=out[o])
     for w, o, i in taps[1:]:
-        out[..., o] += kcol[:, w] * x.data[..., i]
-    out += bias.data[:, None]
+        out[o] += taps_k[w] * x.data[i]
+    out += bias.data
 
     def vjp(g):
         gx = None
         if x.requires_grad:
             gx = np.zeros_like(g)
             for w, o, i in taps:
-                gx[..., i] += kcol[:, w] * g[..., o]
+                gx[i] += taps_k[w] * g[o]
         gk = None
         if kernel.requires_grad:
             gk = np.zeros_like(kernel.data)
-            lead = tuple(range(g.ndim - 2))
             for w, o, i in taps:
-                gk[:, w] = (g[..., o] * x.data[..., i]).sum(axis=lead + (g.ndim - 1,))
-        gb = None
-        if bias.requires_grad:
-            axes = tuple(i for i in range(g.ndim) if i != g.ndim - 2)
-            gb = g.sum(axis=axes)
+                gk[:, w] = _channel_sum(g[o] * x.data[i])
+        gb = _channel_sum(g) if bias.requires_grad else None
         return gx, gk, gb
 
     return primitive(out, (x, kernel, bias), vjp, "conv1d_depthwise")
 
 
 # ---------------------------------------------------------------------------
-# normalization primitives (reduce over the channel axis 0)
+# normalization primitives (reduce over the channel axis, the last one)
 # ---------------------------------------------------------------------------
 
 
 def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-8) -> Tensor:
-    """Root-mean-square normalization over axis 0, scaled by a per-channel gain.
+    """Root-mean-square normalization over the last axis, scaled by a per-channel gain.
 
-    x: [D, ...], gain: [D].  y = x / sqrt(mean_D(x^2) + eps) * gain.
+    x: [..., D], gain: [D].  y = x / sqrt(mean_D(x^2) + eps) * gain.
     """
-    D = x.shape[0]
+    D = x.shape[-1]
     if gain.shape != (D,):
         raise NumericsError(f"rmsnorm: gain {gain.shape} does not match D={D}")
-    gcol = gain.data.reshape((D,) + (1,) * (x.ndim - 1))
-    r = np.sqrt(np.mean(x.data * x.data, axis=0, keepdims=True) + eps)
+    r = np.sqrt(np.mean(x.data * x.data, axis=-1, keepdims=True) + eps)
     xhat = x.data / r
-    out = xhat * gcol
+    out = xhat * gain.data
 
     def vjp(g):
         gx = None
         if x.requires_grad:
-            u = g * gcol
-            dot = np.sum(u * x.data, axis=0, keepdims=True)
+            u = g * gain.data
+            dot = np.sum(u * x.data, axis=-1, keepdims=True)
             gx = u / r - x.data * dot / (D * r**3)
-        gg = None
-        if gain.requires_grad:
-            gg = (g * xhat).reshape(D, -1).sum(axis=1)
+        gg = _channel_sum(g * xhat) if gain.requires_grad else None
         return gx, gg
 
     return primitive(out, (x, gain), vjp, "rmsnorm")
 
 
 def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tensor:
-    """Mean/variance normalization over axis 0 with per-channel gain and bias."""
-    D = x.shape[0]
+    """Mean/variance normalization over the last axis with per-channel gain and bias."""
+    D = x.shape[-1]
     if gain.shape != (D,) or bias.shape != (D,):
         raise NumericsError(
             f"layernorm: gain {gain.shape} / bias {bias.shape} do not match D={D}"
         )
-    gcol = gain.data.reshape((D,) + (1,) * (x.ndim - 1))
-    bcol = bias.data.reshape((D,) + (1,) * (x.ndim - 1))
-    mu = np.mean(x.data, axis=0, keepdims=True)
+    mu = np.mean(x.data, axis=-1, keepdims=True)
     xc = x.data - mu
-    sigma = np.sqrt(np.mean(xc * xc, axis=0, keepdims=True) + eps)
+    sigma = np.sqrt(np.mean(xc * xc, axis=-1, keepdims=True) + eps)
     xhat = xc / sigma
-    out = xhat * gcol + bcol
+    out = xhat * gain.data + bias.data
 
     def vjp(g):
         gx = None
         if x.requires_grad:
-            u = g * gcol
+            u = g * gain.data
             gx = (
                 u
-                - np.mean(u, axis=0, keepdims=True)
-                - xhat * np.mean(u * xhat, axis=0, keepdims=True)
+                - np.mean(u, axis=-1, keepdims=True)
+                - xhat * np.mean(u * xhat, axis=-1, keepdims=True)
             ) / sigma
-        gg = None
-        if gain.requires_grad:
-            gg = (g * xhat).reshape(D, -1).sum(axis=1)
-        gb = None
-        if bias.requires_grad:
-            gb = g.reshape(D, -1).sum(axis=1)
+        gg = _channel_sum(g * xhat) if gain.requires_grad else None
+        gb = _channel_sum(g) if bias.requires_grad else None
         return gx, gg, gb
 
     return primitive(out, (x, gain, bias), vjp, "layernorm")

@@ -25,20 +25,20 @@ Three evaluation paths compute the same recurrence:
 Both scans differentiate through a fused adjoint that replays the forward
 recurrence in fixed-size blocks instead of storing the full hidden-state
 trajectory.  The discretization arithmetic lives in one helper, _zoh,
-which discretize, both scans and the adjoint call; the sequential loop and
+which both scans and the adjoint call; the sequential loop and
 the adjoint's replay share one state iterator, _states.
 
-The sequential loop and the adjoint run time-major.  On entry x, delta
-(and the adjoint's g) go from [B, E, L] to [L, B, E], b and c from
-[B, L, H] to [L, B, H] and a to [H, E], so each step reads contiguous
-slices and every broadcast runs over E in its inner loop.  The state is
-one [B, H, E] buffer updated in place (h *= Abar; h += Bbar x), with the
+The sequential loop and the adjoint step through the operands in the
+layout the graph already holds them: x, delta (and the adjoint's g) are
+time-major [L, B, E] and b and c [L, B, H], so each step reads
+contiguous slices, every broadcast runs over E in its inner loop, and no
+operand is relaid out on entry; only a goes to [H, E].  The state is one
+[B, H, E] buffer updated in place (h *= Abar; h += Bbar x), with the
 step's Abar and Bbar x written into two reused buffers through _zoh's out=,
 so live state stays O(B*E*H) whatever L is; the contractions over H
 (y_t = c_t h_t, and the adjoint's h_t g_t and b_t lambda_t) are matmuls.
-Outputs go back to the caller's layout.  Under Euler the input term
-Bbar_t x_t = b_t (delta_t x_t) takes one state-sized multiply per step,
-with delta x formed once per call.
+Under Euler the input term Bbar_t x_t = b_t (delta_t x_t) takes one
+state-sized multiply per step, with delta x formed once per call.
 
 Both kernels run over contiguous tiles of the batch axis, each a full
 scan of its rows.  A state is touched several times per step, so it
@@ -83,9 +83,9 @@ class SsmParams:
     """Per-sequence scan parameters.
 
     a:     [E, H] continuous-time diagonal, strictly negative
-    delta: [E, L] or [B, E, L], strictly positive step sizes
-    b:     [L, H] or [B, L, H], input projection at each step
-    c:     [L, H] or [B, L, H], output projection at each step
+    delta: [L, E] or [L, B, E], strictly positive step sizes
+    b:     [L, H] or [L, B, H], input projection at each step
+    c:     [L, H] or [L, B, H], output projection at each step
     """
 
     a: Tensor
@@ -96,7 +96,7 @@ class SsmParams:
 
     def validate(self, x: Tensor) -> None:
         if x.ndim not in (2, 3):
-            raise NumericsError(f"scan input must be [E, L] or [B, E, L], got {x.shape}")
+            raise NumericsError(f"scan input must be [L, E] or [L, B, E], got {x.shape}")
         if self.delta.shape != x.shape:
             raise NumericsError(
                 f"scan: delta {self.delta.shape} does not match input {x.shape}"
@@ -104,12 +104,11 @@ class SsmParams:
         if self.a.ndim != 2:
             raise NumericsError(f"scan: a must be [E, H], got {self.a.shape}")
         E, H = self.a.shape
-        L = x.shape[-1]
-        if x.shape[-2] != E:
+        if x.shape[-1] != E:
             raise NumericsError(
-                f"scan: input has {x.shape[-2]} channels but a has {E}"
+                f"scan: input has {x.shape[-1]} channels but a has {E}"
             )
-        want_bc = x.shape[:-2] + (L, H)
+        want_bc = x.shape[:-1] + (H,)
         if self.b.shape != want_bc or self.c.shape != want_bc:
             raise NumericsError(
                 f"scan: b {self.b.shape} / c {self.c.shape} do not match {want_bc}"
@@ -161,34 +160,9 @@ def _zoh(dt, a, b, exact_zoh, u=None, out=(None, None)):
     return np.exp(z, out=z), bbar, p
 
 
-def discretize(a: Tensor, delta: Tensor, b: Tensor,
-               exact_zoh: bool = False) -> tuple[Tensor, Tensor]:
-    """Materialize (Abar, Bbar) for inspection and tests; value-level only.
-
-    a: [E, H], delta: [E, L], b: [L, H]  ->  Abar, Bbar both [E, L, H].
-    Gradients do not flow through this helper; the scans call the same
-    _zoh inside their own forward/adjoint.
-    """
-    if delta.ndim != 2 or a.ndim != 2 or b.ndim != 2:
-        raise NumericsError("discretize expects a [E,H], delta [E,L], b [L,H]")
-    abar, bbar, _ = _zoh(delta.data[:, :, None], a.data[:, None, :],
-                         b.data[None, :, :], exact_zoh)
-    return Tensor(abar), Tensor(bbar)
-
-
 # ---------------------------------------------------------------------------
 # fused scan arithmetic (ndarray level)
 # ---------------------------------------------------------------------------
-
-
-def _time_major(xd, dd, ad, bd, cd):
-    """One relayout on entry: [B, E, L] -> [L, B, E], [B, L, H] -> [L, B, H]
-    and a [E, H] -> aT [H, E], so every per-step slice is contiguous.
-    x is always a fresh copy, which the forward may overwrite."""
-    tm = np.ascontiguousarray
-    x = np.array(xd.transpose(2, 0, 1), order="C")
-    return (x, tm(dd.transpose(2, 0, 1)), tm(ad.T),
-            tm(bd.transpose(1, 0, 2)), tm(cd.transpose(1, 0, 2)))
 
 
 def _tiles(B, H, E, itemsize):
@@ -217,20 +191,19 @@ def _states(u, d, aT, b, exact_zoh):
         yield t, h
 
 
-def _scan_forward(xd, dd, ad, bd, cd, exact_zoh):
+def _scan_forward(x, d, a, b, c, exact_zoh):
     """Reference loop: y_t = c_t h_t, one matmul over H per step."""
-    x, d, aT, b, c = _time_major(xd, dd, ad, bd, cd)
-    # Euler needs x only as delta x, formed in x's own copy
-    u = x if exact_zoh else np.multiply(d, x, out=x)
-    y = np.empty_like(x)
+    aT = np.ascontiguousarray(a.T)
+    u = x if exact_zoh else d * x
+    y = np.empty(x.shape, dtype=x.dtype)
     for k in _tiles(x.shape[1], *aT.shape, x.itemsize):
         yk = y[:, k]
         for t, h in _states(u[:, k], d[:, k], aT, b[:, k], exact_zoh):
             np.matmul(c[t, k, None, :], h, out=yk[t, :, None, :])
-    return y.transpose(1, 2, 0)
+    return y
 
 
-def _scan_backward(xd, dd, ad, bd, cd, exact_zoh, g):
+def _scan_backward(x, d, a, b, c, exact_zoh, g):
     """Adjoint of the recurrence with blockwise state replay.
 
     Hidden states are not kept from the forward pass.  Per batch tile, a
@@ -244,16 +217,15 @@ def _scan_backward(xd, dd, ad, bd, cd, exact_zoh, g):
 
     Both sweeps run time-major with [B, H, E] states, like the forward.
     """
-    x, d, aT, b, c = _time_major(xd, dd, ad, bd, cd)
-    g = np.ascontiguousarray(g.transpose(2, 0, 1))
+    aT = np.ascontiguousarray(a.T)
     u = x if exact_zoh else d * x
-    gx, gdelta, gb, gc = (np.empty_like(arr) for arr in (x, d, b, c))
+    gx, gdelta, gb, gc = (np.empty(arr.shape, dtype=arr.dtype)
+                          for arr in (x, d, b, c))
     ga = np.zeros(aT.shape, dtype=x.dtype)
     for k in _tiles(x.shape[1], *aT.shape, x.itemsize):
         _adjoint(*(arr[:, k] for arr in (x, u, d, b, c, g, gx, gdelta, gb, gc)),
                  aT, ga, exact_zoh)
-    return (gx.transpose(1, 2, 0), gdelta.transpose(1, 2, 0), ga.T,
-            gb.transpose(1, 0, 2), gc.transpose(1, 0, 2))
+    return gx, gdelta, ga.T, gb, gc
 
 
 def _adjoint(x, u, d, b, c, g, gx, gdelta, gb, gc, aT, ga, exact_zoh):
@@ -325,29 +297,32 @@ def _adjoint(x, u, d, b, c, g, gx, gdelta, gb, gc, aT, ga, exact_zoh):
                 np.matmul(lam, u[t, :, :, None], out=gb[t, :, :, None])
 
 
-def _scan_parallel_forward(xd, dd, ad, bd, cd, exact_zoh):
+def _scan_parallel_forward(x, d, a, b, c, exact_zoh):
     """Prefix-doubling evaluation of the same recurrence.
 
     The recurrence elements (a_t, u_t) with u_t = Bbar_t x_t compose as
     (a2, u2) o (a1, u1) = (a2 a1, a2 u1 + u2); an inclusive scan under this
     product yields h_t directly.  log2(L) passes, each a full-width array
-    op, O(L log L) work against the sequential loop's O(L).
+    op, O(L log L) work against the sequential loop's O(L).  It works in
+    its own [B, E, L, H] form, behind one relayout of views in and out.
     """
-    ea, bbar, _ = _zoh(dd[..., None], ad[None, :, None, :],
-                       bd[:, None, :, :], exact_zoh)             # [B, E, L, H]
-    eu = bbar * xd[..., None]
-    L = xd.shape[-1]
-    d = 1
-    while d < L:
-        prev_a = ea[..., :-d, :]
-        prev_u = eu[..., :-d, :]
+    x, d = x.transpose(1, 2, 0), d.transpose(1, 2, 0)       # [B, E, L]
+    b, c = b.transpose(1, 0, 2), c.transpose(1, 0, 2)       # [B, L, H]
+    ea, bbar, _ = _zoh(d[..., None], a[None, :, None, :],
+                       b[:, None, :, :], exact_zoh)              # [B, E, L, H]
+    eu = bbar * x[..., None]
+    L = x.shape[-1]
+    k = 1
+    while k < L:
+        prev_a = ea[..., :-k, :]
+        prev_u = eu[..., :-k, :]
         nu = eu.copy()
-        nu[..., d:, :] += ea[..., d:, :] * prev_u
+        nu[..., k:, :] += ea[..., k:, :] * prev_u
         na = ea.copy()
-        na[..., d:, :] *= prev_a
+        na[..., k:, :] *= prev_a
         ea, eu = na, nu
-        d *= 2
-    return (eu * cd[:, None, :, :]).sum(axis=-1)
+        k *= 2
+    return (eu * c[:, None, :, :]).sum(axis=-1).transpose(2, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -359,37 +334,33 @@ def _run_scan(x: Tensor, params: SsmParams, forward_fn, op_name: str,
               reverse: bool) -> Tensor:
     params.validate(x)
     batched = x.ndim == 3
-    xt, dt, bt, ct = x, params.delta, params.b, params.c
-    a = params.a
-    exact = params.exact_zoh
-    # time is axis -1 of x and delta and axis -2 of b and c; under reverse
-    # the kernels see time-reversed views, which _time_major copies anyway
+    a, exact = params.a, params.exact_zoh
+    operands = (x, params.delta, a, params.b, params.c)
 
-    def lift(arr, axis=-1):
-        arr = np.flip(arr, axis) if reverse else arr
-        return arr if batched else arr[None]
+    # time is axis 0 of every operand but a; under reverse the kernels see
+    # time-reversed views, so nothing is copied either way
+    def lift(arr):
+        arr = arr[::-1] if reverse else arr
+        return arr if batched else arr[:, None]
 
-    def back(arr, axis=-1):
+    def back(arr):
         """Inverse of lift: a kernel result in the caller's layout."""
-        arr = np.flip(arr, axis) if reverse else arr
-        return arr if batched else arr[0]
+        arr = arr if batched else arr[:, 0]
+        return arr[::-1] if reverse else arr
 
-    y = back(forward_fn(lift(xt.data), lift(dt.data), a.data,
-                        lift(bt.data, -2), lift(ct.data, -2), exact))
+    xs, ds, bs, cs = (lift(t.data) for t in (x, params.delta, params.b, params.c))
+    y = back(forward_fn(xs, ds, a.data, bs, cs, exact))
 
     def vjp(g):
-        gx, gd, ga, gb, gc = _scan_backward(
-            lift(xt.data), lift(dt.data), a.data, lift(bt.data, -2),
-            lift(ct.data, -2), exact, lift(g),
-        )
-        return back(gx), back(gd), ga, back(gb, -2), back(gc, -2)
+        gx, gd, ga, gb, gc = _scan_backward(xs, ds, a.data, bs, cs, exact,
+                                            lift(g))
+        return back(gx), back(gd), ga, back(gb), back(gc)
 
-    return nm.primitive(y.copy() if y.base is not None else y,
-                        (xt, dt, a, bt, ct), vjp, op_name)
+    return nm.primitive(y, operands, vjp, op_name)
 
 
 def scan_sequential(x: Tensor, params: SsmParams, reverse: bool = False) -> Tensor:
-    """Evaluate the selective recurrence stepwise.  x: [E, L] or [B, E, L].
+    """Evaluate the selective recurrence stepwise.  x: [L, E] or [L, B, E].
 
     reverse=True steps t from L - 1 down to 0: the scan of the
     time-reversed sequence, reversed back.
@@ -416,15 +387,15 @@ def selective_parameterize(x: Tensor, proj: SsmProjection, a: Tensor,
     """Derive per-step (delta, b, c) from the sequence itself.
 
     delta = softplus(W_up (W_down x) + bias) through a rank-reduced pair,
-    b and c are direct linear readouts of each step.  x: [E, L] or [B, E, L].
+    b and c are direct linear readouts of each step.  x: [L, E] or [L, B, E];
+    delta comes out in x's shape, b and c as [L, H] or [L, B, H].
     """
     if x.ndim not in (2, 3):
         raise NumericsError(f"selective_parameterize: bad input rank {x.ndim}")
     dt = nm.matmul(proj.w_delta_up, nm.matmul(proj.w_delta_down, x))
     delta = nm.softplus(nm.add_bias(dt, proj.b_delta))
-    swap = (*range(x.ndim - 2), x.ndim - 1, x.ndim - 2)
-    b = nm.permute(nm.matmul(proj.w_b, x), *swap)
-    c = nm.permute(nm.matmul(proj.w_c, x), *swap)
+    b = nm.matmul(proj.w_b, x)
+    c = nm.matmul(proj.w_c, x)
     return SsmParams(a=a, delta=delta, b=b, c=c, exact_zoh=exact_zoh)
 
 

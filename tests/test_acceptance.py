@@ -73,12 +73,12 @@ def test_criterion_2_scan_kernel_duality():
 
         params = ssm.SsmParams(
             a=Tensor(diag[None, :].copy()),
-            delta=Tensor(np.full((1, L), delta)),
+            delta=Tensor(np.full((1, L), delta).T),
             b=Tensor(np.tile(bvec, (L, 1))),
             c=Tensor(np.tile(cvec, (L, 1))),
             exact_zoh=True,
         )
-        y_scan = ssm.scan_sequential(Tensor(x[None, :].copy()), params).data[0]
+        y_scan = ssm.scan_sequential(Tensor(x[:, None]), params).data[:, 0]
         sys_ = ssm.DenseSsm(a=np.diag(diag), b=bvec[:, None],
                             c=cvec[None, :], delta=delta)
         worst = max(worst, float(np.max(np.abs(
@@ -100,11 +100,11 @@ def test_criterion_3_parallel_scan_equivalence():
                 a = -np.exp(rng.uniform(-1, 1, (E, H)))
                 params = ssm.SsmParams(
                     a=Tensor(a),
-                    delta=Tensor(rng.uniform(0.05, 0.5, (E, L))),
+                    delta=Tensor(rng.uniform(0.05, 0.5, (E, L)).T),
                     b=Tensor(rng.standard_normal((L, H))),
                     c=Tensor(rng.standard_normal((L, H))),
                 )
-                x = Tensor(rng.standard_normal((E, L)))
+                x = Tensor(rng.standard_normal((E, L)).T)
                 diff = np.max(np.abs(ssm.scan_parallel(x, params).data
                                      - ssm.scan_sequential(x, params).data))
                 worst = max(worst, float(diff))
@@ -138,7 +138,7 @@ def test_criterion_5_chunk_roundtrip():
     for _ in range(200):
         n = int(rng.integers(1, 4000))
         d = int(rng.integers(1, 5))
-        x = rng.standard_normal((d, n))
+        x = rng.standard_normal((d, n)).T
         back = dp.dechunk(dp.chunk(Tensor(x), 250)).data
         if not np.array_equal(back, x):
             bad += 1

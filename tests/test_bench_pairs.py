@@ -1,0 +1,64 @@
+"""tools/bench_pairs.collate on fabricated result files, with no benchmark run."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+# per seed: the parent reads 10 + i; the change wins 5 pairs, ties 2, loses 3
+PARENT = [10.0 + i for i in range(10)]
+CHANGE = [p - 1.0 for p in PARENT[:5]] + PARENT[5:7] + [p + 1.0 for p in PARENT[7:]]
+SCALE = {name: 10.0 ** k for k, name in enumerate(bench_pairs.END_TO_END)}
+FAIL_FRAC = {"parent": 0.0, "change": 0.1}
+
+
+def _write(root: Path, workload: str, seed: int, trace: int, values, side: str):
+    """One run.py result file, in the fields collate reads."""
+    path = bench_pairs.result_path(root, workload, seed, trace)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    metrics = {name: {"value": v, "unit": "s"} for name, v in values.items()}
+    path.write_text(json.dumps({"metrics": metrics, "fail_frac": FAIL_FRAC[side],
+                                "environment": {"side": side}}))
+
+
+@pytest.fixture
+def collated(tmp_path):
+    roots = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
+    for workload in bench_pairs.WORKLOADS:
+        for side, series in (("parent", PARENT), ("change", CHANGE)):
+            for seed, v in zip(bench_pairs.SEEDS, series, strict=True):
+                _write(roots[side], workload, seed, 0,
+                       {n: v * k for n, k in SCALE.items()}, side)
+            _write(roots[side], workload, bench_pairs.SEEDS[0], 1,
+                   {"ssm.scan_elems": 7.0 if side == "parent" else 8.0}, side)
+    return bench_pairs.collate(roots["parent"], roots["change"])
+
+
+def test_collate_summarizes_every_metric(collated):
+    assert collated["pairs"] == 10 and collated["seeds"] == list(bench_pairs.SEEDS)
+    assert set(collated["workloads"]) == set(bench_pairs.WORKLOADS)
+    for entry in collated["workloads"].values():
+        for name, k in SCALE.items():
+            m = entry["end_to_end"][name]
+            # numpy's linear percentiles of 10..19 and of the change series
+            np.testing.assert_allclose(
+                [m["parent"][q] for q in ("q1", "median", "q3")],
+                [12.25 * k, 14.5 * k, 16.75 * k], rtol=1e-12)
+            np.testing.assert_allclose(
+                [m["change"][q] for q in ("q1", "median", "q3")],
+                [11.25 * k, 14.0 * k, 17.5 * k], rtol=1e-12)
+            assert m["pairs_won"] == 5           # the two ties count for neither
+            assert m["change_over_parent"] == pytest.approx(14.0 / 14.5, rel=1e-12)
+            assert m["unit"] == "s"
+        assert entry["fail_frac"] == {side: [f] * 10 for side, f in FAIL_FRAC.items()}
+        assert entry["per_layer"] == {"parent": {"ssm.scan_elems": 7.0},
+                                      "change": {"ssm.scan_elems": 8.0}}
+        assert entry["environment"] == {"parent": {"side": "parent"},
+                                        "change": {"side": "change"}}

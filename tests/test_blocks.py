@@ -13,7 +13,7 @@ from sepscan.numerics import Tensor
 
 
 def _input(rng, D, L):
-    return Tensor(rng.standard_normal((D, L)) * 0.5)
+    return Tensor((rng.standard_normal((D, L)) * 0.5).T)
 
 
 class TestDtRank:
@@ -61,10 +61,10 @@ class TestDirectionSymmetry:
         w = blocks.init_bi_scan(3, 4, rng)
         w.bwd = copy.deepcopy(w.fwd)
         x = _input(rng, 3, 11)
-        xr = Tensor(x.data[:, ::-1].copy())
+        xr = Tensor(x.data[::-1].copy())
         y = blocks.bi_scan_forward(x, w).data
         yr = blocks.bi_scan_forward(xr, w).data
-        np.testing.assert_allclose(yr, y[:, ::-1], atol=1e-12)
+        np.testing.assert_allclose(yr, y[::-1], atol=1e-12)
 
     def test_swapping_directions_equals_flipping_input(self):
         rng = np.random.default_rng(4)
@@ -73,32 +73,32 @@ class TestDirectionSymmetry:
             w_in=w.w_in, w_gate=w.w_gate, w_out=w.w_out,
             fwd=w.bwd, bwd=w.fwd, exact_zoh=w.exact_zoh)
         x = _input(rng, 3, 9)
-        xr = Tensor(x.data[:, ::-1].copy())
+        xr = Tensor(x.data[::-1].copy())
         y = blocks.bi_scan_forward(x, w).data
         ys = blocks.bi_scan_forward(xr, swapped).data
-        np.testing.assert_allclose(ys, y[:, ::-1], atol=1e-12)
+        np.testing.assert_allclose(ys, y[::-1], atol=1e-12)
 
     def test_unidirectional_ignores_future(self):
         # causal: outputs before an input bump must not change
         rng = np.random.default_rng(5)
         w = blocks.init_bi_scan(3, 4, rng, bidirectional=False)
-        x = rng.standard_normal((3, 12))
+        x = rng.standard_normal((3, 12)).T
         base = blocks.bi_scan_forward(Tensor(x.copy()), w).data
         x2 = x.copy()
-        x2[:, 8] += 1.0
+        x2[8] += 1.0
         out = blocks.bi_scan_forward(Tensor(x2), w).data
-        np.testing.assert_allclose(out[:, :8], base[:, :8], atol=1e-12)
-        assert not np.allclose(out[:, 8:], base[:, 8:])
+        np.testing.assert_allclose(out[:8], base[:8], atol=1e-12)
+        assert not np.allclose(out[8:], base[8:])
 
     def test_bidirectional_sees_future(self):
         rng = np.random.default_rng(6)
         w = blocks.init_bi_scan(3, 4, rng)
-        x = rng.standard_normal((3, 12))
+        x = rng.standard_normal((3, 12)).T
         base = blocks.bi_scan_forward(Tensor(x.copy()), w).data
         x2 = x.copy()
-        x2[:, 8] += 1.0
+        x2[8] += 1.0
         out = blocks.bi_scan_forward(Tensor(x2), w).data
-        assert not np.allclose(out[:, :8], base[:, :8])
+        assert not np.allclose(out[:8], base[:8])
 
 
 class TestGating:
@@ -136,11 +136,11 @@ class TestBatched:
     def test_batched_matches_loop(self):
         rng = np.random.default_rng(10)
         w = blocks.init_bi_scan(3, 4, rng)
-        x = rng.standard_normal((5, 3, 7)) * 0.5
+        x = np.moveaxis(rng.standard_normal((5, 3, 7)) * 0.5, -1, 0)
         batched = blocks.bi_scan_forward(Tensor(x), w).data
         for i in range(5):
-            single = blocks.bi_scan_forward(Tensor(x[i].copy()), w).data
-            np.testing.assert_allclose(batched[i], single, atol=1e-12)
+            single = blocks.bi_scan_forward(Tensor(x[:, i].copy()), w).data
+            np.testing.assert_allclose(batched[:, i], single, atol=1e-12)
 
 
 class TestNamedParameters:

@@ -54,6 +54,31 @@ class TestUsage:
     def test_missing_required_flag(self):
         assert run_cli("params").returncode == 2
 
+    TRAIN = ["train-toy", "--config", "xs", "--corpus", "c", "--out", "o"]
+    OUT_OF_RANGE = {
+        "expect_zero": ["params", "--config", "xs", "--expect", "0"],
+        "expect_negative": ["params", "--config", "xs", "--expect", "-5"],
+        "expect_nan": ["params", "--config", "xs", "--expect", "nan"],
+        "tol_negative": ["params", "--config", "xs", "--tol", "-0.1"],
+        "L_negative": ["bench-scan", "--L", "100", "-5"],
+        "E_zero": ["bench-scan", "--E", "0"],
+        "H_zero": ["bench-scan", "--H", "0"],
+        "eval_pairs_zero": ["eval", "--ckpt", "m", "--manifest", "f", "--pairs", "0"],
+        "train_pairs_zero": TRAIN + ["--pairs", "0"],
+        "val_every_zero": TRAIN + ["--val-every", "0"],
+        "steps_negative": TRAIN + ["--steps", "-1"],
+        "warmup_negative": TRAIN + ["--warmup", "-1"],
+    }
+
+    @pytest.mark.parametrize("argv", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE.keys())
+    def test_out_of_range_count_flag_is_usage_error(self, argv, capsys):
+        # refused while parsing, before any file is opened
+        with pytest.raises(SystemExit) as e:
+            cli.main(argv)
+        assert e.value.code == 2
+        flag = next(a for a in reversed(argv) if a.startswith("--"))
+        assert f"argument {flag}: must be" in capsys.readouterr().err
+
 
 class TestParams:
     def test_preset_count(self):

@@ -40,7 +40,7 @@ class TestOperandRules:
 
     def test_matmul_dtype_mismatch_rejected(self):
         a = Tensor(np.zeros((2, 3), dtype=np.float32))
-        b = Tensor(np.zeros((3, 4), dtype=np.float64))
+        b = Tensor(np.zeros((3, 4), dtype=np.float64).T)
         with pytest.raises(NumericsError, match="float32 vs float64"):
             nm.matmul(a, b)
 
@@ -52,14 +52,17 @@ class TestOperandRules:
         assert "(2, 3)" in str(e.value) and "(4, 5)" in str(e.value)
 
     def test_matmul_maps_axis_minus_2_of_a_batch(self):
+        # the mapped axis is the last one of a time-major [L, B, I]
         rng = np.random.default_rng(3)
-        w, x = t(rng.standard_normal((5, 3))), t(rng.standard_normal((4, 3, 6)))
+        w = t(rng.standard_normal((5, 3)))
+        x = t(rng.standard_normal((4, 3, 6)).transpose(2, 0, 1))
         y = nm.matmul(w, x)
-        assert y.shape == (4, 5, 6)
+        assert y.shape == (6, 4, 5)
         for i in range(4):
-            np.testing.assert_allclose(y.data[i], w.data @ x.data[i], rtol=1e-14)
+            np.testing.assert_allclose(y.data[:, i], x.data[:, i] @ w.data.T,
+                                       rtol=1e-14)
         with pytest.raises(NumericsError):
-            nm.matmul(w, t(np.zeros((2, 4, 3, 6))))
+            nm.matmul(w, t(np.zeros((2, 4, 3, 6)).transpose(3, 0, 1, 2)))
 
     def test_views_are_copies(self):
         x = t(np.arange(6.0).reshape(2, 3))
@@ -68,11 +71,11 @@ class TestOperandRules:
         assert np.array_equal(x.data, np.arange(6.0).reshape(2, 3))
 
 
-_F32 = Tensor(np.ones((3, 5), dtype=np.float32))
+_F32 = Tensor(np.ones((3, 5), dtype=np.float32).T)
 _W64 = Tensor(np.ones(3))
 _SCAN_PARAMS = ssm.SsmParams(
     a=Tensor(-np.ones((3, 2))),
-    delta=Tensor(np.full((3, 5), 0.1, dtype=np.float32)),
+    delta=Tensor(np.full((3, 5), 0.1, dtype=np.float32).T),
     b=Tensor(np.ones((5, 2), dtype=np.float32)),
     c=Tensor(np.ones((5, 2), dtype=np.float32)),
 )
@@ -180,40 +183,40 @@ class TestOpSemantics:
         np.testing.assert_allclose(y, want, rtol=rtol, atol=0)
 
     def test_pad_narrow_roundtrip(self):
-        x = t(np.arange(12.0).reshape(3, 4))
-        padded = nm.pad_last(x, 3)
-        assert padded.shape == (3, 7)
-        assert np.all(padded.data[:, 4:] == 0)
-        back = nm.narrow(padded, 1, 0, 4)
+        x = t(np.arange(12.0).reshape(3, 4).T)
+        padded = nm.pad_end(x, 3)
+        assert padded.shape == (7, 3)
+        assert np.all(padded.data[4:] == 0)
+        back = nm.narrow(padded, 0, 0, 4)
         assert np.array_equal(back.data, x.data)
 
     def test_frame_contents(self):
         x = t(np.arange(8.0))
         f = nm.frame(x, size=4, hop=2)
-        assert f.shape == (4, 3)
-        assert np.array_equal(f.data[:, 1], [2, 3, 4, 5])
+        assert f.shape == (3, 4)
+        assert np.array_equal(f.data[1], [2, 3, 4, 5])
 
     def test_overlap_add_constant_coverage(self):
-        frames = t(np.ones((4, 3)))
+        frames = t(np.ones((4, 3)).T)
         y = nm.overlap_add(frames, hop=2, out_len=8)
         assert np.array_equal(y.data, [1, 1, 2, 2, 2, 2, 1, 1])
 
     def test_conv_is_causal(self):
         # bump an input sample; outputs strictly before it must not move
         rng = np.random.default_rng(0)
-        x = rng.standard_normal((2, 10))
+        x = rng.standard_normal((2, 10)).T
         k = rng.standard_normal((2, 4))
         b = rng.standard_normal(2)
         base = nm.conv1d_depthwise(t(x), t(k), t(b)).data
         x2 = x.copy()
-        x2[:, 6] += 1.0
+        x2[6] += 1.0
         out = nm.conv1d_depthwise(t(x2), t(k), t(b)).data
-        assert np.array_equal(out[:, :6], base[:, :6])
-        assert not np.array_equal(out[:, 6:], base[:, 6:])
+        assert np.array_equal(out[:6], base[:6])
+        assert not np.array_equal(out[6:], base[6:])
 
     @pytest.mark.parametrize(
         "shape,reverse",
-        [((3, 0), False), ((2, 3, 0), False), ((3, 0), True), ((2, 3, 0), True)],
+        [((0, 3), False), ((0, 2, 3), False), ((0, 3), True), ((0, 2, 3), True)],
         ids=["shape0", "shape1", "shape0-reverse", "shape1-reverse"])
     def test_conv_of_empty_input_is_empty(self, shape, reverse):
         x = t(np.zeros(shape), grad=True)
@@ -231,10 +234,12 @@ class TestOpSemantics:
         rng = np.random.default_rng(len(shape) * 10 + shape[-1])
         x, k, b, w = (rng.integers(-32, 33, size=s) / 8.0
                       for s in (shape, (3, 4), (3,), shape))
+        # [E, L] and [B, E, L] draws, time-major
+        x, w = np.moveaxis(x, -1, 0), np.moveaxis(w, -1, 0)
 
         def run(reverse):
             # reverse=False runs flip o conv o flip, reverse=True the mirror
-            flip = (lambda a: a) if reverse else (lambda a: np.flip(a, -1).copy())
+            flip = (lambda a: a) if reverse else (lambda a: np.flip(a, 0).copy())
             leaves = [t(flip(x), grad=True), t(k, grad=True), t(b, grad=True)]
             y = nm.conv1d_depthwise(*leaves, reverse=reverse)
             nm.mul(y, t(flip(w))).sum().backward()
@@ -246,14 +251,14 @@ class TestOpSemantics:
 
     def test_layernorm_standardizes_columns(self):
         rng = np.random.default_rng(1)
-        x = t(rng.standard_normal((16, 5)) * 3 + 1)
+        x = t((rng.standard_normal((16, 5)) * 3 + 1).T)
         y = nm.layernorm(x, t(np.ones(16)), t(np.zeros(16)))
-        np.testing.assert_allclose(y.data.mean(axis=0), 0.0, atol=1e-12)
-        np.testing.assert_allclose(y.data.std(axis=0), 1.0, atol=1e-6)
+        np.testing.assert_allclose(y.data.mean(axis=-1), 0.0, atol=1e-12)
+        np.testing.assert_allclose(y.data.std(axis=-1), 1.0, atol=1e-6)
 
     def test_rmsnorm_scale_property(self):
         rng = np.random.default_rng(2)
-        x = rng.standard_normal((8, 3))
+        x = rng.standard_normal((8, 3)).T
         g = np.ones(8)
         y1 = nm.rmsnorm(t(x), t(g)).data
         y2 = nm.rmsnorm(t(5.0 * x), t(g)).data

@@ -22,7 +22,7 @@ def _const_params(a_vals, delta_val, b_row, c_row, L, exact_zoh):
     H = len(a_vals)
     return ssm.SsmParams(
         a=Tensor(np.asarray([a_vals], dtype=np.float64)),
-        delta=Tensor(np.full((1, L), delta_val)),
+        delta=Tensor(np.full((1, L), delta_val).T),
         b=Tensor(np.tile(np.asarray(b_row, dtype=np.float64), (L, 1))),
         c=Tensor(np.tile(np.asarray(c_row, dtype=np.float64), (L, 1))),
         exact_zoh=exact_zoh,
@@ -30,29 +30,31 @@ def _const_params(a_vals, delta_val, b_row, c_row, L, exact_zoh):
 
 
 class TestDiscretize:
+    """ssm._zoh, the one discretization both scans and the adjoint call."""
+
     def test_zoh_one_pole_frozen_values(self):
-        a = Tensor(np.array([[-1.0]]))
-        delta = Tensor(np.array([[0.1]]))
-        b = Tensor(np.array([[1.0]]))
-        abar, bbar = ssm.discretize(a, delta, b, exact_zoh=True)
-        assert abs(abar.data[0, 0, 0] - ABAR_ONE_POLE) < 1e-15
-        assert abs(bbar.data[0, 0, 0] - BBAR_ZOH_ONE_POLE) < 1e-15
+        a = np.array([[-1.0]])
+        delta = np.array([[0.1]])
+        b = np.array([[1.0]])
+        abar, bbar, _ = ssm._zoh(delta, a, b, exact_zoh=True)
+        assert abs(abar[0, 0] - ABAR_ONE_POLE) < 1e-15
+        assert abs(bbar[0, 0] - BBAR_ZOH_ONE_POLE) < 1e-15
 
     def test_euler_one_pole(self):
-        a = Tensor(np.array([[-1.0]]))
-        delta = Tensor(np.array([[0.1]]))
-        b = Tensor(np.array([[2.0]]))
-        abar, bbar = ssm.discretize(a, delta, b, exact_zoh=False)
-        assert abs(abar.data[0, 0, 0] - ABAR_ONE_POLE) < 1e-15
-        assert abs(bbar.data[0, 0, 0] - 0.2) < 1e-15
+        a = np.array([[-1.0]])
+        delta = np.array([[0.1]])
+        b = np.array([[2.0]])
+        abar, bbar, _ = ssm._zoh(delta, a, b, exact_zoh=False)
+        assert abs(abar[0, 0] - ABAR_ONE_POLE) < 1e-15
+        assert abs(bbar[0, 0] - 0.2) < 1e-15
 
     def test_zoh_approaches_euler_for_small_delta(self):
-        a = Tensor(np.array([[-2.0]]))
-        delta = Tensor(np.array([[1e-7]]))
-        b = Tensor(np.array([[1.0]]))
-        _, bz = ssm.discretize(a, delta, b, exact_zoh=True)
-        _, be = ssm.discretize(a, delta, b, exact_zoh=False)
-        assert abs(bz.data[0, 0, 0] - be.data[0, 0, 0]) < 1e-13
+        a = np.array([[-2.0]])
+        delta = np.array([[1e-7]])
+        b = np.array([[1.0]])
+        _, bz, _ = ssm._zoh(delta, a, b, exact_zoh=True)
+        _, be, _ = ssm._zoh(delta, a, b, exact_zoh=False)
+        assert abs(bz[0, 0] - be[0, 0]) < 1e-13
 
 
 class TestScanClosedForms:
@@ -62,7 +64,7 @@ class TestScanClosedForms:
         L = 24
         x = rng.standard_normal((1, L))
         params = _const_params([-0.7], 0.3, [1.3], [0.9], L, exact_zoh=False)
-        y = ssm.scan_sequential(Tensor(x), params).data[0]
+        y = ssm.scan_sequential(Tensor(x.T), params).data[:, 0]
         abar = math.exp(-0.7 * 0.3)
         bbar = 0.3 * 1.3
         expect = np.zeros(L)
@@ -120,7 +122,7 @@ class TestDuality:
             x = rng.standard_normal(L)
 
             params = _const_params(diag, delta, bvec, cvec, L, exact_zoh=True)
-            y_scan = ssm.scan_sequential(Tensor(x[None, :]), params).data[0]
+            y_scan = ssm.scan_sequential(Tensor(x[:, None]), params).data[:, 0]
 
             sys = ssm.DenseSsm(a=np.diag(diag), b=bvec[:, None],
                                c=cvec[None, :], delta=delta)
@@ -137,12 +139,12 @@ class TestParallelScan:
                     a = -np.exp(rng.uniform(-1, 1, (E, H)))
                     params = ssm.SsmParams(
                         a=Tensor(a),
-                        delta=Tensor(rng.uniform(0.05, 0.5, (E, L))),
+                        delta=Tensor(rng.uniform(0.05, 0.5, (E, L)).T),
                         b=Tensor(rng.standard_normal((L, H))),
                         c=Tensor(rng.standard_normal((L, H))),
                         exact_zoh=exact_zoh,
                     )
-                    x = Tensor(rng.standard_normal((E, L)))
+                    x = Tensor(rng.standard_normal((E, L)).T)
                     y_seq = ssm.scan_sequential(x, params).data
                     y_par = ssm.scan_parallel(x, params).data
                     assert np.max(np.abs(y_seq - y_par)) < 1e-8, (exact_zoh, L, E, H)
@@ -151,20 +153,21 @@ class TestParallelScan:
         rng = np.random.default_rng(5)
         B, E, L, H = 3, 2, 12, 4
         a = -np.exp(rng.uniform(-1, 1, (E, H)))
-        delta = rng.uniform(0.05, 0.5, (B, E, L))
-        b = rng.standard_normal((B, L, H))
-        c = rng.standard_normal((B, L, H))
-        x = rng.standard_normal((B, E, L))
+        # drawn [B, E, L] and [B, L, H], run time-major
+        delta = np.moveaxis(rng.uniform(0.05, 0.5, (B, E, L)), -1, 0)
+        b = rng.standard_normal((B, L, H)).swapaxes(0, 1)
+        c = rng.standard_normal((B, L, H)).swapaxes(0, 1)
+        x = np.moveaxis(rng.standard_normal((B, E, L)), -1, 0)
         batched = ssm.scan_sequential(
             Tensor(x),
             ssm.SsmParams(a=Tensor(a), delta=Tensor(delta),
                           b=Tensor(b), c=Tensor(c))).data
         for i in range(B):
             single = ssm.scan_sequential(
-                Tensor(x[i]),
-                ssm.SsmParams(a=Tensor(a), delta=Tensor(delta[i]),
-                              b=Tensor(b[i]), c=Tensor(c[i]))).data
-            np.testing.assert_allclose(batched[i], single, atol=1e-12)
+                Tensor(x[:, i]),
+                ssm.SsmParams(a=Tensor(a), delta=Tensor(delta[:, i]),
+                              b=Tensor(b[:, i]), c=Tensor(c[:, i]))).data
+            np.testing.assert_allclose(batched[:, i], single, atol=1e-12)
 
 
 class TestBlockReplay:
@@ -175,12 +178,13 @@ class TestBlockReplay:
         """y and the gradients of x, delta, a, b, c of a weighted sum of y."""
         rng = np.random.default_rng(8)
         E, H = 3, 4
-        x = Tensor(rng.standard_normal((B, E, L)), requires_grad=True)
-        delta = Tensor(rng.uniform(0.05, 0.5, (B, E, L)), requires_grad=True)
+        tm = lambda arr: np.moveaxis(arr, -1, 0)            # [B, E, L] -> [L, B, E]
+        x = Tensor(tm(rng.standard_normal((B, E, L))), requires_grad=True)
+        delta = Tensor(tm(rng.uniform(0.05, 0.5, (B, E, L))), requires_grad=True)
         a = Tensor(-np.exp(rng.uniform(-1, 1, (E, H))), requires_grad=True)
-        b = Tensor(rng.standard_normal((B, L, H)), requires_grad=True)
-        c = Tensor(rng.standard_normal((B, L, H)), requires_grad=True)
-        w = Tensor(rng.standard_normal((B, E, L)))
+        b = Tensor(rng.standard_normal((B, L, H)).swapaxes(0, 1), requires_grad=True)
+        c = Tensor(rng.standard_normal((B, L, H)).swapaxes(0, 1), requires_grad=True)
+        w = Tensor(tm(rng.standard_normal((B, E, L))))
         y = ssm.scan_sequential(
             x, ssm.SsmParams(a=a, delta=delta, b=b, c=c, exact_zoh=exact_zoh))
         nm.mul(y, w).sum().backward()
@@ -220,26 +224,29 @@ class TestBlockReplay:
 
 
 def _oracle(x, delta, a, b, c, exact_zoh):
-    """Literal float64 loop over [B, E, L]: h_t = exp(delta_t a) h_{t-1}
+    """Literal float64 loop over [L, B, E]: h_t = exp(delta_t a) h_{t-1}
     + p_t b_t x_t and y_t = c_t . h_t, with p = expm1(delta a) / a or delta."""
     y = np.empty(x.shape)
-    h = np.zeros(x.shape[:2] + a.shape[1:])                 # [B, E, H]
-    for t in range(x.shape[-1]):
-        z = delta[:, :, t, None] * a
-        p = np.expm1(z) / a if exact_zoh else delta[:, :, t, None]
-        h = np.exp(z) * h + p * b[:, None, t, :] * x[:, :, t, None]
-        y[:, :, t] = (h * c[:, None, t, :]).sum(axis=-1)
+    h = np.zeros(x.shape[1:] + a.shape[1:])                 # [B, E, H]
+    for t in range(x.shape[0]):
+        z = delta[t, :, :, None] * a
+        p = np.expm1(z) / a if exact_zoh else delta[t, :, :, None]
+        h = np.exp(z) * h + p * b[t, :, None, :] * x[t, :, :, None]
+        y[t] = (h * c[t, :, None, :]).sum(axis=-1)
     return y
 
 
 def _random_scan(rng, B, E, L, H):
-    return (rng.standard_normal((B, E, L)), rng.uniform(0.05, 0.5, (B, E, L)),
-            -np.exp(rng.uniform(-1, 1, (E, H))), rng.standard_normal((B, L, H)),
-            rng.standard_normal((B, L, H)))
+    """Drawn [B, E, L] and [B, L, H], returned time-major: [L, B, E], [L, B, H]."""
+    tm = lambda arr: np.moveaxis(arr, -1, 0)
+    return (tm(rng.standard_normal((B, E, L))), tm(rng.uniform(0.05, 0.5, (B, E, L))),
+            -np.exp(rng.uniform(-1, 1, (E, H))),
+            rng.standard_normal((B, L, H)).swapaxes(0, 1),
+            rng.standard_normal((B, L, H)).swapaxes(0, 1))
 
 
 def _sequential(x, delta, a, b, c, exact_zoh, batched=True):
-    lift = (lambda arr: arr) if batched else (lambda arr: arr[0])
+    lift = (lambda arr: arr) if batched else (lambda arr: arr[:, 0])
     params = ssm.SsmParams(a=Tensor(a), delta=Tensor(lift(delta)),
                            b=Tensor(lift(b)), c=Tensor(lift(c)),
                            exact_zoh=exact_zoh)
@@ -258,7 +265,7 @@ class TestKernelParity:
         want = _oracle(*args, exact_zoh)
         got = _sequential(*args, exact_zoh, batched)
         if not batched:
-            want = want[0]
+            want = want[:, 0]
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -275,7 +282,7 @@ class TestKernelParity:
         # L = 65 spans two replay blocks, so the checkpointed state is used
         rng = np.random.default_rng(10)
         args = _random_scan(rng, 2, 3, 65, 4)
-        w = rng.standard_normal((2, 3, 65))
+        w = np.moveaxis(rng.standard_normal((2, 3, 65)), -1, 0)
         leaves = [Tensor(arr, requires_grad=True) for arr in args]
         x, delta, a, b, c = leaves
         y = ssm.scan_sequential(x, ssm.SsmParams(a=a, delta=delta, b=b, c=c,
@@ -337,14 +344,14 @@ class TestReverseScan:
     def test_equals_flipped_forward_scan(self, exact_zoh, batched, L):
         rng = np.random.default_rng(L)
         x, delta, a, b, c = _random_scan(rng, 3, 5, L, 4)
-        w = rng.standard_normal((3, 5, L))
+        w = np.moveaxis(rng.standard_normal((3, 5, L)), -1, 0)
         if not batched:
-            x, delta, b, c, w = x[0], delta[0], b[0], c[0], w[0]
+            x, delta, b, c, w = x[:, 0], delta[:, 0], b[:, 0], c[:, 0], w[:, 0]
         args = [x, delta, a, b, c]
-        # time is the last axis of x, delta and the weights, axis -2 of b, c
-        axes = (-1, -1, None, -2, -2)
+        # time is axis 0 of every operand but a
+        axes = (0, 0, None, 0, 0)
 
-        def flip(arr, axis=-1):
+        def flip(arr, axis=0):
             return arr if axis is None else np.flip(arr, axis).copy()
 
         got = self._grads(args, w, exact_zoh, reverse=True)
@@ -367,11 +374,11 @@ class TestStability:
         c_row = rng.uniform(-1, 1, H)
         params = ssm.SsmParams(
             a=Tensor(a),
-            delta=Tensor(np.full((E, L), delta_val)),
+            delta=Tensor(np.full((E, L), delta_val).T),
             b=Tensor(np.tile(b_row, (L, 1))),
             c=Tensor(np.tile(c_row, (L, 1))),
         )
-        x = np.sign(rng.standard_normal((E, L)))
+        x = np.sign(rng.standard_normal((E, L))).T
         y = ssm.scan_sequential(Tensor(x), params).data
         abar_max = np.exp(a * delta_val).max()
         bound = np.sum(np.abs(c_row) * np.abs(delta_val * b_row)) / (1 - abar_max)
@@ -382,27 +389,27 @@ class TestStability:
 class TestValidation:
     def test_positive_a_rejected(self):
         p = ssm.SsmParams(a=Tensor(np.array([[0.5]])),
-                          delta=Tensor(np.full((1, 4), 0.1)),
+                          delta=Tensor(np.full((1, 4), 0.1).T),
                           b=Tensor(np.ones((4, 1))),
                           c=Tensor(np.ones((4, 1))))
         with pytest.raises(NumericsError):
-            ssm.scan_sequential(Tensor(np.ones((1, 4))), p)
+            ssm.scan_sequential(Tensor(np.ones((1, 4)).T), p)
 
     def test_nonpositive_delta_rejected(self):
         p = ssm.SsmParams(a=Tensor(np.array([[-0.5]])),
-                          delta=Tensor(np.zeros((1, 4))),
+                          delta=Tensor(np.zeros((1, 4)).T),
                           b=Tensor(np.ones((4, 1))),
                           c=Tensor(np.ones((4, 1))))
         with pytest.raises(NumericsError):
-            ssm.scan_sequential(Tensor(np.ones((1, 4))), p)
+            ssm.scan_sequential(Tensor(np.ones((1, 4)).T), p)
 
     def test_shape_mismatch_rejected(self):
         p = ssm.SsmParams(a=Tensor(np.array([[-0.5]])),
-                          delta=Tensor(np.full((1, 4), 0.1)),
+                          delta=Tensor(np.full((1, 4), 0.1).T),
                           b=Tensor(np.ones((5, 1))),
                           c=Tensor(np.ones((4, 1))))
         with pytest.raises(NumericsError):
-            ssm.scan_sequential(Tensor(np.ones((1, 4))), p)
+            ssm.scan_sequential(Tensor(np.ones((1, 4)).T), p)
 
 
 class TestSelectiveParameterize:
@@ -417,9 +424,9 @@ class TestSelectiveParameterize:
             w_c=Tensor(rng.standard_normal((H, E)) * 0.3),
         )
         a = Tensor(-np.exp(rng.uniform(-1, 1, (E, H))))
-        params = ssm.selective_parameterize(Tensor(rng.standard_normal((E, L))),
+        params = ssm.selective_parameterize(Tensor(rng.standard_normal((E, L)).T),
                                             proj, a)
-        assert params.delta.shape == (E, L)
+        assert params.delta.shape == (L, E)
         assert params.b.shape == (L, H)
         assert params.c.shape == (L, H)
         assert np.all(params.delta.data > 0)
