@@ -184,13 +184,14 @@ def _cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _bounded(kind, low, strict=False):
+def _bounded(kind, low=-math.inf, strict=False):
     """An argparse type: finite `kind` values >= low (> low when strict)."""
     def parse(text):
         value = kind(text)
         if not math.isfinite(value) or value < low or (strict and value == low):
-            raise argparse.ArgumentTypeError(
-                f"must be {'>' if strict else '>='} {low}, got {text!r}")
+            bound = (f"{'>' if strict else '>='} {low}" if low > -math.inf
+                     else "finite")
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text!r}")
         return value
     parse.__name__ = kind.__name__    # argparse names the type in its errors
     return parse
@@ -214,10 +215,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", required=True, help="checkpoint output path")
     s.add_argument("--steps", type=_bounded(int, 0), default=2000)
     s.add_argument("--warmup", type=_bounded(int, 0), default=200)
-    s.add_argument("--peak-lr", type=float, default=1.5e-4)
+    s.add_argument("--peak-lr", type=_bounded(float, 0, strict=True),
+                   default=1.5e-4)
     s.add_argument("--pairs", type=_bounded(int, 1), default=2)
     s.add_argument("--val-every", type=_bounded(int, 1), default=25)
-    s.add_argument("--stop-at", type=float, default=None,
+    s.add_argument("--stop-at", type=_bounded(float), default=None,
                    help="stop once si_snri reaches this many dB")
     s.add_argument("--log", default=None, help="CSV training log path")
     s.add_argument("--seed", type=int, default=0)
@@ -254,7 +256,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # no variable holds the parser, so it is freed before the command runs
     args = build_parser().parse_args(argv)
+    if args.command == "train-toy" and args.warmup > args.steps:
+        build_parser().error(f"argument --warmup: must be <= --steps "
+                             f"({args.steps}), got {args.warmup}")
     try:
         return args.fn(args)
     except (DataFormatError, OSError) as exc:

@@ -22,11 +22,13 @@ Three evaluation paths compute the same recurrence:
     time-invariant parameters, kept deliberately independent so the fast
     paths have something external to agree with.
 
-Both scans differentiate through a fused adjoint that replays the forward
-recurrence in fixed-size blocks instead of storing the full hidden-state
-trajectory.  The discretization arithmetic lives in one helper, _zoh,
-which both scans and the adjoint call; the sequential loop and
-the adjoint's replay share one state iterator, _states.
+Both scans differentiate through a fused adjoint that does not store the
+hidden-state trajectory.  A scan on the gradient tape keeps h_{t0-1} at
+each block start t0 > 0, one state per _BLOCK steps (the parallel scan
+reads them off its prefix states); the adjoint walks the blocks once, in
+reverse, rebuilding each block's states from its checkpoint.  An untaped
+(inference) scan keeps none.  _zoh is the one copy of the discretization
+arithmetic, which both scans and the adjoint call.
 
 The sequential loop and the adjoint step through the operands in the
 layout the graph already holds them: x, delta (and the adjoint's g) are
@@ -35,8 +37,9 @@ contiguous slices, every broadcast runs over E in its inner loop, and no
 operand is relaid out on entry; only a goes to [H, E].  The state is one
 [B, H, E] buffer updated in place (h *= Abar; h += Bbar x), with the
 step's Abar and Bbar x written into two reused buffers through _zoh's out=,
-so live state stays O(B*E*H) whatever L is; the contractions over H
-(y_t = c_t h_t, and the adjoint's h_t g_t and b_t lambda_t) are matmuls.
+so an untaped scan's live state stays O(B*E*H) whatever L is; the
+contractions over H (y_t = c_t h_t, and the adjoint's b_t lambda_t and
+its h_t g_t, one per block) are matmuls.
 Under Euler the input term Bbar_t x_t = b_t (delta_t x_t) takes one
 state-sized multiply per step, with delta x formed once per call.
 
@@ -172,50 +175,43 @@ def _tiles(B, H, E, itemsize):
     return [slice(i, min(i + n, B)) for i in range(0, B, n)]
 
 
-def _states(u, d, aT, b, exact_zoh):
-    """Yield (t, h_t) of the recurrence; O(B*E*H) live state.
-
-    u and d: [L, B, E], with u as _zoh takes it (x under the exact hold,
-    delta x under Euler), aT: [H, E], b: [L, B, H].  h_t is [B, H, E] and
-    is the same buffer at every step: a caller that keeps a state must
-    copy it.
+def _scan_forward(x, d, a, b, c, exact_zoh, taped):
+    """Reference loop: y_t = c_t h_t, one matmul over H per step.  Returns
+    (y, ck): a taped scan's ck holds h_{t0-1} for each block start t0 > 0,
+    [(L - 1) // _BLOCK, B, H, E], for the adjoint; an untaped one's is None.
     """
-    L, B, E = d.shape
-    h = np.zeros((B, aT.shape[0], E), dtype=d.dtype)
-    abar, bx = np.empty_like(h), np.empty_like(h)
-    for t in range(L):
-        _zoh(d[t, :, None, :], aT, b[t, :, :, None], exact_zoh,
-             u[t, :, None, :], out=(abar, bx))
-        h *= abar
-        h += bx
-        yield t, h
-
-
-def _scan_forward(x, d, a, b, c, exact_zoh):
-    """Reference loop: y_t = c_t h_t, one matmul over H per step."""
     aT = np.ascontiguousarray(a.T)
+    L, B, E = x.shape
+    H = aT.shape[0]
     u = x if exact_zoh else d * x
     y = np.empty(x.shape, dtype=x.dtype)
-    for k in _tiles(x.shape[1], *aT.shape, x.itemsize):
-        yk = y[:, k]
-        for t, h in _states(u[:, k], d[:, k], aT, b[:, k], exact_zoh):
-            np.matmul(c[t, k, None, :], h, out=yk[t, :, None, :])
-    return y
+    ck = np.empty((max(L - 1, 0) // _BLOCK, B, H, E), x.dtype) if taped else None
+    for k in _tiles(B, H, E, x.itemsize):
+        h = np.zeros((k.stop - k.start, H, E), dtype=x.dtype)
+        abar, bx = np.empty_like(h), np.empty_like(h)
+        for t in range(L):
+            _zoh(d[t, k, None, :], aT, b[t, k, :, None], exact_zoh,
+                 u[t, k, None, :], out=(abar, bx))
+            h *= abar
+            h += bx
+            np.matmul(c[t, k, None, :], h, out=y[t, k, None, :])
+            if taped and (t + 1) % _BLOCK == 0 and t + 1 < L:
+                ck[t // _BLOCK, k] = h
+    return y, ck
 
 
-def _scan_backward(x, d, a, b, c, exact_zoh, g):
+def _scan_backward(x, d, a, b, c, exact_zoh, ck, g):
     """Adjoint of the recurrence with blockwise state replay.
 
-    Hidden states are not kept from the forward pass.  Per batch tile, a
-    first sweep replays the recurrence, keeping h_{t0-1} for each block
-    start t0 (one per _BLOCK steps) and accumulating the c-gradient (which
-    needs states, not adjoints).  A second sweep walks blocks in reverse,
-    rebuilding the states of each block from its checkpoint and running
-    the adjoint recurrence
+    Hidden states are not kept from the forward pass, only the block
+    checkpoints ck it returned.  Per batch tile, one sweep walks the blocks
+    in reverse, rebuilds each block's states from its checkpoint (from
+    zeros for block 0), takes the c-gradient gc_t = h_t g_t of the whole
+    block in one matmul and runs the adjoint recurrence
 
         lambda_t = g_t c_t + Abar_{t+1} lambda_{t+1}
 
-    Both sweeps run time-major with [B, H, E] states, like the forward.
+    It runs time-major with [B, H, E] states, like the forward.
     """
     aT = np.ascontiguousarray(a.T)
     u = x if exact_zoh else d * x
@@ -223,26 +219,19 @@ def _scan_backward(x, d, a, b, c, exact_zoh, g):
                           for arr in (x, d, b, c))
     ga = np.zeros(aT.shape, dtype=x.dtype)
     for k in _tiles(x.shape[1], *aT.shape, x.itemsize):
-        _adjoint(*(arr[:, k] for arr in (x, u, d, b, c, g, gx, gdelta, gb, gc)),
+        _adjoint(*(arr[:, k] for arr in (x, u, d, b, c, ck, g, gx, gdelta, gb, gc)),
                  aT, ga, exact_zoh)
     return gx, gdelta, ga.T, gb, gc
 
 
-def _adjoint(x, u, d, b, c, g, gx, gdelta, gb, gc, aT, ga, exact_zoh):
-    """Both sweeps of _scan_backward on one batch tile: writes its rows of
-    gx, gdelta, gb and gc and adds its share of the [H, E] ga."""
+def _adjoint(x, u, d, b, c, ck, g, gx, gdelta, gb, gc, aT, ga, exact_zoh):
+    """_scan_backward on one batch tile: writes its rows of gx, gdelta, gb
+    and gc and adds its share of the [H, E] ga."""
     L, B, E = x.shape
     H = aT.shape[0]
     dtype = x.dtype
 
-    # sweep 1: forward replay; checkpoints + gc_t = h_t g_t
-    checkpoints = [np.zeros((B, H, E), dtype=dtype)]
-    for t, h in _states(u, d, aT, b, exact_zoh):
-        np.matmul(h, g[t, :, :, None], out=gc[t, :, :, None])
-        if (t + 1) % _BLOCK == 0 and t + 1 < L:
-            checkpoints.append(h.copy())
-
-    # sweep 2: blocks in reverse; lam_carry = Abar_{t+1} lambda_{t+1}
+    # blocks in reverse; lam_carry = Abar_{t+1} lambda_{t+1}
     n_max = min(_BLOCK, L)
     abar_b = np.empty((n_max, B, H, E), dtype=dtype)
     bx_b = np.empty_like(abar_b)
@@ -252,20 +241,21 @@ def _adjoint(x, u, d, b, c, g, gx, gdelta, gb, gc, aT, ga, exact_zoh):
     w = np.empty_like(lam)
     wa = np.empty_like(lam)
     s = np.empty((B, 1, E), dtype=dtype)
-    for blk in range(len(checkpoints) - 1, -1, -1):
+    for blk in range(len(ck), -1, -1):
         t0 = blk * _BLOCK
         t1 = min(t0 + _BLOCK, L)
         n = t1 - t0
-        # the same _zoh input term as _states, so the rebuilt states are
-        # bit-identical to the ones sweep 1 checkpointed
+        # the same _zoh input term as the forward, so the rebuilt states are
+        # bit-identical to the ones it stepped and checkpointed
         _, _, p_b = _zoh(d[t0:t1, :, None, :], aT, b[t0:t1, :, :, None],
                          exact_zoh, u[t0:t1, :, None, :],
                          out=(abar_b[:n], bx_b[:n]))
         # rebuild states h_{t0-1} .. h_{t1-1} for this block
-        hbuf[0] = checkpoints[blk]
+        hbuf[0] = ck[blk - 1] if blk else 0
         for i in range(n):
             np.multiply(abar_b[i], hbuf[i], out=hbuf[i + 1])
             hbuf[i + 1] += bx_b[i]
+        np.matmul(hbuf[1:n + 1], g[t0:t1, :, :, None], out=gc[t0:t1, :, :, None])
         for i in range(n - 1, -1, -1):
             t = t0 + i
             at = abar_b[i]
@@ -297,7 +287,7 @@ def _adjoint(x, u, d, b, c, g, gx, gdelta, gb, gc, aT, ga, exact_zoh):
                 np.matmul(lam, u[t, :, :, None], out=gb[t, :, :, None])
 
 
-def _scan_parallel_forward(x, d, a, b, c, exact_zoh):
+def _scan_parallel_forward(x, d, a, b, c, exact_zoh, taped):
     """Prefix-doubling evaluation of the same recurrence.
 
     The recurrence elements (a_t, u_t) with u_t = Bbar_t x_t compose as
@@ -305,6 +295,7 @@ def _scan_parallel_forward(x, d, a, b, c, exact_zoh):
     product yields h_t directly.  log2(L) passes, each a full-width array
     op, O(L log L) work against the sequential loop's O(L).  It works in
     its own [B, E, L, H] form, behind one relayout of views in and out.
+    When taped, it reads _scan_forward's block checkpoints off eu.
     """
     x, d = x.transpose(1, 2, 0), d.transpose(1, 2, 0)       # [B, E, L]
     b, c = b.transpose(1, 0, 2), c.transpose(1, 0, 2)       # [B, L, H]
@@ -322,7 +313,9 @@ def _scan_parallel_forward(x, d, a, b, c, exact_zoh):
         na[..., k:, :] *= prev_a
         ea, eu = na, nu
         k *= 2
-    return (eu * c[:, None, :, :]).sum(axis=-1).transpose(2, 0, 1)
+    ck = (eu[:, :, _BLOCK - 1:L - 1:_BLOCK].transpose(2, 0, 3, 1).copy()
+          if taped else None)                                    # [n, B, H, E]
+    return (eu * c[:, None, :, :]).sum(axis=-1).transpose(2, 0, 1), ck
 
 
 # ---------------------------------------------------------------------------
@@ -349,14 +342,16 @@ def _run_scan(x: Tensor, params: SsmParams, forward_fn, op_name: str,
         return arr[::-1] if reverse else arr
 
     xs, ds, bs, cs = (lift(t.data) for t in (x, params.delta, params.b, params.c))
-    y = back(forward_fn(xs, ds, a.data, bs, cs, exact))
+    # only a scan on the tape keeps the adjoint's block checkpoints
+    y, ck = forward_fn(xs, ds, a.data, bs, cs, exact,
+                       any(t.requires_grad for t in operands))
 
     def vjp(g):
-        gx, gd, ga, gb, gc = _scan_backward(xs, ds, a.data, bs, cs, exact,
+        gx, gd, ga, gb, gc = _scan_backward(xs, ds, a.data, bs, cs, exact, ck,
                                             lift(g))
         return back(gx), back(gd), ga, back(gb), back(gc)
 
-    return nm.primitive(y, operands, vjp, op_name)
+    return nm.primitive(back(y), operands, vjp, op_name)
 
 
 def scan_sequential(x: Tensor, params: SsmParams, reverse: bool = False) -> Tensor:
@@ -371,8 +366,9 @@ def scan_sequential(x: Tensor, params: SsmParams, reverse: bool = False) -> Tens
 def scan_parallel(x: Tensor, params: SsmParams) -> Tensor:
     """Evaluate the selective recurrence by associative prefix doubling.
 
-    Exactly the same contract and gradients as the forward scan_sequential;
-    results agree to reassociation-level rounding (1e-8 scale in float64).
+    Exactly the same contract and adjoint as the forward scan_sequential;
+    results and gradients agree to reassociation-level rounding (1e-8
+    scale in float64), the adjoint replaying from this scan's own states.
     """
     return _run_scan(x, params, _scan_parallel_forward, "scan_parallel", False)
 

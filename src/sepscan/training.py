@@ -78,23 +78,16 @@ def pit_loss(est: tuple[Tensor, ...], ref: tuple[Tensor, ...]
     """Permutation-invariant negative SI-SNR.
 
     Returns (loss, perm) where perm maps estimate index -> reference
-    index for the winning assignment. Only the winning branch stays in
-    the graph, so gradients follow the chosen permutation.
+    index for the winning assignment, which best_permutation picks on the
+    arrays. Only that assignment is recorded, so gradients follow it.
     """
     if len(est) != len(ref):
         raise NumericsError(f"pit_loss: {len(est)} estimates vs {len(ref)} references")
-    best_loss: Tensor | None = None
-    best_perm: tuple[int, ...] | None = None
-    inv = Tensor(np.asarray(-1.0 / len(est)))
-    for perm in permutations(range(len(ref))):
-        total: Tensor | None = None
-        for i, j in enumerate(perm):
-            s = si_snr(est[i], ref[j])
-            total = s if total is None else nm.add(total, s)
-        loss = nm.mul(total, inv)
-        if best_loss is None or loss.item() < best_loss.item():
-            best_loss, best_perm = loss, perm
-    return best_loss, best_perm
+    perm = best_permutation(tuple(e.data for e in est), tuple(r.data for r in ref))
+    total = si_snr(est[0], ref[perm[0]])
+    for i in range(1, len(est)):
+        total = nm.add(total, si_snr(est[i], ref[perm[i]]))
+    return nm.mul(total, Tensor(np.asarray(-1.0 / len(est)))), perm
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +118,9 @@ def sdr_value(est: np.ndarray, ref: np.ndarray, eps: float = SI_SNR_EPS) -> floa
 
 
 def best_permutation(est: tuple, ref: tuple) -> tuple[int, ...]:
-    """Assignment (estimate index -> reference index) maximizing mean SI-SNR."""
-    best, best_perm = -math.inf, None
+    """Assignment (estimate index -> reference index) maximizing mean SI-SNR;
+    the identity when no mean is a number (a non-finite estimate)."""
+    best, best_perm = -math.inf, tuple(range(len(ref)))
     for perm in permutations(range(len(ref))):
         mean = sum(si_snr_value(est[i], ref[j]) for i, j in enumerate(perm)) / len(ref)
         if mean > best:

@@ -68,6 +68,12 @@ class TestUsage:
         "val_every_zero": TRAIN + ["--val-every", "0"],
         "steps_negative": TRAIN + ["--steps", "-1"],
         "warmup_negative": TRAIN + ["--warmup", "-1"],
+        "warmup_over_steps": TRAIN + ["--steps", "3", "--warmup", "5"],
+        "peak_lr_zero": TRAIN + ["--peak-lr", "0"],
+        "peak_lr_negative": TRAIN + ["--peak-lr", "-0.001"],
+        "peak_lr_nan": TRAIN + ["--peak-lr", "nan"],
+        "stop_at_nan": TRAIN + ["--stop-at", "nan"],
+        "stop_at_inf": TRAIN + ["--stop-at", "inf"],
     }
 
     @pytest.mark.parametrize("argv", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE.keys())

@@ -51,7 +51,7 @@ class TestOperandRules:
             nm.matmul(t(np.zeros((2, 3))), t(np.zeros((4, 5))))
         assert "(2, 3)" in str(e.value) and "(4, 5)" in str(e.value)
 
-    def test_matmul_maps_axis_minus_2_of_a_batch(self):
+    def test_matmul_maps_the_last_axis_of_a_batch(self):
         # the mapped axis is the last one of a time-major [L, B, I]
         rng = np.random.default_rng(3)
         w = t(rng.standard_normal((5, 3)))

@@ -169,6 +169,26 @@ class TestParallelScan:
                               b=Tensor(b[:, i]), c=Tensor(c[:, i]))).data
             np.testing.assert_allclose(batched[:, i], single, atol=1e-12)
 
+    @pytest.mark.parametrize("exact_zoh", [False, True])
+    @pytest.mark.parametrize("L", [65, 2 * ssm._BLOCK + 5])
+    def test_gradients_match_sequential(self, L, exact_zoh):
+        # the adjoint replays from scan_parallel's own block checkpoints
+        rng = np.random.default_rng(L)
+        args = _random_scan(rng, 3, 2, L, 4)
+        w = Tensor(np.moveaxis(rng.standard_normal((3, 2, L)), -1, 0))
+        grads = {}
+        for scan in (ssm.scan_sequential, ssm.scan_parallel):
+            leaves = [Tensor(arr, requires_grad=True) for arr in args]
+            x, delta, a, b, c = leaves
+            y = scan(x, ssm.SsmParams(a=a, delta=delta, b=b, c=c,
+                                      exact_zoh=exact_zoh))
+            nm.mul(y, w).sum().backward()
+            grads[scan] = [leaf.grad for leaf in leaves]
+        for name, want, got in zip("x delta a b c".split(),
+                                   grads[ssm.scan_sequential],
+                                   grads[ssm.scan_parallel]):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+
 
 class TestBlockReplay:
     """The adjoint replays states in blocks of _BLOCK steps from checkpoints."""
@@ -221,6 +241,27 @@ class TestBlockReplay:
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
             else:
                 assert np.array_equal(want, got), name
+
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_only_a_taped_scan_keeps_checkpoints(self, taped, monkeypatch):
+        L, B, E, H = 2 * ssm._BLOCK + 5, 2, 3, 4
+        kept = []
+        forward = ssm._scan_forward
+
+        def spy(*args):
+            y, ck = forward(*args)
+            kept.append(ck)
+            return y, ck
+
+        monkeypatch.setattr(ssm, "_scan_forward", spy)
+        x, delta, a, b, c = _random_scan(np.random.default_rng(12), B, E, L, H)
+        ssm.scan_sequential(Tensor(x), ssm.SsmParams(
+            a=Tensor(a, requires_grad=taped), delta=Tensor(delta),
+            b=Tensor(b), c=Tensor(c)))
+        if taped:
+            assert kept[0].shape == (2, B, H, E)
+        else:
+            assert kept == [None]
 
 
 def _oracle(x, delta, a, b, c, exact_zoh):

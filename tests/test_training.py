@@ -92,6 +92,39 @@ class TestPit:
         assert perm == (0, 1)
         assert abs(loss.item() - expect) < 1e-9
 
+    def test_records_only_the_winning_assignment(self, monkeypatch):
+        a, b = _ref(16), _ref(17)
+        est = (Tensor(b + 0.5 * _ref(18), requires_grad=True),
+               Tensor(a + 0.5 * _ref(19), requires_grad=True))
+        ref = (Tensor(a.copy()), Tensor(b.copy()))
+        calls = []
+        primitive = nm.primitive
+        monkeypatch.setattr(nm, "primitive",
+                            lambda *args: calls.append(args[-1]) or primitive(*args))
+        T.si_snr(est[0], ref[1])
+        per_si_snr = len(calls)
+        calls.clear()
+        loss, perm = T.pit_loss(est, ref)
+        assert perm == (1, 0)
+        # two si_snr terms, their sum and the -1/2 scale
+        assert len(calls) == 2 * per_si_snr + 2
+        want = -(T.si_snr(est[0], ref[1]).item() + T.si_snr(est[1], ref[0]).item()) / 2
+        assert abs(loss.item() - want) < 1e-12
+
+    def test_constant_reference_rejected(self):
+        a = _ref(20)
+        with pytest.raises(NumericsError, match="zero energy"):
+            T.pit_loss((Tensor(a.copy()), Tensor(a.copy())),
+                       (Tensor(a.copy()), Tensor(np.full(a.size, 0.5))))
+
+    def test_non_finite_estimate_keeps_the_identity_assignment(self):
+        # no assignment's mean SI-SNR is a number, so none wins
+        a, b = _ref(21), _ref(22)
+        _, perm = T.pit_loss((Tensor(np.full(a.size, np.nan)), Tensor(b.copy())),
+                             (Tensor(a.copy()), Tensor(b.copy())))
+        assert perm == (0, 1)
+        assert T.best_permutation((np.full(a.size, np.nan), b), (a, b)) == (0, 1)
+
 
 class TestImprovementMetrics:
     def test_mixture_as_estimate_is_exactly_zero(self):
