@@ -156,22 +156,12 @@ def _branch(h_in: Tensor, gate: Tensor, dw: DirectionWeights, exact_zoh: bool,
     return nm.mul(gate, s)
 
 
-def bi_scan_forward(h: Tensor, w: BiScanWeights,
-                    return_branches: bool = False):
-    """Run one block over h: [L, D] or [L, B, D]; output matches the input shape.
-
-    With return_branches=True also returns the gated forward-branch and
-    backward-branch sequences, for inspection in tests.
-    """
+def bi_scan_forward(h: Tensor, w: BiScanWeights) -> Tensor:
+    """Run one block over h: [L, D] or [L, B, D]; output matches the input shape."""
     h_in = nm.matmul(w.w_in, h)
     gate = nm.silu(nm.matmul(w.w_gate, h))
     y_f = _branch(h_in, gate, w.fwd, w.exact_zoh, reverse=False)
-    y_b = None
     if w.bwd is None:
-        out = nm.matmul(w.w_out, y_f)
-    else:
-        y_b = _branch(h_in, gate, w.bwd, w.exact_zoh, reverse=True)
-        out = nm.matmul(w.w_out, nm.mean_pair(y_f, y_b))
-    if return_branches:
-        return out, y_f, y_b
-    return out
+        return nm.matmul(w.w_out, y_f)
+    y_b = _branch(h_in, gate, w.bwd, w.exact_zoh, reverse=True)
+    return nm.matmul(w.w_out, nm.mean_pair(y_f, y_b))

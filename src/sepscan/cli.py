@@ -10,11 +10,12 @@ Subcommands:
     eval        score a checkpoint against mixtures from a corpus manifest
 
 Exit codes: 0 success, 2 usage error (argparse), 3 malformed input data
-(including a malformed checkpoint, a path the operating system refuses,
-and separate inputs whose outputs would collide), 4 numeric/training
-failure (failed gradcheck, count mismatch, divergence, non-finite
-separated stems).  When separate fails on any input it removes every
-stem it wrote, so a nonzero exit leaves no partial output behind.
+(including a malformed checkpoint or one with a non-finite weight, a path
+the operating system refuses, and separate inputs whose outputs would
+collide), 4 numeric/training failure (failed gradcheck, count mismatch,
+divergence, non-finite separated stems).  When separate fails on any
+input it removes every stem it wrote, so a nonzero exit leaves no partial
+output behind.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import audio, bench, gradcheck, model as model_mod, training
+from . import audio, bench, gradcheck, model as model_mod, ssm, training
 from .errors import DataFormatError, TrainingDiverged
 from .numerics import NumericsError
 
@@ -239,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("bench-scan", help="scan benchmarks as CSV")
     s.add_argument("--impl", nargs="+", choices=list(bench.IMPLS),
-                   default=list(bench.IMPLS))
+                   default=["seq", "par"])
     s.add_argument("--L", type=_bounded(int, 1), nargs="+", default=[1000, 8000])
     s.add_argument("--E", type=_bounded(int, 1), default=4)
     s.add_argument("--H", type=_bounded(int, 1), default=16)
@@ -261,6 +262,12 @@ def main(argv=None) -> int:
     if args.command == "train-toy" and args.warmup > args.steps:
         build_parser().error(f"argument --warmup: must be <= --steps "
                              f"({args.steps}), got {args.warmup}")
+    if args.command == "bench-scan" and "oracle" in args.impl:
+        for flag, value, top in (("L", max(args.L), ssm.MAX_ORACLE_L),
+                                 ("H", args.H, ssm.MAX_ORACLE_H)):
+            if value > top:
+                build_parser().error(
+                    f"argument --{flag}: must be <= {top} with --impl oracle")
     try:
         return args.fn(args)
     except (DataFormatError, OSError) as exc:

@@ -371,6 +371,8 @@ class SeparationModel:
 
         requires_grad is left alone, so SeparationModel(cfg).load_state(...)
         gives a float64 model that trains (fine-tuning from a checkpoint).
+        A non-finite weight is refused: the mask head's relu would turn a
+        NaN into silence rather than into an error.
         """
         params = self.named_parameters()
         have = {n for n, _ in params}
@@ -384,6 +386,8 @@ class SeparationModel:
             if tuple(a.shape) != p.shape:
                 raise DataFormatError(
                     f"state '{name}': stored shape {tuple(a.shape)} != model {p.shape}")
+            if not np.all(np.isfinite(a)):
+                raise DataFormatError(f"state '{name}': non-finite values")
             p.data = a.astype(p.dtype)
 
     @classmethod

@@ -10,7 +10,7 @@ Shape conventions used across the package (time on axis 0, channels last):
 
 Rules the engine enforces rather than glosses over:
 
-  * no implicit broadcasting, except a scalar (0-d) with a tensor;
+  * no implicit broadcasting: a binary op's operands have one shape;
   * an op's inputs all have its output's dtype (primitive checks this);
   * matmul maps the last axis of [L, I] or [L, B, I] by a 2-D [O, I]
     weight as one 2-D GEMM; the per-channel ops (add_bias, scale_channels,
@@ -203,35 +203,11 @@ def primitive(
     return out
 
 
-def _wrap(value, dtype) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    arr = np.asarray(value, dtype=dtype)
-    if arr.shape != ():
+def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
+    if a.shape != b.shape:
         raise NumericsError(
-            "only python scalars may be promoted to tensors implicitly"
+            f"{op}: shape mismatch {a.shape} vs {b.shape} (no implicit broadcasting)"
         )
-    return Tensor(arr, dtype=dtype)
-
-
-def _binary_operands(a: Tensor, b, op: str) -> tuple[Tensor, Tensor]:
-    """Validate the scalar-with-tensor rule; no other broadcasting exists."""
-    if not isinstance(a, Tensor):
-        a = _wrap(a, b.dtype if isinstance(b, Tensor) else np.float64)
-    b = _wrap(b, a.dtype)
-    if a.shape != b.shape and a.shape != () and b.shape != ():
-        raise NumericsError(
-            f"{op}: shape mismatch {a.shape} vs {b.shape} "
-            "(only scalar-with-tensor broadcast is allowed)"
-        )
-    return a, b
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    # inverse of the scalar-with-tensor broadcast: collapse back to 0-d
-    if shape == () and g.shape != ():
-        return np.asarray(g.sum(), dtype=g.dtype)
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -239,42 +215,18 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def add(a: Tensor, b) -> Tensor:
-    a, b = _binary_operands(a, b, "add")
+def add(a: Tensor, b: Tensor) -> Tensor:
+    _same_shape(a, b, "add")
+    return primitive(a.data + b.data, (a, b), lambda g: (g, g), "add")
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    _same_shape(a, b, "mul")
 
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
-
-    return primitive(a.data + b.data, (a, b), vjp, "add")
-
-
-def sub(a: Tensor, b) -> Tensor:
-    a, b = _binary_operands(a, b, "sub")
-
-    def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    return primitive(a.data - b.data, (a, b), vjp, "sub")
-
-
-def mul(a: Tensor, b) -> Tensor:
-    a, b = _binary_operands(a, b, "mul")
-
-    def vjp(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return g * b.data, g * a.data
 
     return primitive(a.data * b.data, (a, b), vjp, "mul")
-
-
-def div(a: Tensor, b) -> Tensor:
-    a, b = _binary_operands(a, b, "div")
-
-    def vjp(g):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
-        return ga, gb
-
-    return primitive(a.data / b.data, (a, b), vjp, "div")
 
 
 def neg(x: Tensor) -> Tensor:
@@ -283,11 +235,11 @@ def neg(x: Tensor) -> Tensor:
 
 def mean_pair(a: Tensor, b: Tensor) -> Tensor:
     """(a + b) / 2 elementwise; the merge point of two directional branches."""
-    a, b = _binary_operands(a, b, "mean_pair")
+    _same_shape(a, b, "mean_pair")
 
     def vjp(g):
         h = 0.5 * g
-        return _unbroadcast(h, a.shape), _unbroadcast(h, b.shape)
+        return h, h
 
     return primitive(0.5 * (a.data + b.data), (a, b), vjp, "mean_pair")
 
@@ -362,15 +314,6 @@ def exp(x: Tensor) -> Tensor:
     return primitive(e, (x,), vjp, "exp")
 
 
-def log(x: Tensor) -> Tensor:
-    def vjp(g):
-        return (g / x.data,)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(x.data)
-    return primitive(out, (x,), vjp, "log")
-
-
 # ---------------------------------------------------------------------------
 # structural ops (all materialize copies)
 # ---------------------------------------------------------------------------
@@ -392,15 +335,6 @@ def tsum(x: Tensor) -> Tensor:
         return (np.full(x.shape, float(g), dtype=x.dtype),)
 
     return primitive(np.asarray(x.data.sum(), dtype=x.dtype), (x,), vjp, "sum")
-
-
-def tmean(x: Tensor) -> Tensor:
-    n = x.size
-
-    def vjp(g):
-        return (np.full(x.shape, float(g) / n, dtype=x.dtype),)
-
-    return primitive(np.asarray(x.data.mean(), dtype=x.dtype), (x,), vjp, "mean")
 
 
 def _channel_sum(g: np.ndarray) -> np.ndarray:

@@ -2,9 +2,11 @@
 
 The training objective is negative scale-invariant SNR, made
 permutation-invariant by scoring both speaker assignments and keeping
-the better one. Evaluation metrics mirror the loss in plain numpy and
-add a scale-fitted SDR; both are reported as improvement over using the
-mixture itself as the estimate.
+the better one. The loss is one recorded primitive with a hand-written
+VJP, taking gradients for the estimate only: the reference is a
+constant. Its arithmetic lives once, in ``_si_snr_terms``, which the
+numpy metrics call too; they add a scale-fitted SDR, and both are
+reported as improvement over using the mixture itself as the estimate.
 """
 
 from __future__ import annotations
@@ -31,46 +33,59 @@ _LOG10 = math.log(10.0)
 # ---------------------------------------------------------------------------
 
 
-def _dot(a: Tensor, b: Tensor) -> Tensor:
-    return nm.tsum(nm.mul(a, b))
+def _si_snr_terms(est: np.ndarray, ref: np.ndarray, eps: float):
+    """SI-SNR in dB between 1-D arrays, and the terms its gradient needs.
 
-
-def _inv_rms(x: Tensor, eps: float) -> Tensor:
-    """1 / sqrt(mean(x^2) + eps) as a 0-d graph node (exp/log for sqrt)."""
-    power = nm.mul(_dot(x, x), Tensor(np.asarray(1.0 / x.shape[0])))
-    return nm.exp(nm.mul(nm.log(nm.add(power, Tensor(np.asarray(eps)))),
-                         Tensor(np.asarray(-0.5))))
+    Both signals are mean-centred and the estimate is scaled to unit power,
+    u = k e, so the eps terms see a scale-free estimate and invariance to
+    the estimate's gain holds to rounding. u splits into its projection
+    s r onto the reference and the residual n; the value is the ratio of
+    their energies, each with eps added so silent inputs stay finite.
+    """
+    e = np.asarray(est, dtype=np.float64)
+    r = np.asarray(ref, dtype=np.float64)
+    e = e - e.mean()
+    r = r - r.mean()
+    k = 1.0 / math.sqrt(float(e @ e) / e.size + eps)
+    rr = float(r @ r)
+    s = k * float(e @ r) / (rr + eps)
+    n = k * e - s * r
+    p = s * s * rr + eps
+    q = float(n @ n) + eps
+    return 10.0 * math.log10(p / q), (e, r, k, rr, s, n, p, q)
 
 
 def si_snr(est: Tensor, ref: Tensor, eps: float = SI_SNR_EPS) -> Tensor:
-    """Scale-invariant SNR in dB between 1-D waveforms, as a graph node.
+    """Scale-invariant SNR in dB between 1-D waveforms, as one graph node.
 
-    Both signals are mean-centered, the estimate is projected onto the
-    reference, and the energy ratio is measured in dB. The value is
-    capped at 80 dB so a perfect reconstruction cannot push the loss to
-    infinity; eps in both numerator and denominator keeps the log and
-    the division finite for silent inputs.
+    The value is capped at 80 dB so a perfect reconstruction cannot push
+    the loss to infinity, and is flat (zero gradient) from the cap up; a
+    NaN estimate scores NaN. The reference is a constant.
     """
     if est.ndim != 1 or ref.ndim != 1 or est.shape != ref.shape:
         raise NumericsError(
             f"si_snr expects matching 1-D waveforms, got {est.shape} vs {ref.shape}")
+    if ref.requires_grad:
+        raise NumericsError("si_snr: the reference is a constant and must not "
+                            "require a gradient")
     if not np.any(ref.data - ref.data.mean()):
         raise NumericsError("si_snr: reference is constant (zero energy)")
-    e = nm.sub(est, nm.tmean(est))
-    r = nm.sub(ref, nm.tmean(ref))
-    # unit-power normalization first, so the eps terms below see a
-    # scale-free estimate and invariance to est gain holds to rounding
-    e = nm.mul(e, _inv_rms(e, eps))
-    ref_energy = _dot(r, r)
-    scale = nm.div(_dot(e, r), nm.add(ref_energy, Tensor(np.asarray(eps))))
-    target = nm.mul(scale, r)
-    noise = nm.sub(e, target)
-    ratio = nm.div(nm.add(_dot(target, target), Tensor(np.asarray(eps))),
-                   nm.add(_dot(noise, noise), Tensor(np.asarray(eps))))
-    val = nm.mul(nm.log(ratio), Tensor(np.asarray(10.0 / _LOG10)))
-    # cap = CAP - relu(CAP - val), differentiable and flat above the cap
-    cap = Tensor(np.asarray(SI_SNR_CAP_DB))
-    return nm.sub(cap, nm.relu(nm.sub(cap, val)))
+    val, (e, r, k, rr, s, n, p, q) = _si_snr_terms(est.data, ref.data, eps)
+
+    def vjp(g):
+        if not val < SI_SNR_CAP_DB:
+            return np.zeros_like(est.data), None
+        # d val / d u, then back through u = k e and the mean-centring
+        c = float(g) * 10.0 / _LOG10
+        big_r = rr + eps
+        gu = c * ((2.0 * s * rr / (big_r * p)) * r
+                  - (2.0 / q) * (n - (s * eps / big_r) * r))
+        ge = k * gu - (k ** 3 / e.size) * float(e @ gu) * e
+        return (ge - ge.mean()).astype(est.dtype, copy=False), None
+
+    # np.minimum propagates a NaN, so a NaN estimate is not scored as the cap
+    out = np.asarray(np.minimum(val, SI_SNR_CAP_DB), dtype=est.dtype)
+    return nm.primitive(out, (est, ref), vjp, "si_snr")
 
 
 def pit_loss(est: tuple[Tensor, ...], ref: tuple[Tensor, ...]
@@ -96,16 +111,8 @@ def pit_loss(est: tuple[Tensor, ...], ref: tuple[Tensor, ...]
 
 
 def si_snr_value(est: np.ndarray, ref: np.ndarray, eps: float = SI_SNR_EPS) -> float:
-    e = np.asarray(est, dtype=np.float64)
-    r = np.asarray(ref, dtype=np.float64)
-    e = e - e.mean()
-    r = r - r.mean()
-    e = e / math.sqrt(float(e @ e) / e.size + eps)
-    scale = float(e @ r) / (float(r @ r) + eps)
-    target = scale * r
-    noise = e - target
-    return 10.0 * math.log10((float(target @ target) + eps)
-                             / (float(noise @ noise) + eps))
+    """The uncapped SI-SNR in dB that si_snr records, on plain arrays."""
+    return _si_snr_terms(est, ref, eps)[0]
 
 
 def sdr_value(est: np.ndarray, ref: np.ndarray, eps: float = SI_SNR_EPS) -> float:

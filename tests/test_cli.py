@@ -63,6 +63,9 @@ class TestUsage:
         "L_negative": ["bench-scan", "--L", "100", "-5"],
         "E_zero": ["bench-scan", "--E", "0"],
         "H_zero": ["bench-scan", "--H", "0"],
+        "oracle_L_over_max": ["bench-scan", "--impl", "oracle", "--L", "64", "1025"],
+        "oracle_H_over_max": ["bench-scan", "--impl", "seq", "oracle",
+                              "--L", "64", "--H", "33"],
         "eval_pairs_zero": ["eval", "--ckpt", "m", "--manifest", "f", "--pairs", "0"],
         "train_pairs_zero": TRAIN + ["--pairs", "0"],
         "val_every_zero": TRAIN + ["--val-every", "0"],
@@ -150,6 +153,14 @@ class TestBenchCommand:
         assert first[0] == "seq" and first[1] == "64"
         assert int(first[4]) > 0 and int(first[5]) > 0
 
+    def test_defaults_run(self):
+        # seq and par at L = 1000 and 8000
+        r = run_cli("bench-scan")
+        assert r.returncode == 0, r.stderr
+        rows = [line.split(",") for line in r.stdout.strip().splitlines()[1:]]
+        assert [(row[0], row[1]) for row in rows] == [
+            ("seq", "1000"), ("seq", "8000"), ("par", "1000"), ("par", "8000")]
+
 
 class TestSeparateCommand:
     def test_writes_two_stems_same_length_and_rate(self, workspace):
@@ -189,6 +200,20 @@ class TestSeparateCommand:
                     "--in", str(workspace["mix"]),
                     "--out", str(workspace["root"] / "x"))
         assert r.returncode == 3
+
+    @pytest.mark.parametrize("command", ["separate", "eval"])
+    def test_non_finite_checkpoint_is_data_error(self, workspace, command):
+        cfg, arrays = M.load_checkpoint(workspace["ckpt"])
+        arrays["final_proj"][0, 0] = np.nan
+        bad = workspace["root"] / "nan.ckpt"
+        M.save_checkpoint(bad, cfg, [(n, nm.Tensor(a)) for n, a in arrays.items()])
+        out = workspace["root"] / f"nan_{command}"
+        argv = {"separate": ["--in", str(workspace["mix"]), "--out", str(out)],
+                "eval": ["--manifest", str(workspace["corpus"] / "manifest.txt")]}
+        r = run_cli(command, "--ckpt", str(bad), *argv[command])
+        assert r.returncode == 3
+        assert "final_proj" in r.stderr and "Traceback" not in r.stderr
+        assert not out.exists()
 
     def test_malformed_checkpoint_is_data_error(self, workspace):
         head, sep, rest = workspace["ckpt"].read_bytes().partition(b"\n[data] ")

@@ -78,7 +78,7 @@ class TestShapes:
     def test_zero_mask_decodes_to_silence(self):
         mdl = tiny_model()
         feats = mdl.encode(Tensor(np.random.default_rng(1).standard_normal(200)))
-        zero = nm.mul(feats, Tensor(np.asarray(0.0)))
+        zero = nm.mul(feats, Tensor(np.zeros(feats.shape)))
         out = mdl.decode(zero, 200)
         assert np.array_equal(out.data, np.zeros(200))
 
@@ -200,6 +200,17 @@ class TestCheckpoint:
         arrays["encoder"] = arrays["encoder"][:, :8]
         with pytest.raises(DataFormatError, match="encoder"):
             tiny_model().load_state(arrays)
+
+    def test_non_finite_weight_rejected(self, tmp_path):
+        p = tmp_path / "m.ckpt"
+        M.save_model(p, tiny_model())
+        cfg, arrays = M.load_checkpoint(p)
+        arrays["final_proj"][0, 0] = np.nan
+        with pytest.raises(DataFormatError, match="final_proj"):
+            tiny_model().load_state(arrays)
+        M.save_checkpoint(p, cfg, [(n, Tensor(a)) for n, a in arrays.items()])
+        with pytest.raises(DataFormatError, match="'final_proj': non-finite"):
+            M.SeparationModel.from_checkpoint(p)
 
     def test_missing_param_rejected(self, tmp_path):
         p = tmp_path / "m.ckpt"

@@ -24,13 +24,11 @@ class TestOperandRules:
             nm.add(t(np.zeros((2, 3))), t(np.zeros(3)))
         with pytest.raises(NumericsError):
             nm.mul(t(np.zeros((2, 3))), t(np.zeros((2, 1))))
-
-    def test_scalar_broadcast_allowed(self):
-        y = nm.mul(t(np.ones((2, 3))), t(2.0))
-        assert y.shape == (2, 3)
-        assert np.all(y.data == 2.0)
-        y2 = nm.add(t(3.0), t(np.full((4,), 1.5)))
-        assert np.all(y2.data == 4.5)
+        # a scalar is not broadcast either, on either side
+        with pytest.raises(NumericsError, match="no implicit broadcasting"):
+            nm.mul(t(np.ones((2, 3))), t(2.0))
+        with pytest.raises(NumericsError, match="no implicit broadcasting"):
+            nm.add(t(3.0), t(np.full((4,), 1.5)))
 
     def test_dtype_mismatch_rejected(self):
         a = Tensor(np.zeros(3, dtype=np.float64))

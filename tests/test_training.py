@@ -54,6 +54,15 @@ class TestSiSnr:
         with pytest.raises(NumericsError, match="zero energy"):
             T.si_snr(Tensor(_ref()), Tensor(np.full(400, 2.5)))
 
+    def test_reference_requiring_grad_rejected(self):
+        # the reference is a constant: its gradient is refused, not dropped
+        with pytest.raises(NumericsError, match="reference is a constant"):
+            T.si_snr(Tensor(_ref(1)), Tensor(_ref(), requires_grad=True))
+
+    def test_nan_estimate_is_nan_not_the_cap(self):
+        val = T.si_snr(Tensor(np.full(400, np.nan)), Tensor(_ref())).item()
+        assert math.isnan(val)
+
     def test_gradient_matches_finite_difference(self):
         rng = np.random.default_rng(5)
         r = Tensor(rng.standard_normal(50))
@@ -124,6 +133,12 @@ class TestPit:
                              (Tensor(a.copy()), Tensor(b.copy())))
         assert perm == (0, 1)
         assert T.best_permutation((np.full(a.size, np.nan), b), (a, b)) == (0, 1)
+
+    def test_nan_estimate_gives_nan_loss(self):
+        a, b = _ref(23), _ref(24)
+        loss, _ = T.pit_loss((Tensor(np.full(a.size, np.nan)), Tensor(b.copy())),
+                             (Tensor(a.copy()), Tensor(b.copy())))
+        assert math.isnan(loss.item())
 
 
 class TestImprovementMetrics:
@@ -270,6 +285,19 @@ class TestTrainToy:
     def test_divergence_detected(self):
         sched = T.TrainSchedule(peak_lr=1e8, warmup_steps=0, total_steps=30)
         with pytest.raises(TrainingDiverged):
+            T.train_toy(self._model(), self._examples(), sched)
+
+    def test_nan_stem_is_divergence(self, monkeypatch):
+        # the NaN stem stays on the tape, so only the loss check can catch it
+        separate = M.SeparationModel.separate
+
+        def nan_stem(self, x):
+            s1, s2 = separate(self, x)
+            return nm.mul(s1, Tensor(np.full(s1.shape, np.nan))), s2
+
+        monkeypatch.setattr(M.SeparationModel, "separate", nan_stem)
+        sched = T.TrainSchedule(peak_lr=1.5e-4, warmup_steps=2, total_steps=4)
+        with pytest.raises(TrainingDiverged, match="loss became non-finite at step 0"):
             T.train_toy(self._model(), self._examples(), sched)
 
     def test_early_stop_threshold(self):
