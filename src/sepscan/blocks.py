@@ -8,9 +8,9 @@ input and gate projections:
     z     = W_gate h
     x_fwd = SiLU(conv_fwd(h_in))        causal depthwise conv, kernel 4
     x_bwd = SiLU(conv_bwd(h_in))        anti-causal: the mirrored conv
-    s_d   = scan_d(x_d) + d_skip * x_d  selective scan per direction,
-                                        the backward one from t = L - 1 down
-    y_d   = SiLU(z) * s_d
+    s_d   = scan_d(x_d) + d_skip * x_d  selective scan per direction, the
+    y_d   = SiLU(z) * s_d               backward one from t = L - 1 down;
+                                        one fused scan yields s_d and y_d
     out   = W_out((y_fwd + y_bwd) / 2)
 
 The backward branch reads the same h_in and gate as the forward one, at
@@ -146,14 +146,13 @@ def init_bi_scan(d: int, h: int, rng: np.random.Generator,
 
 def _branch(h_in: Tensor, gate: Tensor, dw: DirectionWeights, exact_zoh: bool,
             reverse: bool) -> Tensor:
-    """One direction: SiLU(conv(h_in)) through its scan plus skip, gated."""
+    """One direction: SiLU(conv(h_in)) through one scan, skip and gate fused."""
     x = nm.silu(nm.conv1d_depthwise(h_in, dw.conv_kernel, dw.conv_bias,
                                     reverse=reverse))
     a = nm.neg(nm.exp(dw.a_log))
     params = ssm.selective_parameterize(x, dw.proj, a, exact_zoh=exact_zoh)
-    s = nm.add(ssm.scan_sequential(x, params, reverse=reverse),
-               nm.scale_channels(x, dw.d_skip))
-    return nm.mul(gate, s)
+    params.d_skip, params.gate = dw.d_skip, gate
+    return ssm.scan_sequential(x, params, reverse=reverse)
 
 
 def bi_scan_forward(h: Tensor, w: BiScanWeights) -> Tensor:

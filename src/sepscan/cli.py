@@ -57,6 +57,10 @@ def _corpus_pairs(manifest, count: int, rng: np.random.Generator,
         raise DataFormatError(f"{manifest}: need at least 2 corpus files")
     waves = [_load_wav_checked(p, sample_rate) for p in paths]
     shortest = min(w.size for w in waves)
+    for path, w in zip(paths, waves):
+        if np.all(w[:shortest] == w[0]):
+            raise DataFormatError(f"{path}: constant (silent or DC) over the first "
+                                  f"{shortest} samples, the shortest file's length")
     examples = []
     for _ in range(count):
         i, j = rng.choice(len(waves), size=2, replace=False)
@@ -114,6 +118,8 @@ def _cmd_separate(args) -> int:
 
 
 def _cmd_train_toy(args) -> int:
+    if Path(args.out).is_dir() or not Path(args.out).parent.is_dir():
+        raise DataFormatError(f"--out {args.out}: not a file in an existing directory")
     cfg = model_mod.load_config(args.config)
     rng = np.random.default_rng(args.seed)
     examples = _corpus_pairs(args.corpus, args.pairs, rng, cfg.sample_rate)

@@ -130,8 +130,6 @@ def suite_numerics(seed: int = 0) -> list[GradcheckResult]:
 
     run("sigmoid", lambda x: nm.sigmoid(x).sum(), [_rand(rng, (4, 3))], ["x"])
     run("silu", lambda x: nm.silu(x).sum(), [_rand(rng, (4, 3))], ["x"])
-    sp = Tensor(np.array([-3.0, 0.0, 3.0]), requires_grad=True)
-    run("softplus", lambda x: nm.softplus(x).sum(), [sp], ["x"])
     run("tanh", lambda x: nm.tanh(x).sum(), [_rand(rng, (4, 3))], ["x"])
     # keep relu probes away from the kink at 0
     rmask = rng.uniform(0.25, 2.0, size=(4, 3)) * rng.choice([-1.0, 1.0], size=(4, 3))
@@ -147,9 +145,6 @@ def suite_numerics(seed: int = 0) -> list[GradcheckResult]:
     run("add_bias",
         lambda x, c: nm.mul(nm.add_bias(x, c), wb).sum(),
         [_rand(rng, (3, 5), axes=_T), _rand(rng, (3,))], ["x", "bias"])
-    run("scale_channels",
-        lambda x, c: nm.mul(nm.scale_channels(x, c), wb).sum(),
-        [_rand(rng, (3, 5), axes=_T), _rand(rng, (3,))], ["x", "scale"])
     run("pad_narrow",
         lambda x, y: nm.mul(nm.narrow(nm.pad_end(x, 3), 0, 1, 4), y).sum(),
         [_rand(rng, (2, 5), axes=_T), _rand(rng, (2, 4), axes=_T)], ["x", "w"])
@@ -217,11 +212,15 @@ def suite_ssm(seed: int = 0) -> list[GradcheckResult]:
     rng = np.random.default_rng(seed)
     checks = []
     E, L, H = 3, 6, 2
-    # the reverse scan comes last, so the entries before it keep their draws
-    for mode, tag, batched, reverse in (
-            (False, "euler", False, False), (False, "euler", True, False),
-            (True, "exact_zoh", False, False), (True, "exact_zoh", True, False),
-            (False, "reverse", True, True)):
+    # the reverse scan and then the fused ones come last, so the entries
+    # before them keep their draws.  A fused scan takes delta raw, with its
+    # bias (softplus 0.49 .. 1.25), the D skip and the gate
+    for mode, tag, batched, reverse, fused in (
+            (False, "euler", False, False, False), (False, "euler", True, False, False),
+            (True, "exact_zoh", False, False, False),
+            (True, "exact_zoh", True, False, False),
+            (False, "reverse", True, True, False), (False, "fused", True, False, True),
+            (True, "fused_reverse_exact_zoh", True, True, True)):
         shape_x = (2, E, L) if batched else (E, L)
         shape_bc = (2, L, H) if batched else (L, H)
         # x and delta to [L, B, E] or [L, E], b and c to [L, B, H]
@@ -231,15 +230,18 @@ def suite_ssm(seed: int = 0) -> list[GradcheckResult]:
         a = Tensor(rng.uniform(-2.0, -0.2, size=(E, H)), requires_grad=True)
         bmat = _rand(rng, shape_bc, -1.0, 1.0, to_bc)
         cmat = _rand(rng, shape_bc, -1.0, 1.0, to_bc)
+        extra = ([_rand(rng, (E,), -0.5, 0.5), _rand(rng, (E,), -1.0, 1.0),
+                  _rand(rng, shape_x, -1.0, 1.0, to_x)] if fused else [])
 
-        def fn(xv, dv, av, bv, cv, _mode=mode, _reverse=reverse):
-            params = ssm.SsmParams(a=av, delta=dv, b=bv, c=cv, exact_zoh=_mode)
+        def fn(xv, dv, av, bv, cv, *fv, _mode=mode, _reverse=reverse):
+            params = ssm.SsmParams(av, dv, bv, cv, _mode, *fv)
             return ssm.scan_sequential(xv, params, reverse=_reverse).sum()
 
         name = f"selective_scan_{tag}" + ("_batched" if batched else "")
-        checks.append(gradcheck(fn, [x, delta, a, bmat, cmat], name=name,
+        checks.append(gradcheck(fn, [x, delta, a, bmat, cmat, *extra], name=name,
                                 tol=PRIMITIVE_TOL,
-                                input_names=["x", "delta", "a", "b", "c"]))
+                                input_names=["x", "delta", "a", "b", "c", "delta_bias",
+                                             "d_skip", "gate"][:5 + len(extra)]))
     return checks
 
 

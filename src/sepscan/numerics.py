@@ -13,8 +13,8 @@ Rules the engine enforces rather than glosses over:
   * no implicit broadcasting: a binary op's operands have one shape;
   * an op's inputs all have its output's dtype (primitive checks this);
   * matmul maps the last axis of [L, I] or [L, B, I] by a 2-D [O, I]
-    weight as one 2-D GEMM; the per-channel ops (add_bias, scale_channels,
-    the norms) act on the last axis and conv1d_depthwise along axis 0;
+    weight as one 2-D GEMM; the per-channel ops (add_bias, the norms) act
+    on the last axis and conv1d_depthwise along axis 0;
   * Tensor() and permute materialize C-ordered copies, never aliased views;
   * gradients accumulate additively across fan-out and across repeated
     backward() calls; callers reset explicitly with zero_grad().
@@ -269,21 +269,6 @@ def silu(x: Tensor) -> Tensor:
     return primitive(out, (x,), vjp, "silu")
 
 
-def softplus(x: Tensor) -> Tensor:
-    # the stable split max(x, 0) + log1p(exp(-|x|)), in place: exp never
-    # overflows, and unlike np.logaddexp each ufunc has a SIMD loop
-    out = np.abs(x.data)
-    np.negative(out, out=out)
-    np.exp(out, out=out)
-    np.log1p(out, out=out)
-    out += np.maximum(x.data, 0.0)
-
-    def vjp(g):
-        return (g * _stable_sigmoid(x.data),)
-
-    return primitive(out, (x,), vjp, "softplus")
-
-
 def tanh(x: Tensor) -> Tensor:
     t = np.tanh(x.data)
 
@@ -355,23 +340,6 @@ def add_bias(x: Tensor, bias: Tensor) -> Tensor:
         return g, _channel_sum(g)
 
     return primitive(x.data + bias.data, (x, bias), vjp, "add_bias")
-
-
-def scale_channels(x: Tensor, scale: Tensor) -> Tensor:
-    """Multiply by a per-channel factor along the last axis of x ([..., C] * [C])."""
-    if x.ndim < 2:
-        raise NumericsError(f"scale_channels: input must have a channel axis, got {x.shape}")
-    if scale.ndim != 1 or scale.shape[0] != x.shape[-1]:
-        raise NumericsError(
-            f"scale_channels: scale {scale.shape} does not match channel count {x.shape[-1]}"
-        )
-
-    def vjp(g):
-        gx = g * scale.data if x.requires_grad else None
-        gs = _channel_sum(g * x.data) if scale.requires_grad else None
-        return gx, gs
-
-    return primitive(x.data * scale.data, (x, scale), vjp, "scale_channels")
 
 
 def pad_end(x: Tensor, count: int) -> Tensor:

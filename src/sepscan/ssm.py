@@ -14,6 +14,10 @@ and the discrete recurrence h_t = Abar_t h_{t-1} + Bbar_t x_t, y_t = C_t h_t.
 Selectivity means delta, B, and C are functions of the input at each step
 while A stays input-independent.
 
+Both scans are Mamba's fused selective scan: given SsmParams' delta_bias,
+d_skip and gate, they return gate * (y + d_skip x) for the recurrence y
+stepped at softplus(delta + delta_bias); a field left None drops its term.
+
 Three evaluation paths compute the same recurrence:
 
   * scan_sequential: the stepwise loop, O(B*E*H) live state;
@@ -41,16 +45,17 @@ so an untaped scan's live state stays O(B*E*H) whatever L is; the
 contractions over H (y_t = c_t h_t, and the adjoint's b_t lambda_t and
 its h_t g_t, one per block) are matmuls.
 Under Euler the input term Bbar_t x_t = b_t (delta_t x_t) takes one
-state-sized multiply per step, with delta x formed once per call.
+state-sized multiply per step, with delta x formed once per tile.
 
-Both kernels run over contiguous tiles of the batch axis, each a full
-scan of its rows.  A state is touched several times per step, so it
-should stay in cache from one step to the next: the tile is sized in
-bytes, from H*E*itemsize against _TILE_BYTES, so the same rule serves
-every (E, H, dtype) and a batch whose whole state fits is one tile.  The
-inter-chunk scans of a wide model are where this matters: at E = 256,
-H = 16 a batch of 250 chunks is a 4 MB float32 state, which untiled
-streams through memory at every step.
+Both kernels run over contiguous tiles of the batch axis, each a full scan
+of its rows from its own step sizes and delta x, so those arrays exist a
+tile at a time.  A state is touched several times per step, so it should
+stay in cache from one step to the next: the tile is sized in bytes, from
+H*E*itemsize against _TILE_BYTES, so the same rule serves every (E, H,
+dtype) and a batch whose whole state fits is one tile.  The inter-chunk
+scans of a wide model are where this matters: at E = 256, H = 16 a batch
+of 250 chunks is a 4 MB float32 state, which untiled streams through
+memory at every step.
 """
 
 from __future__ import annotations
@@ -86,9 +91,10 @@ class SsmParams:
     """Per-sequence scan parameters.
 
     a:     [E, H] continuous-time diagonal, strictly negative
-    delta: [L, E] or [L, B, E], strictly positive step sizes
+    delta: [L, E] or [L, B, E], strictly positive step sizes (raw, under a bias)
     b:     [L, H] or [L, B, H], input projection at each step
     c:     [L, H] or [L, B, H], output projection at each step
+    delta_bias and d_skip [E] and gate (x's shape): the fused terms, or None
     """
 
     a: Tensor
@@ -96,6 +102,9 @@ class SsmParams:
     b: Tensor
     c: Tensor
     exact_zoh: bool = False
+    delta_bias: Tensor | None = None
+    d_skip: Tensor | None = None
+    gate: Tensor | None = None
 
     def validate(self, x: Tensor) -> None:
         if x.ndim not in (2, 3):
@@ -116,10 +125,11 @@ class SsmParams:
             raise NumericsError(
                 f"scan: b {self.b.shape} / c {self.c.shape} do not match {want_bc}"
             )
+        for name, want in (("delta_bias", (E,)), ("d_skip", (E,)), ("gate", x.shape)):
+            if (t := getattr(self, name)) is not None and t.shape != want:
+                raise NumericsError(f"scan: {name} {t.shape} does not match {want}")
         if not np.all(np.isfinite(self.a.data)) or np.any(self.a.data >= 0.0):
             raise NumericsError("scan: a must be finite and strictly negative")
-        if not np.all(np.isfinite(self.delta.data)) or np.any(self.delta.data <= 0.0):
-            raise NumericsError("scan: delta must be finite and strictly positive")
 
 
 @dataclass
@@ -136,6 +146,20 @@ class SsmProjection:
 # ---------------------------------------------------------------------------
 # discretization
 # ---------------------------------------------------------------------------
+
+
+def _step_sizes(delta, bias):
+    """delta, or softplus(delta + bias) in a fresh array by the stable split
+    max(z, 0) + log1p(exp(-|z|)), whose exp never overflows.  Every step
+    must be finite and strictly positive; a softplus may underflow to 0."""
+    if bias is not None:
+        z = delta + bias
+        delta = np.negative(np.abs(z))
+        np.log1p(np.exp(delta, out=delta), out=delta)
+        delta += np.maximum(z, 0.0, out=z)
+    if not np.all(np.isfinite(delta)) or np.any(delta <= 0.0):
+        raise NumericsError("scan: delta must be finite and strictly positive")
+    return delta
 
 
 def _zoh(dt, a, b, exact_zoh, u=None, out=(None, None)):
@@ -175,7 +199,7 @@ def _tiles(B, H, E, itemsize):
     return [slice(i, min(i + n, B)) for i in range(0, B, n)]
 
 
-def _scan_forward(x, d, a, b, c, exact_zoh, taped):
+def _scan_forward(x, d, bias, a, b, c, exact_zoh, taped):
     """Reference loop: y_t = c_t h_t, one matmul over H per step.  Returns
     (y, ck): a taped scan's ck holds h_{t0-1} for each block start t0 > 0,
     [(L - 1) // _BLOCK, B, H, E], for the adjoint; an untaped one's is None.
@@ -183,15 +207,16 @@ def _scan_forward(x, d, a, b, c, exact_zoh, taped):
     aT = np.ascontiguousarray(a.T)
     L, B, E = x.shape
     H = aT.shape[0]
-    u = x if exact_zoh else d * x
     y = np.empty(x.shape, dtype=x.dtype)
     ck = np.empty((max(L - 1, 0) // _BLOCK, B, H, E), x.dtype) if taped else None
     for k in _tiles(B, H, E, x.itemsize):
+        dk = _step_sizes(d[:, k], bias)
+        uk = x[:, k] if exact_zoh else dk * x[:, k]
         h = np.zeros((k.stop - k.start, H, E), dtype=x.dtype)
         abar, bx = np.empty_like(h), np.empty_like(h)
         for t in range(L):
-            _zoh(d[t, k, None, :], aT, b[t, k, :, None], exact_zoh,
-                 u[t, k, None, :], out=(abar, bx))
+            _zoh(dk[t, :, None, :], aT, b[t, k, :, None], exact_zoh,
+                 uk[t, :, None, :], out=(abar, bx))
             h *= abar
             h += bx
             np.matmul(c[t, k, None, :], h, out=y[t, k, None, :])
@@ -200,7 +225,7 @@ def _scan_forward(x, d, a, b, c, exact_zoh, taped):
     return y, ck
 
 
-def _scan_backward(x, d, a, b, c, exact_zoh, ck, g):
+def _scan_backward(x, d, bias, a, b, c, exact_zoh, ck, g):
     """Adjoint of the recurrence with blockwise state replay.
 
     Hidden states are not kept from the forward pass, only the block
@@ -214,13 +239,16 @@ def _scan_backward(x, d, a, b, c, exact_zoh, ck, g):
     It runs time-major with [B, H, E] states, like the forward.
     """
     aT = np.ascontiguousarray(a.T)
-    u = x if exact_zoh else d * x
     gx, gdelta, gb, gc = (np.empty(arr.shape, dtype=arr.dtype)
                           for arr in (x, d, b, c))
     ga = np.zeros(aT.shape, dtype=x.dtype)
     for k in _tiles(x.shape[1], *aT.shape, x.itemsize):
-        _adjoint(*(arr[:, k] for arr in (x, u, d, b, c, ck, g, gx, gdelta, gb, gc)),
+        dk = _step_sizes(d[:, k], bias)
+        uk = x[:, k] if exact_zoh else dk * x[:, k]
+        _adjoint(x[:, k], uk, dk, *(arr[:, k] for arr in (b, c, ck, g, gx, gdelta, gb, gc)),
                  aT, ga, exact_zoh)
+        if bias is not None:
+            gdelta[:, k] *= -np.expm1(-dk)      # sigmoid(z) = 1 - exp(-softplus(z))
     return gx, gdelta, ga.T, gb, gc
 
 
@@ -287,7 +315,7 @@ def _adjoint(x, u, d, b, c, ck, g, gx, gdelta, gb, gc, aT, ga, exact_zoh):
                 np.matmul(lam, u[t, :, :, None], out=gb[t, :, :, None])
 
 
-def _scan_parallel_forward(x, d, a, b, c, exact_zoh, taped):
+def _scan_parallel_forward(x, d, bias, a, b, c, exact_zoh, taped):
     """Prefix-doubling evaluation of the same recurrence.
 
     The recurrence elements (a_t, u_t) with u_t = Bbar_t x_t compose as
@@ -297,7 +325,7 @@ def _scan_parallel_forward(x, d, a, b, c, exact_zoh, taped):
     its own [B, E, L, H] form, behind one relayout of views in and out.
     When taped, it reads _scan_forward's block checkpoints off eu.
     """
-    x, d = x.transpose(1, 2, 0), d.transpose(1, 2, 0)       # [B, E, L]
+    x, d = x.transpose(1, 2, 0), _step_sizes(d, bias).transpose(1, 2, 0)  # [B, E, L]
     b, c = b.transpose(1, 0, 2), c.transpose(1, 0, 2)       # [B, L, H]
     ea, bbar, _ = _zoh(d[..., None], a[None, :, None, :],
                        b[:, None, :, :], exact_zoh)              # [B, E, L, H]
@@ -327,8 +355,10 @@ def _run_scan(x: Tensor, params: SsmParams, forward_fn, op_name: str,
               reverse: bool) -> Tensor:
     params.validate(x)
     batched = x.ndim == 3
-    a, exact = params.a, params.exact_zoh
-    operands = (x, params.delta, a, params.b, params.c)
+    a, exact, gate = params.a, params.exact_zoh, params.gate
+    bias, skip = (getattr(t, "data", None) for t in (params.delta_bias, params.d_skip))
+    fused = [t for t in (params.delta_bias, params.d_skip, gate) if t is not None]
+    operands = (x, params.delta, a, params.b, params.c, *fused)
 
     # time is axis 0 of every operand but a; under reverse the kernels see
     # time-reversed views, so nothing is copied either way
@@ -342,16 +372,30 @@ def _run_scan(x: Tensor, params: SsmParams, forward_fn, op_name: str,
         return arr[::-1] if reverse else arr
 
     xs, ds, bs, cs = (lift(t.data) for t in (x, params.delta, params.b, params.c))
-    # only a scan on the tape keeps the adjoint's block checkpoints
-    y, ck = forward_fn(xs, ds, a.data, bs, cs, exact,
-                       any(t.requires_grad for t in operands))
+    # only a scan on the tape keeps the adjoint's block checkpoints, and s,
+    # scan plus skip, for the gate's gradient; an untaped one gates in place
+    taped = any(t.requires_grad for t in operands)
+    y, ck = forward_fn(xs, ds, bias, a.data, bs, cs, exact, taped)
+    s = back(y)
+    if skip is not None:
+        s += skip * x.data
+    out = s if gate is None else np.multiply(s, gate.data, out=None if taped else s)
 
     def vjp(g):
-        gx, gd, ga, gb, gc = _scan_backward(xs, ds, a.data, bs, cs, exact, ck,
-                                            lift(g))
-        return back(gx), back(gd), ga, back(gb), back(gc)
+        gs = g if gate is None else g * gate.data
+        gx, gd, ga, gb, gc = _scan_backward(xs, ds, bias, a.data, bs, cs, exact,
+                                            ck, lift(gs))
+        grads = [back(gx), back(gd), ga, back(gb), back(gc)]
+        if bias is not None:
+            grads.append(nm._channel_sum(grads[1]))
+        if skip is not None:
+            grads[0] += gs * skip
+            grads.append(nm._channel_sum(gs * x.data))
+        if gate is not None:
+            grads.append(g * s)
+        return grads
 
-    return nm.primitive(back(y), operands, vjp, op_name)
+    return nm.primitive(out, operands, vjp, op_name)
 
 
 def scan_sequential(x: Tensor, params: SsmParams, reverse: bool = False) -> Tensor:
@@ -382,17 +426,16 @@ def selective_parameterize(x: Tensor, proj: SsmProjection, a: Tensor,
                            exact_zoh: bool = False) -> SsmParams:
     """Derive per-step (delta, b, c) from the sequence itself.
 
-    delta = softplus(W_up (W_down x) + bias) through a rank-reduced pair,
-    b and c are direct linear readouts of each step.  x: [L, E] or [L, B, E];
-    delta comes out in x's shape, b and c as [L, H] or [L, B, H].
+    delta = W_up (W_down x) through a rank-reduced pair, raw: the scan adds
+    delta_bias and takes the softplus.  b and c are direct linear readouts
+    of each step.  x: [L, E] or [L, B, E]; delta comes out in x's shape,
+    b and c as [L, H] or [L, B, H].
     """
-    if x.ndim not in (2, 3):
-        raise NumericsError(f"selective_parameterize: bad input rank {x.ndim}")
-    dt = nm.matmul(proj.w_delta_up, nm.matmul(proj.w_delta_down, x))
-    delta = nm.softplus(nm.add_bias(dt, proj.b_delta))
+    delta = nm.matmul(proj.w_delta_up, nm.matmul(proj.w_delta_down, x))
     b = nm.matmul(proj.w_b, x)
     c = nm.matmul(proj.w_c, x)
-    return SsmParams(a=a, delta=delta, b=b, c=c, exact_zoh=exact_zoh)
+    return SsmParams(a=a, delta=delta, b=b, c=c, exact_zoh=exact_zoh,
+                     delta_bias=proj.b_delta)
 
 
 # ---------------------------------------------------------------------------

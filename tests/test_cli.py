@@ -381,11 +381,61 @@ class TestTrainToyCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("where", ["missing_parent", "directory"])
+    def test_unwritable_out_refused_before_the_corpus_is_read(
+            self, workspace, tmp_path, capsys, monkeypatch, where):
+        def unread(*_args):
+            raise AssertionError("the corpus was read")
+
+        monkeypatch.setattr(cli, "_corpus_pairs", unread)
+        out = {"missing_parent": tmp_path / "ghost" / "x.ckpt",
+               "directory": tmp_path}[where]
+        rc = cli.main(["train-toy", "--config", str(workspace["cfg"]),
+                       "--corpus", str(workspace["corpus"] / "manifest.txt"),
+                       "--out", str(out)])
+        assert rc == 3
+        assert f"--out {out}: not a file in an existing directory" in \
+            capsys.readouterr().err
+
     def test_bad_corpus_is_data_error(self, workspace):
         r = run_cli("train-toy", "--config", str(workspace["cfg"]),
                     "--corpus", "ghost_manifest.txt",
                     "--out", str(workspace["root"] / "x.ckpt"))
         assert r.returncode == 3
+
+
+class TestConstantCorpusFile:
+    """A corpus file that is constant over the common trimmed length has no
+    SI-SNR to score against: both commands refuse it by name, exit 3."""
+
+    @staticmethod
+    def _manifest(workspace, tmp_path, kind):
+        n = 480                         # the good files' length, 0.06 s
+        wave = {"silent": np.zeros(n), "dc": np.full(n, 0.25),
+                "silent_prefix": np.concatenate(
+                    [np.zeros(n), 0.5 * np.sin(np.arange(n) * 0.3)])}[kind]
+        bad = tmp_path / f"{kind}.wav"
+        audio.wav_write(bad, wave, 8000)
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("".join(
+            f"{p}\n" for p in (workspace["corpus"] / "spk0_utt0.wav", bad,
+                               workspace["corpus"] / "spk1_utt0.wav")))
+        return manifest, bad
+
+    @pytest.mark.parametrize("kind", ["silent", "dc", "silent_prefix"])
+    @pytest.mark.parametrize("command", ["train-toy", "eval"])
+    def test_refused_by_name(self, workspace, tmp_path, capsys, command, kind):
+        manifest, bad = self._manifest(workspace, tmp_path, kind)
+        out = tmp_path / "out.ckpt"
+        argv = {"train-toy": ["--config", str(workspace["cfg"]), "--corpus",
+                              str(manifest), "--out", str(out), "--steps", "2",
+                              "--warmup", "1"],
+                "eval": ["--ckpt", str(workspace["ckpt"]), "--manifest",
+                         str(manifest)]}[command]
+        assert cli.main([command, *argv]) == 3
+        err = capsys.readouterr().err
+        assert f"{bad}: constant (silent or DC) over the first 480 samples" in err
+        assert not out.exists()
 
 
 class TestEvalCommand:

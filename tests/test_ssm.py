@@ -453,6 +453,88 @@ class TestValidation:
             ssm.scan_sequential(Tensor(np.ones((1, 4)).T), p)
 
 
+class TestFusedScan:
+    """The fused scan against the bare scan of softplus(delta + bias) with
+    a numpy skip and gate: delta is raw, and delta_bias, d_skip and gate
+    are given."""
+
+    @staticmethod
+    def _args(rng, B, E, L, H):
+        x, _, a, b, c = _random_scan(rng, B, E, L, H)
+        tm = lambda arr: np.moveaxis(arr, -1, 0)
+        raw = tm(rng.uniform(-3.0, 0.0, (B, E, L)))
+        gate = tm(rng.standard_normal((B, E, L)))
+        return [x, raw, a, b, c, rng.uniform(-1, 1, E), rng.uniform(-1, 1, E), gate]
+
+    @staticmethod
+    def _fused(scan, args, w, exact_zoh):
+        leaves = [Tensor(arr, requires_grad=True) for arr in args]
+        x, raw, a, b, c, bias, skip, gate = leaves
+        y = scan(x, ssm.SsmParams(a=a, delta=raw, b=b, c=c, exact_zoh=exact_zoh,
+                                  delta_bias=bias, d_skip=skip, gate=gate))
+        nm.mul(y, Tensor(w)).sum().backward()
+        return y.data, [leaf.grad for leaf in leaves]
+
+    @staticmethod
+    def _reference(scan, args, w, exact_zoh):
+        x, raw, a, b, c, bias, skip, gate = args
+        leaves = [Tensor(arr, requires_grad=True)
+                  for arr in (x, ssm._step_sizes(raw, bias), a, b, c)]
+        y = scan(leaves[0], ssm.SsmParams(a=leaves[2], delta=leaves[1], b=leaves[3],
+                                          c=leaves[4], exact_zoh=exact_zoh))
+        gs = w * gate
+        nm.mul(y, Tensor(gs)).sum().backward()
+        s = y.data + skip * x
+        gx, gd, ga, gb, gc = (leaf.grad for leaf in leaves)
+        graw = gd / (1.0 + np.exp(-(raw + bias)))
+        return gate * s, [gx + gs * skip, graw, ga, gb, gc, graw.sum(axis=(0, 1)),
+                          (gs * x).sum(axis=(0, 1)), w * s]
+
+    @classmethod
+    def _check(cls, scan, exact_zoh):
+        rng = np.random.default_rng(13)
+        args = cls._args(rng, 5, 3, ssm._BLOCK + 6, 4)
+        w = np.moveaxis(rng.standard_normal((5, 3, ssm._BLOCK + 6)), -1, 0)
+        y, grads = cls._fused(scan, args, w, exact_zoh)
+        y_ref, grads_ref = cls._reference(scan, args, w, exact_zoh)
+        assert np.array_equal(y, y_ref)
+        names = "x delta a b c delta_bias d_skip gate".split()
+        for name, want, got in zip(names, grads_ref, grads):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+
+    @pytest.mark.parametrize("exact_zoh", [False, True])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_matches_bare_scan_over_several_tiles(self, exact_zoh, reverse,
+                                                  monkeypatch):
+        # a [2, H, E] float64 state per tile: tiles of 2 + 2 + 1
+        monkeypatch.setattr(ssm, "_TILE_BYTES", 2 * 4 * 3 * 8)
+        self._check(lambda x, p: ssm.scan_sequential(x, p, reverse=reverse),
+                    exact_zoh)
+
+    @pytest.mark.parametrize("exact_zoh", [False, True])
+    def test_parallel_matches_bare_parallel_scan(self, exact_zoh):
+        self._check(ssm.scan_parallel, exact_zoh)
+
+    @pytest.mark.parametrize("raw", [np.nan, -800.0, -1e4])
+    def test_nan_or_underflowing_delta_rejected(self, raw):
+        # softplus(z) underflows to 0 in float64 below about -745
+        args = self._args(np.random.default_rng(14), 2, 3, 8, 4)
+        args[1][5, 1, 2] = raw
+        with pytest.raises(NumericsError,
+                           match="delta must be finite and strictly positive"):
+            self._fused(ssm.scan_sequential, args, args[0], False)
+
+    @pytest.mark.parametrize("field", ["delta_bias", "d_skip", "gate"])
+    def test_fused_field_shape_mismatch_rejected(self, field):
+        x, raw, a, b, c, bias, skip, gate = map(
+            Tensor, self._args(np.random.default_rng(15), 2, 3, 8, 4))
+        params = ssm.SsmParams(a=a, delta=raw, b=b, c=c, delta_bias=bias,
+                               d_skip=skip, gate=gate)
+        setattr(params, field, Tensor(np.ones(getattr(params, field).shape[:-1] + (4,))))
+        with pytest.raises(NumericsError, match=field):
+            ssm.scan_sequential(x, params)
+
+
 class TestSelectiveParameterize:
     def test_shapes_and_delta_positive(self):
         rng = np.random.default_rng(7)
@@ -470,7 +552,9 @@ class TestSelectiveParameterize:
         assert params.delta.shape == (L, E)
         assert params.b.shape == (L, H)
         assert params.c.shape == (L, H)
-        assert np.all(params.delta.data > 0)
+        # delta is the raw projection; the scan adds the bias and softplus
+        assert params.delta_bias is proj.b_delta
+        assert np.all(ssm._step_sizes(params.delta.data, params.delta_bias.data) > 0)
 
 
 def test_scan_gradients_all_modes():
