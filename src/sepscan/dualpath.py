@@ -11,7 +11,8 @@ only ever runs over K or S steps.  The blocks take time-major [L, B, D]
 sequences, so the inter pass runs on [S, K, D] as it is and only the
 intra pass swaps the two leading axes, in and out.  dechunk inverts
 chunk exactly: the overlap-add sum is divided by how many chunks cover
-each frame, and the alignment padding is cut off.
+each frame.  The alignment lives in the framing ops: nm.frame pads N to
+whole chunks and nm.overlap_add trims back to N.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ class ChunkedFeature:
 def chunk(h: Tensor, chunk_len: int) -> ChunkedFeature:
     """Fold [N, D] into 50%-overlapping chunks [S, K, D], hop = K // 2.
 
-    N is zero-padded up to K plus a whole number of hops, so
+    nm.frame zero-pads N up to K plus a whole number of hops, so
     S = ceil(max(N - K, 0) / hop) + 1; a short input becomes one chunk.
     """
     if h.ndim != 2:
@@ -47,30 +48,20 @@ def chunk(h: Tensor, chunk_len: int) -> ChunkedFeature:
     if chunk_len % 2:
         raise NumericsError(
             f"chunk_len must be even for 50% overlap, got {chunk_len}")
-    hop = chunk_len // 2
-    N = h.shape[0]
-    if N < chunk_len:
-        pad = chunk_len - N
-    else:
-        pad = (-(N - chunk_len)) % hop
-    framed = nm.frame(nm.pad_end(h, pad) if pad else h, chunk_len, hop)
-    return ChunkedFeature(data=framed, original_len=N)
+    framed = nm.frame(h, chunk_len, chunk_len // 2)
+    return ChunkedFeature(data=framed, original_len=h.shape[0])
 
 
 def dechunk(cf: ChunkedFeature) -> Tensor:
-    """Invert chunk: overlap-add, normalize by coverage, trim padding."""
+    """Invert chunk: overlap-add the first N frames, normalize by coverage."""
     S, K, D = cf.data.shape
-    hop = K // 2
-    total = (S - 1) * hop + K
-    summed = nm.overlap_add(cf.data, hop, total)           # [total, D]
-    coverage = np.zeros(total, dtype=cf.data.dtype)
+    hop, N = K // 2, cf.original_len
+    summed = nm.overlap_add(cf.data, hop, N)               # [N, D]
+    coverage = np.zeros(N, dtype=cf.data.dtype)
     for s in range(S):
         coverage[s * hop : s * hop + K] += 1.0
-    inv = Tensor(np.broadcast_to((1.0 / coverage)[:, None], (total, D)))
-    out = nm.mul(summed, inv)
-    if total != cf.original_len:
-        out = nm.narrow(out, 0, 0, cf.original_len)
-    return out
+    inv = Tensor(np.broadcast_to((1.0 / coverage)[:, None], (N, D)))
+    return nm.mul(summed, inv)
 
 
 # ---------------------------------------------------------------------------

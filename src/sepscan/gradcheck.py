@@ -141,13 +141,12 @@ def suite_numerics(seed: int = 0) -> list[GradcheckResult]:
         lambda x, y: nm.mul(nm.permute(x, 2, 0, 1), y).sum(),
         [w6, _rand(rng, (4, 2, 3))], ["x", "w"])
     run("sum", lambda x: nm.tsum(x), [_rand(rng, (7,))], ["x"])
-    wb = nm.Tensor(rng.uniform(-1, 1, (3, 5)).transpose(_T))
-    run("add_bias",
-        lambda x, c: nm.mul(nm.add_bias(x, c), wb).sum(),
-        [_rand(rng, (3, 5), axes=_T), _rand(rng, (3,))], ["x", "bias"])
-    run("pad_narrow",
-        lambda x, y: nm.mul(nm.narrow(nm.pad_end(x, 3), 0, 1, 4), y).sum(),
-        [_rand(rng, (2, 5), axes=_T), _rand(rng, (2, 4), axes=_T)], ["x", "w"])
+    # 9 rows frame into 4 windows of 4 at hop 2, padded to 10, trimmed to 9
+    wf = nm.Tensor(rng.uniform(-1, 1, (2, 4, 4)).transpose(_T3))
+    run("frame_unaligned",
+        lambda x, y: nm.mul(nm.overlap_add(nm.mul(nm.frame(x, 4, 2), wf), 2, 9),
+                            y).sum(),
+        [_rand(rng, (2, 9), axes=_T), _rand(rng, (2, 9), axes=_T)], ["x", "w"])
     run("frame",
         lambda x, y: nm.mul(nm.frame(x, 4, 2), y).sum(),
         [_rand(rng, (2, 10), axes=_T), _rand(rng, (2, 4, 4), axes=_T3)], ["x", "w"])
@@ -163,6 +162,10 @@ def suite_numerics(seed: int = 0) -> list[GradcheckResult]:
     run("matmul_batched",
         lambda x, y: nm.mul(nm.matmul(x, y), wm).sum(),
         [_rand(rng, (3, 4)), _rand(rng, (3, 4, 3), axes=_TM)], ["a", "b"])
+    run("matmul_bias",
+        lambda x, y, c: nm.mul(nm.matmul(x, y, c), wm).sum(),
+        [_rand(rng, (3, 4)), _rand(rng, (3, 4, 3), axes=_TM), _rand(rng, (3,))],
+        ["a", "b", "bias"])
     run("conv1d_depthwise",
         lambda x, k, c: nm.conv1d_depthwise(x, k, c).sum(),
         [_rand(rng, (3, 8), axes=_T), _rand(rng, (3, 4)), _rand(rng, (3,))],

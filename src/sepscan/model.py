@@ -4,7 +4,8 @@ Signal path: a strided linear encoder lifts the waveform [T] to
 D-channel frames [N, D] (kernel 16, stride 8); a dual-path masking
 network produces one nonnegative mask [N, D] per speaker; masked frames
 go through a transposed strided linear decoder (overlap-add) back to
-waveforms of the original length.  Frames stay on axis 0 and channels
+waveforms of the original length.  Alignment lives in the framing ops:
+nm.frame pads to whole frames and nm.overlap_add trims back to T.  Frames stay on axis 0 and channels
 on the last axis throughout; only a block's intra-chunk pass swaps axes.
 
 The masking network is the standard dual-path shell:
@@ -300,21 +301,11 @@ class SeparationModel:
 
     # -- signal path --------------------------------------------------------
 
-    def _encode_padding(self, T: int) -> int:
-        k, st = self.config.enc_kernel, self.config.enc_stride
-        if T < k:
-            return k - T
-        return (-(T - k)) % st
-
     def encode(self, x: Tensor) -> Tensor:
-        """Waveform [T] -> frames [N, D], N = (T_padded - kernel) / stride + 1."""
+        """Waveform [T] -> frames [N, D], N = ceil(max(T - kernel, 0) / stride) + 1."""
         if x.ndim != 1:
             raise NumericsError(f"encode expects a 1-D waveform, got {x.shape}")
-        if x.shape[0] < 1:
-            raise NumericsError("encode: empty waveform")
-        pad = self._encode_padding(x.shape[0])
-        xp = nm.pad_end(x, pad) if pad else x
-        frames = nm.frame(xp, self.config.enc_kernel, self.config.enc_stride)
+        frames = nm.frame(x, self.config.enc_kernel, self.config.enc_stride)
         feats = nm.matmul(self.weights.encoder, frames)
         if self.config.encoder_relu:
             feats = nm.relu(feats)
@@ -324,15 +315,8 @@ class SeparationModel:
         """Frames [N, D] -> waveform [out_len] by transposed strided projection."""
         if feats.ndim != 2 or feats.shape[1] != self.config.d:
             raise NumericsError(f"decode expects [N, D], got {feats.shape}")
-        k, st = self.config.enc_kernel, self.config.enc_stride
-        N = feats.shape[0]
         frames = nm.matmul(self.weights.decoder, feats)
-        covered = (N - 1) * st + k
-        if out_len > covered:
-            raise NumericsError(
-                f"decode: {N} frames cover only {covered} samples, need {out_len}")
-        wave = nm.overlap_add(frames, st, covered)
-        return nm.narrow(wave, 0, 0, out_len) if out_len < covered else wave
+        return nm.overlap_add(frames, self.config.enc_stride, out_len)
 
     def masks(self, feats: Tensor) -> tuple[Tensor, ...]:
         """Frames [N, D] -> one nonnegative mask [N, D] per speaker."""
@@ -343,13 +327,12 @@ class SeparationModel:
         cf = dp.chunk(h, cfg.chunk_len)
         for blk in w.blocks:
             cf.data = dp.dp_block(cf.data, blk)
-        merged = nm.add_bias(nm.matmul(w.mask_head_w, dp.dechunk(cf)),
-                             w.mask_head_b)
+        merged = nm.matmul(w.mask_head_w, dp.dechunk(cf), w.mask_head_b)
         out = []
         for i in range(cfg.num_speakers):
             sl = nm.narrow(merged, 1, i * cfg.d, cfg.d)
-            o = nm.tanh(nm.add_bias(nm.matmul(w.out_proj_w, sl), w.out_proj_b))
-            g = nm.sigmoid(nm.add_bias(nm.matmul(w.out_gate_w, sl), w.out_gate_b))
+            o = nm.tanh(nm.matmul(w.out_proj_w, sl, w.out_proj_b))
+            g = nm.sigmoid(nm.matmul(w.out_gate_w, sl, w.out_gate_b))
             out.append(nm.relu(nm.matmul(w.final_proj, nm.mul(o, g))))
         return tuple(out)
 

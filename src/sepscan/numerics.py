@@ -13,8 +13,8 @@ Rules the engine enforces rather than glosses over:
   * no implicit broadcasting: a binary op's operands have one shape;
   * an op's inputs all have its output's dtype (primitive checks this);
   * matmul maps the last axis of [L, I] or [L, B, I] by a 2-D [O, I]
-    weight as one 2-D GEMM; the per-channel ops (add_bias, the norms) act
-    on the last axis and conv1d_depthwise along axis 0;
+    weight as one 2-D GEMM; the per-channel ops (the norms, matmul's
+    bias) act on the last axis and conv1d_depthwise along axis 0;
   * Tensor() and permute materialize C-ordered copies, never aliased views;
   * gradients accumulate additively across fan-out and across repeated
     backward() calls; callers reset explicitly with zero_grad().
@@ -327,34 +327,6 @@ def _channel_sum(g: np.ndarray) -> np.ndarray:
     return g.reshape(-1, g.shape[-1]).sum(axis=0)
 
 
-def add_bias(x: Tensor, bias: Tensor) -> Tensor:
-    """Add a per-channel bias along the last axis of x ([..., C] + [C])."""
-    if x.ndim < 2:
-        raise NumericsError(f"add_bias: input must have a channel axis, got {x.shape}")
-    if bias.ndim != 1 or bias.shape[0] != x.shape[-1]:
-        raise NumericsError(
-            f"add_bias: bias {bias.shape} does not match channel count {x.shape[-1]}"
-        )
-
-    def vjp(g):
-        return g, _channel_sum(g)
-
-    return primitive(x.data + bias.data, (x, bias), vjp, "add_bias")
-
-
-def pad_end(x: Tensor, count: int) -> Tensor:
-    """Append `count` zeros along axis 0, the time axis."""
-    if count < 0:
-        raise NumericsError("pad_end: count must be nonnegative")
-    widths = [(0, count)] + [(0, 0)] * (x.ndim - 1)
-    L = x.shape[0]
-
-    def vjp(g):
-        return (g[:L].copy(),)
-
-    return primitive(np.pad(x.data, widths), (x,), vjp, "pad_end")
-
-
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     """Slice `length` entries from `start` along `axis`."""
     axis = axis % x.ndim
@@ -375,8 +347,10 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     return primitive(x.data[index].copy(), (x,), vjp, "narrow")
 
 
-def _frame_array(a: np.ndarray, size: int, hop: int) -> np.ndarray:
-    """[T, ...] -> a copy [S, size, ...] of the windows of `size` every `hop`."""
+def _frame_array(a: np.ndarray, size: int, hop: int, length: int) -> np.ndarray:
+    """[T, ...] zero-padded to `length` -> a copy [S, size, ...] of windows."""
+    if length > a.shape[0]:
+        a = np.pad(a, [(0, length - a.shape[0])] + [(0, 0)] * (a.ndim - 1))
     windows = np.lib.stride_tricks.sliding_window_view(a, size, axis=0)[::hop]
     return np.moveaxis(windows, -1, 1).copy()
 
@@ -385,50 +359,53 @@ def frame(x: Tensor, size: int, hop: int) -> Tensor:
     """Slice axis 0 into overlapping windows: [T, ...] -> [S, size, ...].
 
     The encoder frames a waveform [T] into [N, size] and chunk frames
-    features [N, D] into [S, K, D], both with this one op.  Requires
-    (T - size) to be an exact multiple of hop; callers pad first.  The
-    adjoint is overlap_add, so gradients scatter-add back into place.
+    features [N, D] into [S, K, D], both with this one op.  The end of
+    axis 0 is zero-padded to the shortest length size + m * hop >= T, so
+    S = ceil(max(T - size, 0) / hop) + 1 and a short input is one window;
+    an empty axis is refused.  The adjoint is overlap_add back to T, so
+    gradients scatter-add back into place and the padding's share drops.
     """
     T = x.shape[0]
     if size <= 0 or hop <= 0:
         raise NumericsError("frame: size and hop must be positive")
-    if T < size or (T - size) % hop != 0:
-        raise NumericsError(
-            f"frame: length {T} does not align with size {size}, hop {hop}"
-        )
+    if T < 1:
+        raise NumericsError("frame: axis 0 is empty")
+    covered = -(-max(T - size, 0) // hop) * hop + size
 
     def vjp(g):
         return (_overlap_add_array(g, hop, T),)
 
-    return primitive(_frame_array(x.data, size, hop), (x,), vjp, "frame")
+    return primitive(_frame_array(x.data, size, hop, covered), (x,), vjp, "frame")
 
 
 def _overlap_add_array(frames: np.ndarray, hop: int, out_len: int) -> np.ndarray:
-    S, size = frames.shape[:2]
+    """Sum windows [S, size, ...] onto a line, keeping its first out_len rows."""
+    S = min(frames.shape[0], -(-out_len // hop))    # windows starting in range
     out = np.zeros((out_len,) + frames.shape[2:], dtype=frames.dtype)
     for s in range(S):
         lo = s * hop
-        out[lo : lo + size] += frames[s]
+        out[lo : lo + frames.shape[1]] += frames[s, : out_len - lo]
     return out
 
 
 def overlap_add(x: Tensor, hop: int, out_len: int) -> Tensor:
     """Sum overlapping windows back onto a line: [S, size, ...] -> [out_len, ...].
 
-    out_len must equal (S - 1) * hop + size; this op is the exact adjoint
-    of frame, so its gradient is a framing of the upstream gradient.
+    Keeps the first out_len of the (S - 1) * hop + size rows covered, for
+    any 0 < out_len <= that, which cuts off the padding frame added.  The
+    adjoint of frame: its gradient frames the zero-extended gradient.
     """
     if x.ndim < 2:
         raise NumericsError(f"overlap_add: expected framed input, got {x.shape}")
     S, size = x.shape[:2]
-    if out_len != (S - 1) * hop + size:
+    covered = (S - 1) * hop + size
+    if not 0 < out_len <= covered:
         raise NumericsError(
             f"overlap_add: {S} frames of {size} at hop {hop} cover "
-            f"{(S - 1) * hop + size} samples, not {out_len}"
-        )
+            f"{covered} samples, so out_len {out_len} is out of range")
 
     def vjp(g):
-        return (_frame_array(g, size, hop),)
+        return (_frame_array(g, size, hop, covered),)
 
     return primitive(_overlap_add_array(x.data, hop, out_len), (x,), vjp, "overlap_add")
 
@@ -438,11 +415,12 @@ def overlap_add(x: Tensor, hop: int, out_len: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Apply the [O, I] map a to the last axis of b: [L, I] or [L, B, I].
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Apply the [O, I] map a to the last axis of b: [L, I] or [L, B, I],
+    then add the optional per-channel bias [O].
 
     The leading axes of b are reshaped away, so the product and both
-    gradients are each one 2-D GEMM.
+    gradients are each one 2-D GEMM, and the bias gradient one row sum.
     """
     if a.ndim != 2 or b.ndim not in (2, 3):
         raise NumericsError(
@@ -453,15 +431,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise NumericsError(
             f"matmul: inner dimensions disagree, {a.shape} @ {b.shape}"
         )
+    if bias is not None and bias.shape != (O,):
+        raise NumericsError(f"matmul: bias {bias.shape} does not match {O} outputs")
 
     def vjp(g):
         g = g.reshape(-1, O)
         ga = g.T @ b.data.reshape(-1, I) if a.requires_grad else None
         gb = (g @ a.data).reshape(b.shape) if b.requires_grad else None
-        return ga, gb
+        if bias is None:
+            return ga, gb
+        return ga, gb, g.sum(axis=0) if bias.requires_grad else None
 
-    out = (b.data.reshape(-1, I) @ a.data.T).reshape(b.shape[:-1] + (O,))
-    return primitive(out, (a, b), vjp, "matmul")
+    out = b.data.reshape(-1, I) @ a.data.T
+    if bias is not None:
+        out += bias.data
+    return primitive(out.reshape(b.shape[:-1] + (O,)),
+                     (a, b) if bias is None else (a, b, bias), vjp, "matmul")
 
 
 def conv1d_depthwise(x: Tensor, kernel: Tensor, bias: Tensor,

@@ -70,6 +70,7 @@ class TestOperandRules:
 
 
 _F32 = Tensor(np.ones((3, 5), dtype=np.float32).T)
+_W32 = Tensor(np.ones((4, 3), dtype=np.float32))
 _W64 = Tensor(np.ones(3))
 _SCAN_PARAMS = ssm.SsmParams(
     a=Tensor(-np.ones((3, 2))),
@@ -82,7 +83,7 @@ _SCAN_PARAMS_32 = ssm.SsmParams(
     b=_SCAN_PARAMS.b, c=_SCAN_PARAMS.c, d_skip=_W64)
 # keyed "op" or "op/case": the error names the op
 MIXED_DTYPE_OPS = {
-    "add_bias": lambda: nm.add_bias(_F32, _W64),
+    "matmul/bias": lambda: nm.matmul(_W32, _F32, Tensor(np.ones(4))),
     "scan_sequential/d_skip": lambda: ssm.scan_sequential(_F32, _SCAN_PARAMS_32),
     "conv1d_depthwise": lambda: nm.conv1d_depthwise(
         _F32, Tensor(np.ones((3, 4))), _W64),
@@ -187,13 +188,28 @@ class TestOpSemantics:
         assert y.dtype == dtype
         np.testing.assert_allclose(y, want, rtol=rtol, atol=0)
 
-    def test_pad_narrow_roundtrip(self):
-        x = t(np.arange(12.0).reshape(3, 4).T)
-        padded = nm.pad_end(x, 3)
-        assert padded.shape == (7, 3)
-        assert np.all(padded.data[4:] == 0)
-        back = nm.narrow(padded, 0, 0, 4)
-        assert np.array_equal(back.data, x.data)
+    @pytest.mark.parametrize("T,S", [(1, 1), (3, 1), (4, 1), (5, 2), (6, 2),
+                                     (7, 3), (9, 4)])
+    def test_frame_pads_an_unaligned_length(self, T, S):
+        # S = ceil(max(T - size, 0) / hop) + 1; the padding is zeros
+        x = t(np.arange(1.0, 2 * T + 1).reshape(2, T).T)
+        f = nm.frame(x, size=4, hop=2)
+        assert f.shape == (S, 4, 2)
+        flat = np.zeros(((S - 1) * 2 + 4, 2))
+        flat[:T] = x.data
+        for s in range(S):
+            assert np.array_equal(f.data[s], flat[2 * s : 2 * s + 4])
+        with pytest.raises(NumericsError, match="empty"):
+            nm.frame(t(np.zeros((0, 2))), size=4, hop=2)
+
+    def test_overlap_add_trims_to_out_len(self):
+        frames = t(np.ones((4, 3)).T)       # 3 frames of 4 at hop 2 cover 8
+        for n in range(1, 9):
+            y = nm.overlap_add(frames, hop=2, out_len=n)
+            assert np.array_equal(y.data, [1, 1, 2, 2, 2, 2, 1, 1][:n])
+        for n in (0, 9):
+            with pytest.raises(NumericsError, match="out of range"):
+                nm.overlap_add(frames, hop=2, out_len=n)
 
     def test_frame_contents(self):
         x = t(np.arange(8.0))

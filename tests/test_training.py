@@ -1,10 +1,12 @@
 """Loss properties, metrics, optimizer, schedule, and the training loop."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import sepscan.audio as audio
 import sepscan.model as M
 import sepscan.numerics as nm
 import sepscan.training as T
@@ -139,6 +141,27 @@ class TestPit:
         loss, _ = T.pit_loss((Tensor(np.full(a.size, np.nan)), Tensor(b.copy())),
                              (Tensor(a.copy()), Tensor(b.copy())))
         assert math.isnan(loss.item())
+
+
+def test_pit_loss_graph_has_no_pad_or_trim_nodes():
+    # the framing ops pad and trim, and matmul adds the mask head's biases,
+    # so the only narrows left are the mask head's two speaker splits
+    cfg = M.ModelConfig(d=32, r=2, h=8, chunk_len=32)
+    net = M.SeparationModel(cfg, rng=np.random.default_rng(3))
+    ex = T.mix_sources(audio.synth_utterance(0, 0.2, 8000, 11, 0),
+                       audio.synth_utterance(2, 0.2, 8000, 11, 0), 0.0)
+    loss, _ = T.pit_loss(net.separate(ex.mix),
+                         tuple(Tensor(s) for s in ex.sources))
+    ops, seen, stack = Counter(), set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            ops[node._op] += node._vjp is not None
+            stack.extend(node._parents)
+    assert ops["pad_end"] == ops["add_bias"] == 0
+    assert (ops["narrow"], ops["frame"], ops["overlap_add"], ops["matmul"]) \
+        == (2, 1, 3, 55)
 
 
 class TestImprovementMetrics:
