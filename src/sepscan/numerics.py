@@ -245,9 +245,11 @@ def mean_pair(a: Tensor, b: Tensor) -> Tensor:
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp saturates to 0/1 well inside +-60; clipping avoids overflow warnings
-    z = np.clip(x, -60.0, 60.0)
-    return 1.0 / (1.0 + np.exp(-z))
+    # sigmoid(x) = (1 + tanh(x / 2)) / 2; tanh saturates without overflowing
+    s = np.tanh(0.5 * x)
+    s *= 0.5
+    s += 0.5
+    return s
 
 
 def sigmoid(x: Tensor) -> Tensor:
