@@ -12,7 +12,7 @@ Subcommands:
 Exit codes: 0 success, 2 usage error (argparse), 3 malformed input data
 (including a malformed checkpoint or one with a non-finite weight, a path
 the operating system refuses, a constant corpus file, and separate inputs
-whose outputs would collide), 4 numeric/training failure (failed
+whose outputs would collide or overwrite an input), 4 numeric/training failure (failed
 gradcheck, count mismatch, divergence, non-finite separated stems).  When separate fails on any
 input it removes every stem it wrote, so a nonzero exit leaves no partial
 output behind.
@@ -84,30 +84,39 @@ def _cmd_separate(args) -> int:
         raise DataFormatError(
             f"inputs share the file stem(s) {', '.join(shared)}, so their "
             f"outputs in {out_dir} would overwrite each other")
+    # a config accepts only the default speaker count
+    speakers = range(1, model_mod.ModelConfig.num_speakers + 1)
+    prefixes = [""] if len(inputs) == 1 else [f"{Path(p).stem}_" for p in inputs]
+    dests = [[out_dir / f"{pre}s{i}.wav" for i in speakers] for pre in prefixes]
+    # samefile compares inodes: another spelling, a symlink or a hard link
+    # of an input is caught before anything is written
+    for dest in (d for ds in dests for d in ds if d.exists()):
+        for path in inputs:
+            if os.path.exists(path) and os.path.samefile(dest, path):
+                raise DataFormatError(
+                    f"the output {dest} would overwrite the input {path}")
     model = model_mod.SeparationModel.from_checkpoint(args.ckpt)
     rate = model.config.sample_rate
     out_dir.mkdir(parents=True, exist_ok=True)
     started: list[Path] = []      # every stem file this invocation opened
 
-    def one(path) -> list[Path]:
+    def one(path, outs) -> list[Path]:
         # weights are read-only here, so workers can share the model
         mix = _load_wav_checked(path, rate)
         stems = [est.data for est in model.separate(mix)]
         if not all(np.isfinite(s).all() for s in stems):
             raise NumericsError(f"{path}: separation produced non-finite samples")
-        prefix = "" if len(inputs) == 1 else f"{Path(path).stem}_"
-        dests = [out_dir / f"{prefix}s{i}.wav" for i in range(1, len(stems) + 1)]
-        for dest, stem in zip(dests, stems):
+        for dest, stem in zip(outs, stems, strict=True):
             started.append(dest)
             audio.wav_write(dest, stem, rate)
-        return dests
+        return outs
 
     try:
         # map cancels the inputs not yet started once one fails; the pool's
         # exit waits for the running ones, so nothing writes later
         workers = min(len(inputs), os.cpu_count() or 1)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            written = [p for chunk in pool.map(one, inputs) for p in chunk]
+            written = [p for chunk in pool.map(one, inputs, dests) for p in chunk]
     except BaseException:
         for p in started:
             p.unlink(missing_ok=True)
@@ -229,13 +238,13 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--stop-at", type=_bounded(float), default=None,
                    help="stop once si_snri reaches this many dB")
     s.add_argument("--log", default=None, help="CSV training log path")
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_bounded(int, 0), default=0)
     s.set_defaults(fn=_cmd_train_toy)
 
     s = sub.add_parser("gradcheck", help="finite-difference gradient suites")
     s.add_argument("--module", default="all",
                    choices=sorted(gradcheck.SUITES) + ["all"])
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_bounded(int, 0), default=0)
     s.set_defaults(fn=_cmd_gradcheck)
 
     s = sub.add_parser("params", help="parameter count for a config")
@@ -250,14 +259,14 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--L", type=_bounded(int, 1), nargs="+", default=[1000, 8000])
     s.add_argument("--E", type=_bounded(int, 1), default=4)
     s.add_argument("--H", type=_bounded(int, 1), default=16)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_bounded(int, 0), default=0)
     s.set_defaults(fn=_cmd_bench_scan)
 
     s = sub.add_parser("eval", help="score a checkpoint on corpus mixtures")
     s.add_argument("--ckpt", required=True)
     s.add_argument("--manifest", required=True)
     s.add_argument("--pairs", type=_bounded(int, 1), default=4)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_bounded(int, 0), default=0)
     s.set_defaults(fn=_cmd_eval)
     return p
 

@@ -88,6 +88,16 @@ class TestUsage:
         flag = next(a for a in reversed(argv) if a.startswith("--"))
         assert f"argument {flag}: must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["gradcheck"], ["bench-scan"], TRAIN, ["eval", "--ckpt", "m", "--manifest", "f"],
+    ], ids=["gradcheck", "bench-scan", "train-toy", "eval"])
+    def test_negative_seed_is_usage_error(self, argv, capsys):
+        # numpy's default_rng refuses a negative seed with a traceback
+        with pytest.raises(SystemExit) as e:
+            cli.main(argv + ["--seed", "-5"])
+        assert e.value.code == 2
+        assert "argument --seed: must be >= 0" in capsys.readouterr().err
+
 
 class TestParams:
     def test_preset_count(self):
@@ -259,6 +269,32 @@ class TestSeparateCommand:
         assert r.returncode == 3
         assert "stem" in r.stderr and "wrote" not in r.stdout
         assert list(out.glob("*.wav")) == []
+
+    def test_output_over_the_input_rejected(self, workspace, tmp_path, capsys):
+        # the lone input is named like its own first stem
+        mix = tmp_path / "s1.wav"
+        mix.write_bytes(workspace["mix"].read_bytes())
+        rc = cli.main(["separate", "--ckpt", str(workspace["ckpt"]),
+                       "--in", str(mix), "--out", str(tmp_path)])
+        assert rc == 3
+        assert f"overwrite the input {mix}" in capsys.readouterr().err
+        assert mix.read_bytes() == workspace["mix"].read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s1.wav"]
+
+    def test_output_over_another_input_rejected(self, workspace, tmp_path,
+                                                capsys):
+        # a's first stem, a_s1.wav, would land on the second input; the
+        # output directory is named by another spelling of tmp_path
+        a, a_s1 = tmp_path / "a.wav", tmp_path / "a_s1.wav"
+        for p in (a, a_s1):
+            p.write_bytes(workspace["mix"].read_bytes())
+        rc = cli.main(["separate", "--ckpt", str(workspace["ckpt"]),
+                       "--in", str(a), str(a_s1),
+                       "--out", str(tmp_path / ".." / tmp_path.name)])
+        assert rc == 3
+        assert f"overwrite the input {a_s1}" in capsys.readouterr().err
+        assert a_s1.read_bytes() == workspace["mix"].read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.wav", "a_s1.wav"]
 
     # (os.cpu_count(), expected workers for two inputs); never many inputs
     @pytest.mark.parametrize("cpus,workers", [(1, 1), (None, 1), (4, 2)])
