@@ -399,6 +399,8 @@ def overlap_add(x: Tensor, hop: int, out_len: int) -> Tensor:
     """
     if x.ndim < 2:
         raise NumericsError(f"overlap_add: expected framed input, got {x.shape}")
+    if hop <= 0:
+        raise NumericsError("overlap_add: hop must be positive")
     S, size = x.shape[:2]
     covered = (S - 1) * hop + size
     if not 0 < out_len <= covered:

@@ -210,6 +210,8 @@ class TestOpSemantics:
         for n in (0, 9):
             with pytest.raises(NumericsError, match="out of range"):
                 nm.overlap_add(frames, hop=2, out_len=n)
+        with pytest.raises(NumericsError, match="hop must be positive"):
+            nm.overlap_add(frames, hop=0, out_len=4)
 
     def test_frame_contents(self):
         x = t(np.arange(8.0))
