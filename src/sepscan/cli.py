@@ -12,10 +12,10 @@ Subcommands:
 Exit codes: 0 success, 2 usage error (argparse), 3 malformed input data
 (including a malformed checkpoint or one with a non-finite weight, a path
 the operating system refuses, a constant corpus file, and separate inputs
-whose outputs would collide or overwrite an input), 4 numeric/training failure (failed
-gradcheck, count mismatch, divergence, non-finite separated stems).  When separate fails on any
-input it removes every stem it wrote, so a nonzero exit leaves no partial
-output behind.
+whose outputs would collide or overwrite an input), 4 numeric/training
+failure (failed gradcheck, count mismatch, divergence, non-finite
+separated stems).  When separate fails on any input it removes every
+stem it wrote, so a nonzero exit leaves no partial output behind.
 """
 
 from __future__ import annotations

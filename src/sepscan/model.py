@@ -4,9 +4,9 @@ Signal path: a strided linear encoder lifts the waveform [T] to
 D-channel frames [N, D] (kernel 16, stride 8); a dual-path masking
 network produces one nonnegative mask [N, D] per speaker; masked frames
 go through a transposed strided linear decoder (overlap-add) back to
-waveforms of the original length.  Alignment lives in the framing ops:
-nm.frame pads to whole frames and nm.overlap_add trims back to T.  Frames stay on axis 0 and channels
-on the last axis throughout; only a block's intra-chunk pass swaps axes.
+waveforms of the original length (nm.frame pads to whole frames and
+nm.overlap_add trims back to T).  Frames stay on axis 0 and channels on
+the last axis throughout; only a block's intra-chunk pass swaps axes.
 
 The masking network is the standard dual-path shell:
 

@@ -368,10 +368,9 @@ def frame(x: Tensor, size: int, hop: int) -> Tensor:
     gradients scatter-add back into place and the padding's share drops.
     """
     T = x.shape[0]
-    if size <= 0 or hop <= 0:
-        raise NumericsError("frame: size and hop must be positive")
-    if T < 1:
-        raise NumericsError("frame: axis 0 is empty")
+    if size <= 0 or hop <= 0 or T < 1:
+        raise NumericsError(
+            f"frame: size {size}, hop {hop} and length {T} must be positive")
     covered = -(-max(T - size, 0) // hop) * hop + size
 
     def vjp(g):
