@@ -36,6 +36,7 @@ from . import ssm
 from .numerics import Tensor
 
 CONV_WIDTH = 4
+DT_MIN, DT_MAX = 1e-3, 1e-1
 
 
 def dt_rank_for(d: int) -> int:
@@ -98,8 +99,8 @@ def _linear_init(rng, out_dim, in_dim):
     return nm.uniform((out_dim, in_dim), -bound, bound, rng, requires_grad=True)
 
 
-def init_direction(e: int, h: int, dt_rank: int, rng: np.random.Generator,
-                   dt_min: float = 1e-3, dt_max: float = 1e-1) -> DirectionWeights:
+def init_direction(e: int, h: int, dt_rank: int,
+                   rng: np.random.Generator) -> DirectionWeights:
     conv_bound = 1.0 / math.sqrt(CONV_WIDTH)
     conv_kernel = nm.uniform((e, CONV_WIDTH), -conv_bound, conv_bound, rng,
                              requires_grad=True)
@@ -107,10 +108,10 @@ def init_direction(e: int, h: int, dt_rank: int, rng: np.random.Generator,
     proj = ssm.SsmProjection(
         w_delta_down=_linear_init(rng, dt_rank, e),
         w_delta_up=_linear_init(rng, e, dt_rank),
-        # bias chosen so softplus lands log-uniformly in [dt_min, dt_max]
+        # bias chosen so softplus lands log-uniformly in [DT_MIN, DT_MAX]
         b_delta=Tensor(
             np.log(np.expm1(np.exp(
-                rng.uniform(np.log(dt_min), np.log(dt_max), size=e)
+                rng.uniform(np.log(DT_MIN), np.log(DT_MAX), size=e)
             ))),
             requires_grad=True,
         ),

@@ -86,11 +86,11 @@ def init_norm(d: int, kind: str) -> NormWeights:
     return NormWeights(kind=kind, gain=gain, bias=bias)
 
 
-def apply_norm(x: Tensor, w: NormWeights, eps: float = 1e-8) -> Tensor:
+def apply_norm(x: Tensor, w: NormWeights) -> Tensor:
     """Normalize over the channel axis (the last) at every position."""
     if w.kind == "rmsnorm":
-        return nm.rmsnorm(x, w.gain, eps=eps)
-    return nm.layernorm(x, w.gain, w.bias, eps=eps)
+        return nm.rmsnorm(x, w.gain)
+    return nm.layernorm(x, w.gain, w.bias)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Central finite-difference checking of every hand-written backward pass.
 
-The checker perturbs one input element at a time by +-step (default 1e-5),
-reruns the forward in float64, and compares (f+ - f-) / (2 step) against the
+The checker perturbs one input element at a time by +-STEP (1e-5), reruns
+the forward in float64, and compares (f+ - f-) / (2 STEP) against the
 analytic gradient.  Reported error is
 
     max|analytic - numeric| / max(1, max|numeric|)
@@ -24,7 +24,7 @@ import numpy as np
 from . import numerics as nm
 from .numerics import Tensor
 
-DEFAULT_STEP = 1e-5
+STEP = 1e-5
 PRIMITIVE_TOL = 1e-6
 COMPOSITE_TOL = 1e-5
 FULL_MODEL_TOL = 1e-4
@@ -42,17 +42,17 @@ class GradcheckResult:
         return self.max_rel_err < self.tol
 
 
-def _numeric_grad(fn: Callable[[], Tensor], param: Tensor, step: float) -> np.ndarray:
+def _numeric_grad(fn: Callable[[], Tensor], param: Tensor) -> np.ndarray:
     flat = param.data.reshape(-1)
     out = np.empty_like(flat)
     for i in range(flat.size):
         keep = flat[i]
-        flat[i] = keep + step
+        flat[i] = keep + STEP
         hi = float(fn().data)
-        flat[i] = keep - step
+        flat[i] = keep - STEP
         lo = float(fn().data)
         flat[i] = keep
-        out[i] = (hi - lo) / (2.0 * step)
+        out[i] = (hi - lo) / (2.0 * STEP)
     return out.reshape(param.data.shape)
 
 
@@ -61,7 +61,6 @@ def gradcheck(
     inputs: Sequence[Tensor],
     *,
     name: str = "gradcheck",
-    step: float = DEFAULT_STEP,
     tol: float = PRIMITIVE_TOL,
     input_names: Sequence[str] | None = None,
 ) -> GradcheckResult:
@@ -88,7 +87,7 @@ def gradcheck(
         if not t.requires_grad:
             continue
         analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
-        numeric = _numeric_grad(closure, t, step)
+        numeric = _numeric_grad(closure, t)
         scale = max(1.0, float(np.max(np.abs(numeric))) if numeric.size else 0.0)
         err = float(np.max(np.abs(analytic - numeric))) / scale if numeric.size else 0.0
         result.per_input[label] = err

@@ -292,13 +292,6 @@ class SeparationModel:
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         return blocks_mod.named_parameters(self.weights)
 
-    def zero_grad(self) -> None:
-        for _, p in self.named_parameters():
-            p.zero_grad()
-
-    def num_parameters(self) -> int:
-        return sum(p.size for _, p in self.named_parameters())
-
     # -- signal path --------------------------------------------------------
 
     def encode(self, x: Tensor) -> Tensor:

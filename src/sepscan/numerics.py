@@ -16,14 +16,16 @@ Rules the engine enforces rather than glosses over:
     weight as one 2-D GEMM; the per-channel ops (the norms, matmul's
     bias) act on the last axis and conv1d_depthwise along axis 0;
   * Tensor() and permute materialize C-ordered copies, never aliased views;
-  * gradients accumulate additively across fan-out and across repeated
-    backward() calls; callers reset explicitly with zero_grad().
+  * gradients accumulate additively on the leaves (the tensors with no
+    VJP) across fan-out and across repeated backward() calls; callers
+    reset explicitly with zero_grad().  No other tensor keeps a gradient.
 
 The recorded graph is the chain of ``_parents`` links hanging off each
 tensor, together with the saved arrays closed over by each ``_vjp``
 callback.  ``backward`` linearizes that DAG once (topological order),
 visits every node exactly once, and pushes vector-Jacobian products
-toward the leaves.
+toward the leaves.  An intermediate's gradient is held only until its
+VJP has run, then freed.
 """
 
 from __future__ import annotations
@@ -92,9 +94,6 @@ class Tensor:
             raise NumericsError(f"item() requires a single element, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False, dtype=self.dtype)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -115,9 +114,11 @@ class Tensor:
     # -- reverse mode -------------------------------------------------------
 
     def backward(self) -> None:
-        """Accumulate d(self)/d(leaf) into .grad for every reachable tensor.
+        """Accumulate d(self)/d(leaf) into .grad of every reachable leaf.
 
         self must be a scalar (0-d) tensor connected to a recorded graph.
+        An intermediate's gradient is held only until its VJP has run, so
+        no non-leaf tensor keeps one.
         """
         if self.data.shape != ():
             raise NumericsError(
@@ -134,11 +135,10 @@ class Tensor:
             g = pending.pop(id(node), None)
             if g is None:
                 continue
-            node.grad = g if node.grad is None else node.grad + g
             if node._vjp is None:
+                node.grad = g if node.grad is None else node.grad + g
                 continue
-            parent_grads = node._vjp(g)
-            for parent, pg in zip(node._parents, parent_grads):
+            for parent, pg in zip(node._parents, node._vjp(g)):
                 if pg is None or not parent.requires_grad:
                     continue
                 have = pending.get(id(parent))
@@ -520,15 +520,18 @@ def conv1d_depthwise(x: Tensor, kernel: Tensor, bias: Tensor,
 # ---------------------------------------------------------------------------
 
 
-def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-8) -> Tensor:
+NORM_EPS = 1e-8
+
+
+def rmsnorm(x: Tensor, gain: Tensor) -> Tensor:
     """Root-mean-square normalization over the last axis, scaled by a per-channel gain.
 
-    x: [..., D], gain: [D].  y = x / sqrt(mean_D(x^2) + eps) * gain.
+    x: [..., D], gain: [D].  y = x / sqrt(mean_D(x^2) + NORM_EPS) * gain.
     """
     D = x.shape[-1]
     if gain.shape != (D,):
         raise NumericsError(f"rmsnorm: gain {gain.shape} does not match D={D}")
-    r = np.sqrt(np.mean(x.data * x.data, axis=-1, keepdims=True) + eps)
+    r = np.sqrt(np.mean(x.data * x.data, axis=-1, keepdims=True) + NORM_EPS)
     xhat = x.data / r
     out = xhat * gain.data
 
@@ -544,7 +547,7 @@ def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-8) -> Tensor:
     return primitive(out, (x, gain), vjp, "rmsnorm")
 
 
-def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tensor:
+def layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Mean/variance normalization over the last axis with per-channel gain and bias."""
     D = x.shape[-1]
     if gain.shape != (D,) or bias.shape != (D,):
@@ -553,7 +556,7 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tenso
         )
     mu = np.mean(x.data, axis=-1, keepdims=True)
     xc = x.data - mu
-    sigma = np.sqrt(np.mean(xc * xc, axis=-1, keepdims=True) + eps)
+    sigma = np.sqrt(np.mean(xc * xc, axis=-1, keepdims=True) + NORM_EPS)
     xhat = xc / sigma
     out = xhat * gain.data + bias.data
 
@@ -578,15 +581,14 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tenso
 # ---------------------------------------------------------------------------
 
 
-def zeros(shape, requires_grad: bool = False, dtype=np.float64) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad)
+def zeros(shape, requires_grad: bool = False) -> Tensor:
+    return Tensor(np.zeros(shape), requires_grad=requires_grad)
 
 
-def ones(shape, requires_grad: bool = False, dtype=np.float64) -> Tensor:
-    return Tensor(np.ones(shape, dtype=dtype), requires_grad=requires_grad)
+def ones(shape, requires_grad: bool = False) -> Tensor:
+    return Tensor(np.ones(shape), requires_grad=requires_grad)
 
 
 def uniform(shape, low: float, high: float, rng: np.random.Generator,
-            requires_grad: bool = False, dtype=np.float64) -> Tensor:
-    return Tensor(rng.uniform(low, high, size=shape).astype(dtype),
-                  requires_grad=requires_grad)
+            requires_grad: bool = False) -> Tensor:
+    return Tensor(rng.uniform(low, high, size=shape), requires_grad=requires_grad)

@@ -25,6 +25,9 @@ from .numerics import NumericsError, Tensor
 
 SI_SNR_EPS = 1e-8
 SI_SNR_CAP_DB = 80.0
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+MIX_PEAK = 0.9                    # mixture peak after mix_sources normalizes it
+SNR_RANGE_DB = (0.0, 5.0)         # sample_snr's uniform range
 _LOG10 = math.log(10.0)
 
 
@@ -33,29 +36,29 @@ _LOG10 = math.log(10.0)
 # ---------------------------------------------------------------------------
 
 
-def _si_snr_terms(est: np.ndarray, ref: np.ndarray, eps: float):
+def _si_snr_terms(est: np.ndarray, ref: np.ndarray):
     """SI-SNR in dB between 1-D arrays, and the terms its gradient needs.
 
     Both signals are mean-centred and the estimate is scaled to unit power,
     u = k e, so the eps terms see a scale-free estimate and invariance to
     the estimate's gain holds to rounding. u splits into its projection
     s r onto the reference and the residual n; the value is the ratio of
-    their energies, each with eps added so silent inputs stay finite.
+    their energies, each plus SI_SNR_EPS so silent inputs stay finite.
     """
     e = np.asarray(est, dtype=np.float64)
     r = np.asarray(ref, dtype=np.float64)
     e = e - e.mean()
     r = r - r.mean()
-    k = 1.0 / math.sqrt(float(e @ e) / e.size + eps)
+    k = 1.0 / math.sqrt(float(e @ e) / e.size + SI_SNR_EPS)
     rr = float(r @ r)
-    s = k * float(e @ r) / (rr + eps)
+    s = k * float(e @ r) / (rr + SI_SNR_EPS)
     n = k * e - s * r
-    p = s * s * rr + eps
-    q = float(n @ n) + eps
+    p = s * s * rr + SI_SNR_EPS
+    q = float(n @ n) + SI_SNR_EPS
     return 10.0 * math.log10(p / q), (e, r, k, rr, s, n, p, q)
 
 
-def si_snr(est: Tensor, ref: Tensor, eps: float = SI_SNR_EPS) -> Tensor:
+def si_snr(est: Tensor, ref: Tensor) -> Tensor:
     """Scale-invariant SNR in dB between 1-D waveforms, as one graph node.
 
     The value is capped at 80 dB so a perfect reconstruction cannot push
@@ -70,16 +73,16 @@ def si_snr(est: Tensor, ref: Tensor, eps: float = SI_SNR_EPS) -> Tensor:
                             "require a gradient")
     if not np.any(ref.data - ref.data.mean()):
         raise NumericsError("si_snr: reference is constant (zero energy)")
-    val, (e, r, k, rr, s, n, p, q) = _si_snr_terms(est.data, ref.data, eps)
+    val, (e, r, k, rr, s, n, p, q) = _si_snr_terms(est.data, ref.data)
 
     def vjp(g):
         if not val < SI_SNR_CAP_DB:
             return np.zeros_like(est.data), None
         # d val / d u, then back through u = k e and the mean-centring
         c = float(g) * 10.0 / _LOG10
-        big_r = rr + eps
+        big_r = rr + SI_SNR_EPS
         gu = c * ((2.0 * s * rr / (big_r * p)) * r
-                  - (2.0 / q) * (n - (s * eps / big_r) * r))
+                  - (2.0 / q) * (n - (s * SI_SNR_EPS / big_r) * r))
         ge = k * gu - (k ** 3 / e.size) * float(e @ gu) * e
         return (ge - ge.mean()).astype(est.dtype, copy=False), None
 
@@ -110,18 +113,19 @@ def pit_loss(est: tuple[Tensor, ...], ref: tuple[Tensor, ...]
 # ---------------------------------------------------------------------------
 
 
-def si_snr_value(est: np.ndarray, ref: np.ndarray, eps: float = SI_SNR_EPS) -> float:
+def si_snr_value(est: np.ndarray, ref: np.ndarray) -> float:
     """The uncapped SI-SNR in dB that si_snr records, on plain arrays."""
-    return _si_snr_terms(est, ref, eps)[0]
+    return _si_snr_terms(est, ref)[0]
 
 
-def sdr_value(est: np.ndarray, ref: np.ndarray, eps: float = SI_SNR_EPS) -> float:
+def sdr_value(est: np.ndarray, ref: np.ndarray) -> float:
     """SNR after fitting the single best gain to the estimate."""
     e = np.asarray(est, dtype=np.float64)
     r = np.asarray(ref, dtype=np.float64)
-    beta = float(e @ r) / (float(e @ e) + eps)
+    beta = float(e @ r) / (float(e @ e) + SI_SNR_EPS)
     err = beta * e - r
-    return 10.0 * math.log10((float(r @ r) + eps) / (float(err @ err) + eps))
+    return 10.0 * math.log10((float(r @ r) + SI_SNR_EPS)
+                             / (float(err @ err) + SI_SNR_EPS))
 
 
 def best_permutation(est: tuple, ref: tuple) -> tuple[int, ...]:
@@ -160,10 +164,8 @@ def sdri(est: tuple, ref: tuple, mix: np.ndarray) -> float:
 class Adam:
     """Adam with bias correction over named parameter lists."""
 
-    def __init__(self, params: list[tuple[str, Tensor]],
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list[tuple[str, Tensor]]):
         self.params = list(params)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for _, p in self.params]
         self.v = [np.zeros_like(p.data) for _, p in self.params]
@@ -174,7 +176,7 @@ class Adam:
 
     def step(self, lr: float) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
         for (name, p), m, v in zip(self.params, self.m, self.v):
@@ -187,7 +189,7 @@ class Adam:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * g * g
-            p.data = p.data - lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            p.data = p.data - lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 @dataclass
@@ -225,13 +227,12 @@ class MixExample:
     snr_db: float
 
 
-def mix_sources(s1: np.ndarray, s2: np.ndarray, snr_db: float,
-                peak: float = 0.9) -> MixExample:
+def mix_sources(s1: np.ndarray, s2: np.ndarray, snr_db: float) -> MixExample:
     """Mix two sources at a chosen first-vs-second SNR, peak-normalized.
 
     The first source keeps unit gain while the second is scaled so the
     energy ratio matches snr_db; then one common gain brings the mixture
-    peak to `peak`, applied to the sources too so mix == sum(sources)
+    peak to MIX_PEAK, applied to the sources too so mix == sum(sources)
     stays exact.
     """
     a = np.asarray(s1, dtype=np.float64)
@@ -247,14 +248,14 @@ def mix_sources(s1: np.ndarray, s2: np.ndarray, snr_db: float,
     sa, sb = a.copy(), g2 * b
     top = float(np.max(np.abs(sa + sb)))
     if top > 0.0:
-        c = peak / top
+        c = MIX_PEAK / top
         sa, sb = c * sa, c * sb
     # sum the scaled sources so mix == sum(sources) holds bit-exactly
     return MixExample(mix=sa + sb, sources=(sa, sb), snr_db=float(snr_db))
 
 
-def sample_snr(rng: np.random.Generator, lo: float = 0.0, hi: float = 5.0) -> float:
-    return float(rng.uniform(lo, hi))
+def sample_snr(rng: np.random.Generator) -> float:
+    return float(rng.uniform(*SNR_RANGE_DB))
 
 
 # ---------------------------------------------------------------------------

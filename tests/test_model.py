@@ -51,7 +51,8 @@ class TestParameterCounts:
             mdl = tiny_model(**over)
             live = [(n, p.shape) for n, p in mdl.named_parameters()]
             assert live == M.parameter_shapes(mdl.config)
-            assert mdl.num_parameters() == M.count_parameters(mdl.config)
+            assert (sum(p.size for _, p in mdl.named_parameters())
+                    == M.count_parameters(mdl.config))
 
 
 class TestShapes:
