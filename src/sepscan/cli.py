@@ -11,8 +11,9 @@ Subcommands:
 
 Exit codes: 0 success, 2 usage error (argparse), 3 malformed input data
 (including a malformed checkpoint or one with a non-finite weight, a path
-the operating system refuses, a constant corpus file, and separate inputs
-whose outputs would collide or overwrite an input), 4 numeric/training
+the operating system refuses, a constant corpus file, separate inputs whose
+outputs would collide, and an output of separate or train-toy that would
+overwrite an input), 4 numeric/training
 failure (failed gradcheck, count mismatch, divergence, non-finite
 separated stems).  When separate fails on any input it removes every
 stem it wrote, so a nonzero exit leaves no partial output behind.
@@ -47,6 +48,22 @@ def _load_wav_checked(path, expect_rate: int) -> np.ndarray:
     if x.size == 0:
         raise DataFormatError(f"{path}: empty WAV")
     return x
+
+
+def _same_file(a, b) -> bool:
+    """a and b name one file: the same resolved path, or two existing paths
+    with one inode (another spelling, a symlink or a hard link)."""
+    return (Path(a).resolve() == Path(b).resolve()
+            or os.path.exists(a) and os.path.exists(b) and os.path.samefile(a, b))
+
+
+def _refuse_overwrite(outputs, inputs) -> None:
+    """Refuse, before anything is written, an output that is an input."""
+    for dest in outputs:
+        for path in inputs:
+            if _same_file(dest, path):
+                raise DataFormatError(
+                    f"the output {dest} would overwrite the input {path}")
 
 
 def _corpus_pairs(manifest, count: int, rng: np.random.Generator,
@@ -88,13 +105,7 @@ def _cmd_separate(args) -> int:
     speakers = range(1, model_mod.ModelConfig.num_speakers + 1)
     prefixes = [""] if len(inputs) == 1 else [f"{Path(p).stem}_" for p in inputs]
     dests = [[out_dir / f"{pre}s{i}.wav" for i in speakers] for pre in prefixes]
-    # samefile compares inodes: another spelling, a symlink or a hard link
-    # of an input is caught before anything is written
-    for dest in (d for ds in dests for d in ds if d.exists()):
-        for path in inputs:
-            if os.path.exists(path) and os.path.samefile(dest, path):
-                raise DataFormatError(
-                    f"the output {dest} would overwrite the input {path}")
+    _refuse_overwrite([d for ds in dests for d in ds], inputs)
     model = model_mod.SeparationModel.from_checkpoint(args.ckpt)
     rate = model.config.sample_rate
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -129,6 +140,8 @@ def _cmd_separate(args) -> int:
 def _cmd_train_toy(args) -> int:
     if Path(args.out).is_dir() or not Path(args.out).parent.is_dir():
         raise DataFormatError(f"--out {args.out}: not a file in an existing directory")
+    _refuse_overwrite([p for p in (args.out, args.log) if p is not None],
+                      [args.config, args.corpus, *audio.read_manifest(args.corpus)])
     cfg = model_mod.load_config(args.config)
     rng = np.random.default_rng(args.seed)
     examples = _corpus_pairs(args.corpus, args.pairs, rng, cfg.sample_rate)
@@ -277,6 +290,9 @@ def main(argv=None) -> int:
     if args.command == "train-toy" and args.warmup > args.steps:
         build_parser().error(f"argument --warmup: must be <= --steps "
                              f"({args.steps}), got {args.warmup}")
+    if (args.command == "train-toy" and args.log is not None
+            and _same_file(args.log, args.out)):
+        build_parser().error("argument --log: must not be the --out checkpoint")
     if args.command == "bench-scan" and "oracle" in args.impl:
         for flag, value, top in (("L", max(args.L), ssm.MAX_ORACLE_L),
                                  ("H", args.H, ssm.MAX_ORACLE_H)):

@@ -433,6 +433,43 @@ class TestTrainToyCommand:
         assert f"--out {out}: not a file in an existing directory" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("target", ["config", "manifest", "entry"])
+    @pytest.mark.parametrize("flag", ["--out", "--log"])
+    def test_output_over_an_input_rejected(self, tmp_path, capsys, flag, target):
+        # a corpus of its own, so a regression cannot spoil the shared one
+        corpus = tmp_path / "corpus"
+        audio.synth_corpus(corpus, num_speakers=2, utts_per_speaker=1,
+                           duration_s=0.06, sample_rate=8000, seed=4)
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY_CFG)
+        victim = {"config": cfg, "manifest": corpus / "manifest.txt",
+                  "entry": corpus / "spk0_utt0.wav"}[target]
+        before = victim.read_bytes()
+        paths = {"--out": tmp_path / "x.ckpt", "--log": tmp_path / "x.csv"}
+        # another spelling of the input's path
+        paths[flag] = victim.parent / ".." / victim.parent.name / victim.name
+        rc = cli.main(["train-toy", "--config", str(cfg),
+                       "--corpus", str(corpus / "manifest.txt"),
+                       "--out", str(paths["--out"]), "--log", str(paths["--log"]),
+                       "--steps", "1", "--warmup", "0"])
+        assert rc == 3
+        assert f"would overwrite the input {victim}" in capsys.readouterr().err
+        assert victim.read_bytes() == before
+        assert not (tmp_path / "x.ckpt").exists() and not (tmp_path / "x.csv").exists()
+
+    def test_log_over_the_checkpoint_is_usage_error(self, workspace, tmp_path,
+                                                    capsys):
+        out = tmp_path / "x.ckpt"
+        with pytest.raises(SystemExit) as e:
+            cli.main(["train-toy", "--config", str(workspace["cfg"]),
+                      "--corpus", str(workspace["corpus"] / "manifest.txt"),
+                      "--out", str(out), "--log", str(tmp_path / "." / "x.ckpt"),
+                      "--steps", "1", "--warmup", "0"])
+        assert e.value.code == 2
+        assert "argument --log: must not be the --out checkpoint" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_corpus_is_data_error(self, workspace):
         r = run_cli("train-toy", "--config", str(workspace["cfg"]),
                     "--corpus", "ghost_manifest.txt",
