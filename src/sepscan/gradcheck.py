@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import numerics as nm
+from . import training
 from .numerics import Tensor
 
 STEP = 1e-5
@@ -100,146 +101,151 @@ def gradcheck(
 # ---------------------------------------------------------------------------
 
 
-def _rand(rng, shape, lo=-2.0, hi=2.0, axes=None):
-    """A uniform draw of `shape`, transposed by `axes` into the package
-    layout: the draws, and so every check's inputs, predate that layout."""
-    arr = rng.uniform(lo, hi, size=shape)
-    return Tensor(arr if axes is None else arr.transpose(axes), requires_grad=True)
+def _entry_rng(seed: int, name: str) -> np.random.Generator:
+    """The generator of one suite entry, seeded from (seed, entry name), so
+    adding, removing or resizing an entry moves no other entry's inputs."""
+    return np.random.default_rng([seed, *name.encode()])
 
 
-# [C, L] -> [L, C]; [B, C, L] -> [L, B, C]; [D, ., .] or [., size, S] reversed
-_T, _TM, _T3 = (1, 0), (2, 0, 1), (2, 1, 0)
+def _rand(rng, shape, lo=-2.0, hi=2.0):
+    return Tensor(rng.uniform(lo, hi, size=shape), requires_grad=True)
+
+
+def _pair(rng):
+    return [_rand(rng, (3, 4)), _rand(rng, (3, 4))]
+
+
+def _conv_inputs(rng, x_shape):
+    """A conv input, a [3, 4] kernel and its bias."""
+    return [_rand(rng, x_shape), _rand(rng, (3, 4)), _rand(rng, (3,))]
+
+
+def _si_snr_inputs(rng):
+    ref = rng.standard_normal(50)
+    return [Tensor(ref + 0.5 * rng.standard_normal(50), requires_grad=True),
+            Tensor(ref)]
+
+
+# name -> (fn, draw, input names[, tol]), tol PRIMITIVE_TOL unless given.
+# draw(rng) returns fn's inputs, the last of them a constant (no gradient)
+# where it weights fn's output
+NUMERICS_CHECKS = {
+    "add": (lambda x, y: nm.add(x, y).sum(), _pair, ["a", "b"]),
+    "mul": (lambda x, y: nm.mul(x, y).sum(), _pair, ["a", "b"]),
+    "neg": (lambda x: nm.neg(x).sum(), lambda g: [_rand(g, (5,))], ["x"]),
+    "mean_pair": (lambda x, y: nm.mean_pair(x, y).sum(), _pair, ["a", "b"]),
+    "sigmoid": (lambda x: nm.sigmoid(x).sum(), lambda g: [_rand(g, (4, 3))], ["x"]),
+    "silu": (lambda x: nm.silu(x).sum(), lambda g: [_rand(g, (4, 3))], ["x"]),
+    "tanh": (lambda x: nm.tanh(x).sum(), lambda g: [_rand(g, (4, 3))], ["x"]),
+    # relu probes stay away from the kink at 0
+    "relu": (lambda x: nm.relu(x).sum(),
+             lambda g: [Tensor(g.uniform(0.25, 2.0, size=(4, 3))
+                               * g.choice([-1.0, 1.0], size=(4, 3)),
+                               requires_grad=True)],
+             ["x"]),
+    "exp": (lambda x: nm.exp(x).sum(), lambda g: [_rand(g, (4, 3))], ["x"]),
+    "permute": (lambda x, y: nm.mul(nm.permute(x, 2, 0, 1), y).sum(),
+                lambda g: [_rand(g, (2, 3, 4)), _rand(g, (4, 2, 3))], ["x", "w"]),
+    "sum": (lambda x: nm.tsum(x), lambda g: [_rand(g, (7,))], ["x"]),
+    # 9 rows frame into 4 windows of 4 at hop 2, padded to 10, trimmed to 9
+    "frame_unaligned": (
+        lambda x, y, wf: nm.mul(nm.overlap_add(nm.mul(nm.frame(x, 4, 2), wf), 2, 9),
+                                y).sum(),
+        lambda g: [_rand(g, (9, 2)), _rand(g, (9, 2)),
+                   Tensor(g.uniform(-1, 1, (4, 4, 2)))],
+        ["x", "w", "window"]),
+    "frame": (lambda x, y: nm.mul(nm.frame(x, 4, 2), y).sum(),
+              lambda g: [_rand(g, (10, 2)), _rand(g, (4, 4, 2))], ["x", "w"]),
+    "overlap_add": (lambda x, y: nm.mul(nm.overlap_add(x, 2, 10), y).sum(),
+                    lambda g: [_rand(g, (4, 4, 2)), _rand(g, (10, 2))], ["x", "w"]),
+    "matmul": (lambda x, y: nm.matmul(x, y).sum(),
+               lambda g: [_rand(g, (3, 4)), _rand(g, (2, 4))], ["a", "b"]),
+    # B == L: a weight gradient pairing g's batch axis with b's time axis fails
+    "matmul_batched": (
+        lambda x, y, wm: nm.mul(nm.matmul(x, y), wm).sum(),
+        lambda g: [_rand(g, (3, 4)), _rand(g, (3, 3, 4)),
+                   Tensor(g.uniform(-1, 1, (3, 3, 3)))],
+        ["a", "b", "w"]),
+    "matmul_bias": (
+        lambda x, y, c, wm: nm.mul(nm.matmul(x, y, c), wm).sum(),
+        lambda g: [_rand(g, (3, 4)), _rand(g, (3, 3, 4)), _rand(g, (3,)),
+                   Tensor(g.uniform(-1, 1, (3, 3, 3)))],
+        ["a", "b", "bias", "w"]),
+    "conv1d_depthwise": (lambda x, k, c: nm.conv1d_depthwise(x, k, c).sum(),
+                         lambda g: _conv_inputs(g, (8, 3)), ["x", "kernel", "bias"]),
+    "conv1d_depthwise_batched": (
+        lambda x, k, c: nm.conv1d_depthwise(x, k, c).sum(),
+        lambda g: _conv_inputs(g, (8, 2, 3)), ["x", "kernel", "bias"]),
+    "rmsnorm": (lambda x, gn, wn: nm.mul(nm.rmsnorm(x, gn), wn).sum(),
+                lambda g: [_rand(g, (2, 4, 3)), _rand(g, (3,)),
+                           Tensor(g.standard_normal((2, 4, 3)))],
+                ["x", "gain", "w"], COMPOSITE_TOL),
+    "layernorm": (lambda x, gn, c, wn: nm.mul(nm.layernorm(x, gn, c), wn).sum(),
+                  lambda g: [_rand(g, (2, 4, 3)), _rand(g, (3,)), _rand(g, (3,)),
+                             Tensor(g.standard_normal((2, 4, 3)))],
+                  ["x", "gain", "bias", "w"], COMPOSITE_TOL),
+    # an input shorter than the kernel: the first taps see only padding,
+    # so their kernel gradient is zero
+    "conv1d_depthwise_short": (
+        lambda x, k, c, wc: nm.mul(nm.conv1d_depthwise(x, k, c), wc).sum(),
+        lambda g: [*_conv_inputs(g, (2, 3)), Tensor(g.standard_normal((2, 3)))],
+        ["x", "kernel", "bias", "w"]),
+    "conv1d_depthwise_short_batched": (
+        lambda x, k, c, wc: nm.mul(nm.conv1d_depthwise(x, k, c), wc).sum(),
+        lambda g: [*_conv_inputs(g, (2, 2, 3)), Tensor(g.standard_normal((2, 2, 3)))],
+        ["x", "kernel", "bias", "w"]),
+    "conv1d_depthwise_reverse": (
+        lambda x, k, c, wr: nm.mul(nm.conv1d_depthwise(x, k, c, reverse=True),
+                                   wr).sum(),
+        lambda g: [*_conv_inputs(g, (8, 2, 3)), Tensor(g.standard_normal((8, 2, 3)))],
+        ["x", "kernel", "bias", "w"]),
+    # the reference is a constant; ref + noise stays well below the 80 dB cap
+    "si_snr": (training.si_snr, _si_snr_inputs, ["est", "ref"]),
+}
 
 
 def suite_numerics(seed: int = 0) -> list[GradcheckResult]:
     """One check per engine primitive, random inputs in [-2, 2]."""
-    from . import training
+    return [gradcheck(fn, draw(_entry_rng(seed, name)), name=name,
+                      tol=tol[0] if tol else PRIMITIVE_TOL, input_names=names)
+            for name, (fn, draw, names, *tol) in NUMERICS_CHECKS.items()]
 
-    rng = np.random.default_rng(seed)
-    checks: list[GradcheckResult] = []
 
-    def run(name, fn, inputs, names, tol=PRIMITIVE_TOL):
-        checks.append(gradcheck(fn, inputs, name=name, tol=tol, input_names=names))
-
-    a, b = _rand(rng, (3, 4)), _rand(rng, (3, 4))
-    run("add", lambda x, y: nm.add(x, y).sum(), [a, b], ["a", "b"])
-    run("mul", lambda x, y: nm.mul(x, y).sum(), [a, b], ["a", "b"])
-    run("neg", lambda x: nm.neg(x).sum(), [_rand(rng, (5,))], ["x"])
-    run("mean_pair", lambda x, y: nm.mean_pair(x, y).sum(), [a, b], ["a", "b"])
-
-    run("sigmoid", lambda x: nm.sigmoid(x).sum(), [_rand(rng, (4, 3))], ["x"])
-    run("silu", lambda x: nm.silu(x).sum(), [_rand(rng, (4, 3))], ["x"])
-    run("tanh", lambda x: nm.tanh(x).sum(), [_rand(rng, (4, 3))], ["x"])
-    # keep relu probes away from the kink at 0
-    rmask = rng.uniform(0.25, 2.0, size=(4, 3)) * rng.choice([-1.0, 1.0], size=(4, 3))
-    run("relu", lambda x: nm.relu(x).sum(), [Tensor(rmask, requires_grad=True)], ["x"])
-    run("exp", lambda x: nm.exp(x).sum(), [_rand(rng, (4, 3))], ["x"])
-
-    w6 = _rand(rng, (2, 3, 4))
-    run("permute",
-        lambda x, y: nm.mul(nm.permute(x, 2, 0, 1), y).sum(),
-        [w6, _rand(rng, (4, 2, 3))], ["x", "w"])
-    run("sum", lambda x: nm.tsum(x), [_rand(rng, (7,))], ["x"])
-    # 9 rows frame into 4 windows of 4 at hop 2, padded to 10, trimmed to 9
-    wf = nm.Tensor(rng.uniform(-1, 1, (2, 4, 4)).transpose(_T3))
-    run("frame_unaligned",
-        lambda x, y: nm.mul(nm.overlap_add(nm.mul(nm.frame(x, 4, 2), wf), 2, 9),
-                            y).sum(),
-        [_rand(rng, (2, 9), axes=_T), _rand(rng, (2, 9), axes=_T)], ["x", "w"])
-    run("frame",
-        lambda x, y: nm.mul(nm.frame(x, 4, 2), y).sum(),
-        [_rand(rng, (2, 10), axes=_T), _rand(rng, (2, 4, 4), axes=_T3)], ["x", "w"])
-    run("overlap_add",
-        lambda x, y: nm.mul(nm.overlap_add(x, 2, 10), y).sum(),
-        [_rand(rng, (2, 4, 4), axes=_T3), _rand(rng, (2, 10), axes=_T)], ["x", "w"])
-
-    run("matmul",
-        lambda x, y: nm.matmul(x, y).sum(),
-        [_rand(rng, (3, 4)), _rand(rng, (4, 2), axes=_T)], ["a", "b"])
-    # B == L: a weight gradient pairing g's batch axis with b's time axis fails
-    wm = nm.Tensor(rng.uniform(-1, 1, (3, 3, 3)).transpose(_TM))
-    run("matmul_batched",
-        lambda x, y: nm.mul(nm.matmul(x, y), wm).sum(),
-        [_rand(rng, (3, 4)), _rand(rng, (3, 4, 3), axes=_TM)], ["a", "b"])
-    run("matmul_bias",
-        lambda x, y, c: nm.mul(nm.matmul(x, y, c), wm).sum(),
-        [_rand(rng, (3, 4)), _rand(rng, (3, 4, 3), axes=_TM), _rand(rng, (3,))],
-        ["a", "b", "bias"])
-    run("conv1d_depthwise",
-        lambda x, k, c: nm.conv1d_depthwise(x, k, c).sum(),
-        [_rand(rng, (3, 8), axes=_T), _rand(rng, (3, 4)), _rand(rng, (3,))],
-        ["x", "kernel", "bias"])
-    run("conv1d_depthwise_batched",
-        lambda x, k, c: nm.conv1d_depthwise(x, k, c).sum(),
-        [_rand(rng, (2, 3, 8), axes=_TM), _rand(rng, (3, 4)), _rand(rng, (3,))],
-        ["x", "kernel", "bias"])
-    wn = nm.Tensor(rng.standard_normal((3, 4, 2)).transpose(_T3))
-    run("rmsnorm",
-        lambda x, gn: nm.mul(nm.rmsnorm(x, gn), wn).sum(),
-        [_rand(rng, (3, 4, 2), axes=_T3), _rand(rng, (3,))], ["x", "gain"],
-        tol=COMPOSITE_TOL)
-    run("layernorm",
-        lambda x, gn, c: nm.mul(nm.layernorm(x, gn, c), wn).sum(),
-        [_rand(rng, (3, 4, 2), axes=_T3), _rand(rng, (3,)), _rand(rng, (3,))],
-        ["x", "gain", "bias"], tol=COMPOSITE_TOL)
-    # an input shorter than the kernel: the first taps see only padding,
-    # so their kernel gradient is zero
-    wc = nm.Tensor(rng.standard_normal((2, 3, 2)).transpose(_TM))
-    run("conv1d_depthwise_short",
-        lambda x, k, c: nm.mul(nm.conv1d_depthwise(x, k, c),
-                               nm.Tensor(wc.data[:, 0])).sum(),
-        [_rand(rng, (3, 2), axes=_T), _rand(rng, (3, 4)), _rand(rng, (3,))],
-        ["x", "kernel", "bias"])
-    run("conv1d_depthwise_short_batched",
-        lambda x, k, c: nm.mul(nm.conv1d_depthwise(x, k, c), wc).sum(),
-        [_rand(rng, (2, 3, 2), axes=_TM), _rand(rng, (3, 4)), _rand(rng, (3,))],
-        ["x", "kernel", "bias"])
-    wr = nm.Tensor(rng.standard_normal((2, 3, 8)).transpose(_TM))
-    run("conv1d_depthwise_reverse",
-        lambda x, k, c: nm.mul(nm.conv1d_depthwise(x, k, c, reverse=True),
-                               wr).sum(),
-        [_rand(rng, (2, 3, 8), axes=_TM), _rand(rng, (3, 4)), _rand(rng, (3,))],
-        ["x", "kernel", "bias"])
-    # the reference is a constant; ref + noise stays well below the 80 dB cap
-    sref = Tensor(rng.standard_normal(50))
-    run("si_snr", lambda x: training.si_snr(x, sref),
-        [Tensor(sref.data + 0.5 * rng.standard_normal(50), requires_grad=True)],
-        ["est"])
-    return checks
+# name -> (exact_zoh, batched, reverse, fused).  A fused scan takes delta
+# raw, with its bias (softplus 0.49 .. 1.25), the D skip and the gate
+SSM_CHECKS = {
+    "selective_scan_euler": (False, False, False, False),
+    "selective_scan_euler_batched": (False, True, False, False),
+    "selective_scan_exact_zoh": (True, False, False, False),
+    "selective_scan_exact_zoh_batched": (True, True, False, False),
+    "selective_scan_reverse_batched": (False, True, True, False),
+    "selective_scan_fused_batched": (False, True, False, True),
+    "selective_scan_fused_reverse_exact_zoh_batched": (True, True, True, True),
+}
 
 
 def suite_ssm(seed: int = 0) -> list[GradcheckResult]:
     from . import ssm
 
-    rng = np.random.default_rng(seed)
     checks = []
     E, L, H = 3, 6, 2
-    # the reverse scan and then the fused ones come last, so the entries
-    # before them keep their draws.  A fused scan takes delta raw, with its
-    # bias (softplus 0.49 .. 1.25), the D skip and the gate
-    for mode, tag, batched, reverse, fused in (
-            (False, "euler", False, False, False), (False, "euler", True, False, False),
-            (True, "exact_zoh", False, False, False),
-            (True, "exact_zoh", True, False, False),
-            (False, "reverse", True, True, False), (False, "fused", True, False, True),
-            (True, "fused_reverse_exact_zoh", True, True, True)):
-        shape_x = (2, E, L) if batched else (E, L)
-        shape_bc = (2, L, H) if batched else (L, H)
-        # x and delta to [L, B, E] or [L, E], b and c to [L, B, H]
-        to_x, to_bc = (_TM, (1, 0, 2)) if batched else (_T, None)
-        x = _rand(rng, shape_x, -1.0, 1.0, to_x)
-        delta = _rand(rng, shape_x, 0.05, 0.4, to_x)
+    for name, (mode, batched, reverse, fused) in SSM_CHECKS.items():
+        rng = _entry_rng(seed, name)
+        # x, delta and the gate [L, B, E] or [L, E], b and c [L, B, H] or [L, H]
+        shape_x = (L, 2, E) if batched else (L, E)
+        shape_bc = (L, 2, H) if batched else (L, H)
+        x = _rand(rng, shape_x, -1.0, 1.0)
+        delta = _rand(rng, shape_x, 0.05, 0.4)
         a = Tensor(rng.uniform(-2.0, -0.2, size=(E, H)), requires_grad=True)
-        bmat = _rand(rng, shape_bc, -1.0, 1.0, to_bc)
-        cmat = _rand(rng, shape_bc, -1.0, 1.0, to_bc)
+        bmat = _rand(rng, shape_bc, -1.0, 1.0)
+        cmat = _rand(rng, shape_bc, -1.0, 1.0)
         extra = ([_rand(rng, (E,), -0.5, 0.5), _rand(rng, (E,), -1.0, 1.0),
-                  _rand(rng, shape_x, -1.0, 1.0, to_x)] if fused else [])
+                  _rand(rng, shape_x, -1.0, 1.0)] if fused else [])
 
         def fn(xv, dv, av, bv, cv, *fv, _mode=mode, _reverse=reverse):
             params = ssm.SsmParams(av, dv, bv, cv, _mode, *fv)
             return ssm.scan_sequential(xv, params, reverse=_reverse).sum()
 
-        name = f"selective_scan_{tag}" + ("_batched" if batched else "")
         checks.append(gradcheck(fn, [x, delta, a, bmat, cmat, *extra], name=name,
                                 tol=PRIMITIVE_TOL,
                                 input_names=["x", "delta", "a", "b", "c", "delta_bias",
@@ -254,7 +260,7 @@ def suite_blocks(seed: int = 0) -> list[GradcheckResult]:
     D, L, H = 3, 5, 2
     w = blocks.init_bi_scan(D, H, rng)
     names, params = zip(*blocks.named_parameters(w, "bi_scan"))
-    x = _rand(rng, (D, L), -1.0, 1.0, _T)
+    x = _rand(rng, (L, D), -1.0, 1.0)
 
     def fn(*_args):
         return blocks.bi_scan_forward(x, w).sum()
@@ -271,7 +277,7 @@ def suite_dualpath(seed: int = 0) -> list[GradcheckResult]:
     D, K, S, H = 2, 4, 3, 2
     w = dualpath.init_dp_block(D, H, "rmsnorm", rng)
     names, params = zip(*blocks.named_parameters(w, "block"))
-    x = _rand(rng, (D, K, S), -1.0, 1.0, _T3)            # [S, K, D]
+    x = _rand(rng, (S, K, D), -1.0, 1.0)
 
     def fn(*_args):
         return dualpath.dp_block(x, w).sum()
@@ -284,7 +290,6 @@ def suite_dualpath(seed: int = 0) -> list[GradcheckResult]:
 def suite_model(seed: int = 0) -> list[GradcheckResult]:
     """End-to-end: separation forward + permutation-invariant loss, tiny model."""
     from . import model as model_mod
-    from . import training
 
     rng = np.random.default_rng(seed)
     cfg = model_mod.ModelConfig(d=4, r=1, h=2, chunk_len=4)

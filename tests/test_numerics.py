@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import sepscan.gradcheck as gc
 import sepscan.numerics as nm
 import sepscan.ssm as ssm
 from sepscan.gradcheck import run_suite
@@ -295,3 +296,17 @@ def test_every_primitive_gradient():
     results = run_suite("numerics")
     bad = [f"{r.name}: {r.max_rel_err:.2e}" for r in results if not r.ok]
     assert not bad, f"primitive gradchecks failed: {bad}"
+
+
+def test_removing_a_check_leaves_the_others_inputs_unchanged(monkeypatch):
+    # each entry draws from its own generator: dropping the first entry of
+    # each suite moves no other entry's recorded error, to the bit
+    def errors():
+        return {r.name: r.max_rel_err for r in run_suite("numerics") + run_suite("ssm")}
+
+    full = errors()
+    monkeypatch.delitem(gc.NUMERICS_CHECKS, "add")
+    monkeypatch.delitem(gc.SSM_CHECKS, "selective_scan_euler")
+    rest = errors()
+    assert len(rest) == len(full) - 2
+    assert rest == {k: full[k] for k in rest}
