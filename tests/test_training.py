@@ -1,6 +1,7 @@
 """Loss properties, metrics, optimizer, schedule, and the training loop."""
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -162,6 +163,63 @@ def test_pit_loss_graph_has_no_pad_or_trim_nodes():
     assert ops["pad_end"] == ops["add_bias"] == 0
     assert (ops["narrow"], ops["frame"], ops["overlap_add"], ops["matmul"]) \
         == (2, 1, 3, 55)
+
+
+class TestLeafGradients:
+    """backward keeps a gradient on the leaves only, at the criterion-6 scale."""
+
+    @staticmethod
+    def _criterion_6():
+        examples = [
+            T.mix_sources(audio.synth_utterance(0, 0.2, 8000, 11, k),
+                          audio.synth_utterance(2, 0.2, 8000, 11, k), snr)
+            for k, snr in ((0, 0.0), (1, 5.0))]
+        net = M.SeparationModel(M.ModelConfig(d=32, r=2, h=8, chunk_len=32),
+                                rng=np.random.default_rng(3))
+        return net, examples
+
+    def _loss(self):
+        net, examples = self._criterion_6()
+        ex = examples[0]
+        loss, _ = T.pit_loss(net.separate(ex.mix),
+                             tuple(Tensor(s) for s in ex.sources))
+        return net, loss
+
+    def test_no_intermediate_keeps_a_gradient(self):
+        net, loss = self._loss()
+        loss.backward()
+        nodes = nm._topo_order(loss)
+        assert sum(n._vjp is not None for n in nodes) > 100
+        assert all(n.grad is None for n in nodes if n._vjp is not None)
+        assert all(p.grad is not None for _, p in net.named_parameters())
+
+    def test_leaf_gradients_equal_a_tape_that_keeps_every_gradient(self):
+        net, loss = self._loss()
+        # the same sweep, but every node's summed gradient is kept to the end
+        kept = {id(loss): np.ones((), dtype=loss.dtype)}
+        for node in reversed(nm._topo_order(loss)):
+            g = kept.get(id(node))
+            if g is None or node._vjp is None:
+                continue
+            for parent, pg in zip(node._parents, node._vjp(g)):
+                if pg is not None and parent.requires_grad:
+                    have = kept.get(id(parent))
+                    kept[id(parent)] = pg if have is None else have + pg
+        loss.backward()
+        for name, p in net.named_parameters():
+            assert np.array_equal(p.grad, kept[id(p)]), name
+
+    def test_train_step_peak_memory(self):
+        # a tape that kept every intermediate gradient peaked at 65 MB here
+        net, examples = self._criterion_6()
+        sched = T.TrainSchedule(peak_lr=1.5e-4, warmup_steps=150, total_steps=2000)
+        tracemalloc.start()
+        try:
+            T.train_toy(net, examples, sched, steps=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 55e6, f"one train step peaked at {peak / 1e6:.1f} MB"
 
 
 class TestImprovementMetrics:
