@@ -127,8 +127,8 @@ def _si_snr_inputs(rng):
 
 
 # name -> (fn, draw, input names[, tol]), tol PRIMITIVE_TOL unless given.
-# draw(rng) returns fn's inputs, the last of them a constant (no gradient)
-# where it weights fn's output
+# draw(rng) returns fn's inputs; one without requires_grad is a constant
+# (a weight on fn's output, or si_snr's reference) and is not checked
 NUMERICS_CHECKS = {
     "add": (lambda x, y: nm.add(x, y).sum(), _pair, ["a", "b"]),
     "mul": (lambda x, y: nm.mul(x, y).sum(), _pair, ["a", "b"]),

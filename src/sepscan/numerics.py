@@ -24,8 +24,7 @@ The recorded graph is the chain of ``_parents`` links hanging off each
 tensor, together with the saved arrays closed over by each ``_vjp``
 callback.  ``backward`` linearizes that DAG once (topological order),
 visits every node exactly once, and pushes vector-Jacobian products
-toward the leaves.  An intermediate's gradient is held only until its
-VJP has run, then freed.
+toward the leaves.
 """
 
 from __future__ import annotations

@@ -26,8 +26,8 @@ from .numerics import NumericsError, Tensor
 SI_SNR_EPS = 1e-8
 SI_SNR_CAP_DB = 80.0
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
-MIX_PEAK = 0.9                    # mixture peak after mix_sources normalizes it
-SNR_RANGE_DB = (0.0, 5.0)         # sample_snr's uniform range
+MIX_PEAK = 0.9
+SNR_RANGE_DB = (0.0, 5.0)
 _LOG10 = math.log(10.0)
 
 
