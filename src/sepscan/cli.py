@@ -40,11 +40,11 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-def _load_wav_checked(path, expect_rate: int) -> np.ndarray:
+def _load_wav_checked(path) -> np.ndarray:
     x, rate = audio.wav_read(path)
-    if rate != expect_rate:
-        raise DataFormatError(
-            f"{path}: sample rate {rate} does not match the model's {expect_rate}")
+    if rate != model_mod.SAMPLE_RATE:
+        raise DataFormatError(f"{path}: sample rate {rate} does not match "
+                              f"the model's {model_mod.SAMPLE_RATE}")
     if x.size == 0:
         raise DataFormatError(f"{path}: empty WAV")
     return x
@@ -66,13 +66,13 @@ def _refuse_overwrite(outputs, inputs) -> None:
                     f"the output {dest} would overwrite the input {path}")
 
 
-def _corpus_pairs(manifest, count: int, rng: np.random.Generator,
-                  sample_rate: int) -> list[training.MixExample]:
+def _corpus_pairs(manifest, count: int,
+                  rng: np.random.Generator) -> list[training.MixExample]:
     """Build fixed mixtures by pairing distinct corpus files."""
     paths = audio.read_manifest(manifest)
     if len(paths) < 2:
         raise DataFormatError(f"{manifest}: need at least 2 corpus files")
-    waves = [_load_wav_checked(p, sample_rate) for p in paths]
+    waves = [_load_wav_checked(p) for p in paths]
     shortest = min(w.size for w in waves)
     for path, w in zip(paths, waves):
         if np.all(w[:shortest] == w[0]):
@@ -101,25 +101,23 @@ def _cmd_separate(args) -> int:
         raise DataFormatError(
             f"inputs share the file stem(s) {', '.join(shared)}, so their "
             f"outputs in {out_dir} would overwrite each other")
-    # a config accepts only the default speaker count
-    speakers = range(1, model_mod.ModelConfig.num_speakers + 1)
+    speakers = range(1, model_mod.SPEAKERS + 1)
     prefixes = [""] if len(inputs) == 1 else [f"{Path(p).stem}_" for p in inputs]
     dests = [[out_dir / f"{pre}s{i}.wav" for i in speakers] for pre in prefixes]
     _refuse_overwrite([d for ds in dests for d in ds], inputs)
     model = model_mod.SeparationModel.from_checkpoint(args.ckpt)
-    rate = model.config.sample_rate
     out_dir.mkdir(parents=True, exist_ok=True)
     started: list[Path] = []      # every stem file this invocation opened
 
     def one(path, outs) -> list[Path]:
         # weights are read-only here, so workers can share the model
-        mix = _load_wav_checked(path, rate)
+        mix = _load_wav_checked(path)
         stems = [est.data for est in model.separate(mix)]
         if not all(np.isfinite(s).all() for s in stems):
             raise NumericsError(f"{path}: separation produced non-finite samples")
         for dest, stem in zip(outs, stems, strict=True):
             started.append(dest)
-            audio.wav_write(dest, stem, rate)
+            audio.wav_write(dest, stem, model_mod.SAMPLE_RATE)
         return outs
 
     try:
@@ -144,7 +142,7 @@ def _cmd_train_toy(args) -> int:
                       [args.config, args.corpus, *audio.read_manifest(args.corpus)])
     cfg = model_mod.load_config(args.config)
     rng = np.random.default_rng(args.seed)
-    examples = _corpus_pairs(args.corpus, args.pairs, rng, cfg.sample_rate)
+    examples = _corpus_pairs(args.corpus, args.pairs, rng)
     net = model_mod.SeparationModel(cfg, rng=rng)
     sched = training.TrainSchedule(peak_lr=args.peak_lr,
                                    warmup_steps=args.warmup,
@@ -196,8 +194,7 @@ def _cmd_bench_scan(args) -> int:
 def _cmd_eval(args) -> int:
     model = model_mod.SeparationModel.from_checkpoint(args.ckpt)
     rng = np.random.default_rng(args.seed)
-    examples = _corpus_pairs(args.manifest, args.pairs, rng,
-                             model.config.sample_rate)
+    examples = _corpus_pairs(args.manifest, args.pairs, rng)
     si_vals, sd_vals = [], []
     for ex in examples:
         est = tuple(e.data for e in model.separate(ex.mix))

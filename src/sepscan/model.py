@@ -17,9 +17,9 @@ The head maps each frame alone and dechunk averages the chunks covering a
 frame, so the two commute: the head runs on N frames rather than K * S.
 
 Checkpoints are a readable text header (format line, config key-values,
-one name/shape/offset record per parameter) followed by raw
-little-endian float32 data, so a saved model can be inspected with a
-pager and loaded without pickle.
+one name/shape record per parameter) followed by raw little-endian
+float32 data, the parameters back to back in record order, so a saved
+model can be inspected with a pager and loaded without pickle.
 """
 
 from __future__ import annotations
@@ -40,7 +40,13 @@ from .errors import DataFormatError
 from .numerics import NumericsError, Tensor
 
 CHECKPOINT_MAGIC = "sepscan-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+
+# the SepFormer front end that DPMamba keeps: never varied, so not config
+ENC_KERNEL = 16
+ENC_STRIDE = 8
+SPEAKERS = 2
+SAMPLE_RATE = 8000
 
 
 # ---------------------------------------------------------------------------
@@ -53,34 +59,21 @@ class ModelConfig:
     d: int                      # feature channels
     r: int                      # dual-path block count
     h: int = 16                 # states per scan channel
-    enc_kernel: int = 16
-    enc_stride: int = 8
     chunk_len: int = 250        # K; hop is K // 2
-    num_speakers: int = 2
     norm_kind: str = "rmsnorm"
     bidirectional: bool = True
     exact_zoh: bool = False
     encoder_relu: bool = False
-    sample_rate: int = 8000
 
     def __post_init__(self):
         if self.d < 1 or self.r < 1 or self.h < 1:
             raise DataFormatError(f"config: d/r/h must be positive, got "
                                   f"{self.d}/{self.r}/{self.h}")
-        if self.enc_kernel < 1 or not (0 < self.enc_stride <= self.enc_kernel):
-            raise DataFormatError(
-                f"config: need 0 < enc_stride <= enc_kernel, got "
-                f"{self.enc_stride}/{self.enc_kernel}")
         if self.chunk_len < 2 or self.chunk_len % 2:
             raise DataFormatError(f"config: chunk_len must be even and >= 2 "
                                   f"(chunks overlap by half), got {self.chunk_len}")
-        if self.num_speakers != 2:
-            raise DataFormatError("config: only two-speaker separation is implemented")
         if self.norm_kind not in NORM_KINDS:
             raise DataFormatError(f"config: norm_kind must be one of {NORM_KINDS}")
-        if self.sample_rate < 1:
-            raise DataFormatError(
-                f"config: sample_rate must be positive, got {self.sample_rate}")
 
     @property
     def e(self) -> int:
@@ -204,10 +197,10 @@ def _bi_scan_shapes(prefix: str, cfg: ModelConfig):
 
 def parameter_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     """Every learnable tensor of the model, in checkpoint order."""
-    d, k, spk = cfg.d, cfg.enc_kernel, cfg.num_speakers
+    d = cfg.d
     shapes: list[tuple[str, tuple[int, ...]]] = [
-        ("encoder", (d, k)),
-        ("decoder", (k, d)),
+        ("encoder", (d, ENC_KERNEL)),
+        ("decoder", (ENC_KERNEL, d)),
     ]
     shapes += _norm_shapes("pre_norm", d, cfg.norm_kind)
     shapes.append(("input_proj", (d, d)))
@@ -218,8 +211,8 @@ def parameter_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
         shapes += _norm_shapes(f"{base}.inter_norm", d, cfg.norm_kind)
         shapes += _bi_scan_shapes(f"{base}.inter_scan", cfg)
     shapes += [
-        ("mask_head_w", (spk * d, d)),
-        ("mask_head_b", (spk * d,)),
+        ("mask_head_w", (SPEAKERS * d, d)),
+        ("mask_head_b", (SPEAKERS * d,)),
         ("out_proj_w", (d, d)),
         ("out_proj_b", (d,)),
         ("out_gate_w", (d, d)),
@@ -255,12 +248,12 @@ class ModelWeights:
 
 
 def _init_weights(cfg: ModelConfig, rng: np.random.Generator) -> ModelWeights:
-    d, k = cfg.d, cfg.enc_kernel
+    d = cfg.d
     lin = blocks_mod._linear_init
     bound = 1.0 / math.sqrt(d)
     return ModelWeights(
-        encoder=lin(rng, d, k),
-        decoder=lin(rng, k, d),
+        encoder=lin(rng, d, ENC_KERNEL),
+        decoder=lin(rng, ENC_KERNEL, d),
         pre_norm=dp.init_norm(d, cfg.norm_kind),
         input_proj=lin(rng, d, d),
         blocks=[
@@ -268,8 +261,8 @@ def _init_weights(cfg: ModelConfig, rng: np.random.Generator) -> ModelWeights:
                              cfg.bidirectional, cfg.exact_zoh)
             for _ in range(cfg.r)
         ],
-        mask_head_w=lin(rng, cfg.num_speakers * d, d),
-        mask_head_b=nm.uniform((cfg.num_speakers * d,), -bound, bound, rng,
+        mask_head_w=lin(rng, SPEAKERS * d, d),
+        mask_head_b=nm.uniform((SPEAKERS * d,), -bound, bound, rng,
                                requires_grad=True),
         out_proj_w=lin(rng, d, d),
         out_proj_b=nm.uniform((d,), -bound, bound, rng, requires_grad=True),
@@ -298,7 +291,7 @@ class SeparationModel:
         """Waveform [T] -> frames [N, D], N = ceil(max(T - kernel, 0) / stride) + 1."""
         if x.ndim != 1:
             raise NumericsError(f"encode expects a 1-D waveform, got {x.shape}")
-        frames = nm.frame(x, self.config.enc_kernel, self.config.enc_stride)
+        frames = nm.frame(x, ENC_KERNEL, ENC_STRIDE)
         feats = nm.matmul(self.weights.encoder, frames)
         if self.config.encoder_relu:
             feats = nm.relu(feats)
@@ -309,7 +302,7 @@ class SeparationModel:
         if feats.ndim != 2 or feats.shape[1] != self.config.d:
             raise NumericsError(f"decode expects [N, D], got {feats.shape}")
         frames = nm.matmul(self.weights.decoder, feats)
-        return nm.overlap_add(frames, self.config.enc_stride, out_len)
+        return nm.overlap_add(frames, ENC_STRIDE, out_len)
 
     def masks(self, feats: Tensor) -> tuple[Tensor, ...]:
         """Frames [N, D] -> one nonnegative mask [N, D] per speaker."""
@@ -322,7 +315,7 @@ class SeparationModel:
             cf.data = dp.dp_block(cf.data, blk)
         merged = nm.matmul(w.mask_head_w, dp.dechunk(cf), w.mask_head_b)
         out = []
-        for i in range(cfg.num_speakers):
+        for i in range(SPEAKERS):
             sl = nm.narrow(merged, 1, i * cfg.d, cfg.d)
             o = nm.tanh(nm.matmul(w.out_proj_w, sl, w.out_proj_b))
             g = nm.sigmoid(nm.matmul(w.out_gate_w, sl, w.out_gate_b))
@@ -392,20 +385,18 @@ def save_checkpoint(path: str | Path, cfg: ModelConfig,
     """Text header + raw little-endian float32 payload; see load_checkpoint."""
     records = []
     payload = bytearray()
-    offset = 0
     for name, p in named_params:
         arr = np.ascontiguousarray(p.data, dtype="<f4")
         shape = ",".join(str(s) for s in arr.shape) or "1"
-        records.append(f"{name} {shape} {offset}")
+        records.append(f"{name} {shape}")
         payload += arr.tobytes()
-        offset += arr.size
     header = "\n".join([
         f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION}",
         "[config]",
         config_to_text(cfg).rstrip("\n"),
         "[params]",
         *records,
-        f"[data] {offset}",
+        f"[data] {len(payload) // 4}",
     ]) + "\n"
     with open(path, "wb") as f:
         f.write(header.encode("ascii"))
@@ -463,14 +454,14 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray
     flat = np.frombuffer(payload, dtype="<f4")
 
     arrays: dict[str, np.ndarray] = {}
+    off = 0       # each record's data follows the previous record's
     for record in lines[par_at + 1 : -1]:
         parts = record.split()
-        if len(parts) != 3:
+        if len(parts) != 2:
             raise DataFormatError(f"checkpoint {path}: bad param record {record!r}")
-        name, shape_s, off_s = parts
+        name, shape_s = parts
         shape = tuple(_header_int(path, f"'{name}' shape", s)
                       for s in shape_s.split(","))
-        off = _header_int(path, f"'{name}' offset", off_s)
         size = math.prod(shape)
         if off + size > total:
             raise DataFormatError(
@@ -481,4 +472,8 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray
             arrays[name] = flat[off : off + size].reshape(shape).copy()
         except ValueError as exc:
             raise DataFormatError(f"checkpoint {path}: bad shape {shape_s}") from exc
+        off += size
+    if off != total:
+        raise DataFormatError(
+            f"checkpoint {path}: the records hold {off} values, [data] {total}")
     return cfg, arrays

@@ -117,11 +117,9 @@ def test_manifest_fuzz(scratch, blob):
 configs = st.builds(
     M.ModelConfig,
     d=st.integers(1, 512), r=st.integers(1, 32), h=st.integers(1, 64),
-    enc_kernel=st.integers(8, 32), enc_stride=st.integers(1, 8),
     chunk_len=st.integers(1, 200).map(lambda k: 2 * k),
     norm_kind=st.sampled_from(NORM_KINDS), bidirectional=st.booleans(),
     exact_zoh=st.booleans(), encoder_relu=st.booleans(),
-    sample_rate=st.integers(1, 192000),
 )
 
 

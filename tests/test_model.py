@@ -177,8 +177,8 @@ class TestCheckpoint:
         p = tmp_path / "m.ckpt"
         M.save_model(p, tiny_model())
         head = p.read_bytes()[:200].decode("ascii", errors="replace")
-        assert head.startswith("sepscan-checkpoint 1\n[config]\n")
-        assert "d = 4" in head
+        assert head.startswith("sepscan-checkpoint 2\n[config]\n")
+        assert "d = 4" in head and "\n[params]\nencoder 4,16\ndecoder 16,4\n" in head
 
     def test_truncated_payload_rejected(self, tmp_path):
         p = tmp_path / "m.ckpt"
@@ -222,15 +222,15 @@ class TestCheckpoint:
             tiny_model().load_state(arrays)
 
     # (header line to replace, its replacement): the magic line, the first
-    # param record (the tiny model's is "encoder 4,16 0") or the [data] line
+    # param record (the tiny model's is "encoder 4,16") or the [data] line
     MALFORMED_HEADERS = {
         "version_not_int": ("magic", "sepscan-checkpoint one"),
         "data_size_not_int": ("data", "[data] zz"),
-        "shape_not_int": ("record", "encoder 4,x 0"),
-        "shape_negative": ("record", "encoder -4,16 0"),
-        "offset_not_int": ("record", "encoder 4,16 0.5"),
-        "offset_negative": ("record", "encoder 4,16 -1"),
-        "shape_too_large": ("record", "encoder 0,1000000000000000000000 0"),
+        "shape_not_int": ("record", "encoder 4,x"),
+        "shape_negative": ("record", "encoder -4,16"),
+        "record_with_offset": ("record", "encoder 4,16 0"),
+        "record_without_shape": ("record", "encoder"),
+        "shape_too_large": ("record", "encoder 0,1000000000000000000000"),
     }
 
     @pytest.mark.parametrize("line,text", MALFORMED_HEADERS.values(),
@@ -381,12 +381,11 @@ class TestConfig:
         with pytest.raises(DataFormatError):
             M.ModelConfig(d=0, r=1)
         with pytest.raises(DataFormatError):
-            M.ModelConfig(d=4, r=1, num_speakers=3)
-        with pytest.raises(DataFormatError):
             M.ModelConfig(d=4, r=1, norm_kind="instance")
-        with pytest.raises(DataFormatError):
-            M.ModelConfig(d=4, r=1, enc_stride=20)
         with pytest.raises(DataFormatError, match="chunk_len"):
             M.ModelConfig(d=4, r=1, chunk_len=5)
-        with pytest.raises(DataFormatError, match="sample_rate"):
-            M.config_from_text("d = 8\nr = 2\nsample_rate = 0\n")
+        # the encoder geometry, speaker count and rate are module constants
+        for key, value in (("num_speakers", 3), ("enc_stride", 20),
+                           ("sample_rate", 0)):
+            with pytest.raises(DataFormatError, match=f"unknown key '{key}'"):
+                M.config_from_text(f"d = 8\nr = 2\n{key} = {value}\n")
