@@ -420,38 +420,42 @@ def _header_int(path, what: str, text: str) -> int:
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
-    blob = Path(path).read_bytes()
-    marker = blob.find(b"[data] ")
-    if marker < 0 or (marker > 0 and blob[marker - 1 : marker] != b"\n"):
-        raise DataFormatError(f"checkpoint {path}: missing [data] section")
-    newline = blob.find(b"\n", marker)
-    if newline < 0:
-        raise DataFormatError(f"checkpoint {path}: truncated [data] line")
-    try:
-        header = blob[:newline].decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"checkpoint {path}: non-ascii header") from exc
-    payload = blob[newline + 1 :]
+    """The config and every parameter, each a view of one float32 array
+    that holds the payload: the file's data is read once, into it."""
+    with open(path, "rb") as f:
+        head = []
+        for raw in f:
+            head.append(raw)
+            if raw.startswith(b"[data] "):
+                break
+        else:
+            raise DataFormatError(f"checkpoint {path}: missing [data] section")
+        if not raw.endswith(b"\n"):
+            raise DataFormatError(f"checkpoint {path}: truncated [data] line")
+        try:
+            lines = b"".join(head).decode("ascii").splitlines()
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"checkpoint {path}: non-ascii header") from exc
 
-    lines = header.splitlines()
-    magic = lines[0].split()
-    if len(magic) != 2 or magic[0] != CHECKPOINT_MAGIC:
-        raise DataFormatError(f"checkpoint {path}: bad magic line {lines[0]!r}")
-    if _header_int(path, "version", magic[1]) != CHECKPOINT_VERSION:
-        raise DataFormatError(f"checkpoint {path}: unsupported version {magic[1]}")
-    try:
-        cfg_at = lines.index("[config]")
-        par_at = lines.index("[params]")
-    except ValueError as exc:
-        raise DataFormatError(f"checkpoint {path}: missing header section") from exc
-    cfg = config_from_text("\n".join(lines[cfg_at + 1 : par_at]))
+        magic = lines[0].split()
+        if len(magic) != 2 or magic[0] != CHECKPOINT_MAGIC:
+            raise DataFormatError(f"checkpoint {path}: bad magic line {lines[0]!r}")
+        if _header_int(path, "version", magic[1]) != CHECKPOINT_VERSION:
+            raise DataFormatError(f"checkpoint {path}: unsupported version {magic[1]}")
+        try:
+            cfg_at = lines.index("[config]")
+            par_at = lines.index("[params]")
+        except ValueError as exc:
+            raise DataFormatError(f"checkpoint {path}: missing header section") from exc
+        cfg = config_from_text("\n".join(lines[cfg_at + 1 : par_at]))
 
-    total = _header_int(path, "[data] size", lines[-1][len("[data] "):].strip())
-    if len(payload) != total * 4:
-        raise DataFormatError(
-            f"checkpoint {path}: payload is {len(payload)} bytes, "
-            f"header promises {total * 4}")
-    flat = np.frombuffer(payload, dtype="<f4")
+        total = _header_int(path, "[data] size", lines[-1][len("[data] "):].strip())
+        left = os.fstat(f.fileno()).st_size - f.tell()
+        if left != total * 4:     # before allocating: the count is untrusted
+            raise DataFormatError(
+                f"checkpoint {path}: payload is {left} bytes, "
+                f"header promises {total * 4}")
+        flat = np.fromfile(f, dtype="<f4", count=total)
 
     arrays: dict[str, np.ndarray] = {}
     off = 0       # each record's data follows the previous record's
@@ -469,7 +473,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray
         if name in arrays:
             raise DataFormatError(f"checkpoint {path}: duplicate param '{name}'")
         try:      # numpy refuses some shapes even of an empty record
-            arrays[name] = flat[off : off + size].reshape(shape).copy()
+            arrays[name] = flat[off : off + size].reshape(shape)
         except ValueError as exc:
             raise DataFormatError(f"checkpoint {path}: bad shape {shape_s}") from exc
         off += size

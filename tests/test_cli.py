@@ -127,6 +127,14 @@ class TestParams:
         assert "sample_rate" in r.stderr and "Traceback" not in r.stderr
 
 
+    def test_front_end_key_is_data_error(self, tmp_path):
+        # the encoder stride is a module constant, not a config key
+        bad = tmp_path / "stride.cfg"
+        bad.write_text("d = 8\nr = 2\nenc_stride = 8\n")
+        r = run_cli("params", "--config", str(bad))
+        assert r.returncode == 3
+        assert "unknown key 'enc_stride'" in r.stderr and "Traceback" not in r.stderr
+
     def test_non_utf8_config_is_data_error(self, tmp_path):
         bad = tmp_path / "latin1.cfg"
         bad.write_bytes(b"d = 8\nr = 2\n# caf\xe9\n")

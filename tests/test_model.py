@@ -221,6 +221,67 @@ class TestCheckpoint:
         with pytest.raises(DataFormatError, match="mismatch"):
             tiny_model().load_state(arrays)
 
+    def test_version_1_rejected(self, tmp_path):
+        """A format-1 file (front-end config keys, offset records) is refused
+        by its version, before anything else in it is read."""
+        p = tmp_path / "m.ckpt"
+        M.save_model(p, tiny_model())
+        head, sep, payload = p.read_bytes().partition(b"\n[data] ")
+        lines = head.decode("ascii").split("\n")
+        at = lines.index("[params]")
+        off = 0
+        for i in range(at + 1, len(lines)):
+            name, shape = lines[i].split()
+            lines[i] = f"{name} {shape} {off}"
+            off += int(np.prod([int(n) for n in shape.split(",")]))
+        lines[at:at] = ["enc_kernel = 16", "enc_stride = 8", "num_speakers = 2",
+                        "sample_rate = 8000"]
+        lines[0] = "sepscan-checkpoint 1"
+        p.write_bytes("\n".join(lines).encode("ascii") + sep + payload)
+        with pytest.raises(DataFormatError, match="unsupported version 1"):
+            M.load_checkpoint(p)
+
+    @pytest.mark.parametrize("shape", ["4,15", "4,17"], ids=["gap", "overrun"])
+    def test_records_must_add_up_to_the_data_count(self, tmp_path, shape):
+        """Each record's data follows the one before, so a record sized too
+        small or too large would shift every later parameter."""
+        p = tmp_path / "m.ckpt"
+        M.save_model(p, tiny_model())
+        blob = p.read_bytes()
+        p.write_bytes(blob.replace(b"\nencoder 4,16", f"\nencoder {shape}".encode(), 1))
+        with pytest.raises(DataFormatError, match="checkpoint"):
+            M.load_checkpoint(p)
+
+    def test_data_count_past_the_records_rejected(self, tmp_path):
+        p = tmp_path / "m.ckpt"
+        M.save_model(p, tiny_model())
+        head, sep, rest = p.read_bytes().partition(b"\n[data] ")
+        count, newline, payload = rest.partition(b"\n")
+        p.write_bytes(head + sep + str(int(count) + 1).encode() + newline
+                      + payload + bytes(4))
+        with pytest.raises(DataFormatError, match="records hold"):
+            M.load_checkpoint(p)
+
+    def test_load_holds_the_payload_once(self, tmp_path):
+        """The arrays are views of one buffer the payload is read into, so the
+        load's peak is about the payload: no file blob, slice or copies."""
+        p = tmp_path / "big.ckpt"
+        named = [(f"w{i}", Tensor(np.full((512, 1024), i, np.float32)))
+                 for i in range(4)]
+        M.save_checkpoint(p, M.ModelConfig(**TINY), named)
+        payload = 4 * 512 * 1024 * 4            # 8 MiB
+        gc.collect()
+        tracemalloc.start()
+        try:
+            _, arrays = M.load_checkpoint(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * payload
+        for (name, t), a in zip(named, arrays.values(), strict=True):
+            assert a.flags.aligned and a.flags.writeable
+            assert np.array_equal(a, t.data), name
+
     # (header line to replace, its replacement): the magic line, the first
     # param record (the tiny model's is "encoder 4,16") or the [data] line
     MALFORMED_HEADERS = {
