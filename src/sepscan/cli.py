@@ -10,12 +10,13 @@ Subcommands:
     eval        score a checkpoint against mixtures from a corpus manifest
 
 Exit codes: 0 success, 2 usage error (argparse), 3 malformed input data
-(including a malformed checkpoint or one with a non-finite weight, a path
-the operating system refuses, a constant corpus file, separate inputs whose
-outputs would collide, and an output of separate or train-toy that would
-overwrite an input), 4 numeric/training
-failure (failed gradcheck, count mismatch, divergence, non-finite
-separated stems).  When separate fails on any input it removes every
+(including a malformed checkpoint, one of a format version other than 2 or
+one with a non-finite weight, a config key the model does not have, a WAV
+whose rate is not model.SAMPLE_RATE, a path the operating system refuses,
+a constant corpus file, separate inputs whose outputs would collide, and an
+output of separate or train-toy that would overwrite an input), 4
+numeric/training failure (failed gradcheck, count mismatch, divergence,
+non-finite separated stems).  When separate fails on any input it removes every
 stem it wrote, so a nonzero exit leaves no partial output behind.
 """
 

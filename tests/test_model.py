@@ -290,7 +290,6 @@ class TestCheckpoint:
         "shape_not_int": ("record", "encoder 4,x"),
         "shape_negative": ("record", "encoder -4,16"),
         "record_with_offset": ("record", "encoder 4,16 0"),
-        "record_without_shape": ("record", "encoder"),
         "shape_too_large": ("record", "encoder 0,1000000000000000000000"),
     }
 
