@@ -13,6 +13,11 @@ intra pass swaps the two leading axes, in and out.  dechunk inverts
 chunk exactly: the overlap-add sum is divided by how many chunks cover
 each frame.  The alignment lives in the framing ops: nm.frame pads N to
 whole chunks and nm.overlap_add trims back to N.
+
+A block's weights are the model's parameter entries below its prefix
+(blocks.scope): the two norms, intra_norm. and inter_norm., each a gain
+and, for a layernorm, a bias, and the two scan blocks, intra_scan. and
+inter_scan.
 """
 
 from __future__ import annotations
@@ -71,26 +76,12 @@ def dechunk(cf: ChunkedFeature) -> Tensor:
 NORM_KINDS = ("rmsnorm", "layernorm")
 
 
-@dataclass
-class NormWeights:
-    kind: str
-    gain: Tensor
-    bias: Tensor | None = None
-
-
-def init_norm(d: int, kind: str) -> NormWeights:
-    if kind not in NORM_KINDS:
-        raise NumericsError(f"unknown norm kind '{kind}' (have {NORM_KINDS})")
-    gain = nm.ones((d,), requires_grad=True)
-    bias = nm.zeros((d,), requires_grad=True) if kind == "layernorm" else None
-    return NormWeights(kind=kind, gain=gain, bias=bias)
-
-
-def apply_norm(x: Tensor, w: NormWeights) -> Tensor:
-    """Normalize over the channel axis (the last) at every position."""
-    if w.kind == "rmsnorm":
-        return nm.rmsnorm(x, w.gain)
-    return nm.layernorm(x, w.gain, w.bias)
+def apply_norm(x: Tensor, w: dict[str, Tensor]) -> Tensor:
+    """Normalize over the channel axis (the last) at every position: a
+    layernorm when w has a bias entry besides its gain, else an rmsnorm."""
+    if "bias" in w:
+        return nm.layernorm(x, w["gain"], w["bias"])
+    return nm.rmsnorm(x, w["gain"])
 
 
 # ---------------------------------------------------------------------------
@@ -98,32 +89,20 @@ def apply_norm(x: Tensor, w: NormWeights) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DpBlockWeights:
-    intra_norm: NormWeights
-    intra_scan: blocks.BiScanWeights
-    inter_norm: NormWeights
-    inter_scan: blocks.BiScanWeights
+def dp_block(h: Tensor, w: dict[str, Tensor], exact_zoh: bool) -> Tensor:
+    """One intra-chunk pass and one inter-chunk pass, each with a skip.
 
-
-def init_dp_block(d: int, h: int, norm_kind: str, rng: np.random.Generator,
-                  bidirectional: bool = True,
-                  exact_zoh: bool = False) -> DpBlockWeights:
-    return DpBlockWeights(
-        intra_norm=init_norm(d, norm_kind),
-        intra_scan=blocks.init_bi_scan(d, h, rng, bidirectional, exact_zoh),
-        inter_norm=init_norm(d, norm_kind),
-        inter_scan=blocks.init_bi_scan(d, h, rng, bidirectional, exact_zoh),
-    )
-
-
-def dp_block(h: Tensor, w: DpBlockWeights) -> Tensor:
-    """One intra-chunk pass and one inter-chunk pass, each with a skip."""
+    w maps the block's parameter names below its prefix (intra_norm.gain,
+    inter_scan.w_in, ...) to tensors.
+    """
     if h.ndim != 3:
         raise NumericsError(f"dp_block expects [S, K, D], got {h.shape}")
-    intra_in = nm.permute(apply_norm(h, w.intra_norm), 1, 0, 2)     # [K, S, D]
-    intra_out = blocks.bi_scan_forward(intra_in, w.intra_scan)
+    intra_in = nm.permute(apply_norm(h, blocks.scope(w, "intra_norm")),
+                          1, 0, 2)                                  # [K, S, D]
+    intra_out = blocks.bi_scan_forward(intra_in, blocks.scope(w, "intra_scan"),
+                                       exact_zoh)
     h = nm.add(h, nm.permute(intra_out, 1, 0, 2))                   # [S, K, D]
 
-    inter_out = blocks.bi_scan_forward(apply_norm(h, w.inter_norm), w.inter_scan)
+    inter_out = blocks.bi_scan_forward(apply_norm(h, blocks.scope(w, "inter_norm")),
+                                       blocks.scope(w, "inter_scan"), exact_zoh)
     return nm.add(h, inter_out)

@@ -255,15 +255,17 @@ def suite_ssm(seed: int = 0) -> list[GradcheckResult]:
 
 def suite_blocks(seed: int = 0) -> list[GradcheckResult]:
     from . import blocks
+    from .model import ModelConfig, init_parameters
 
     rng = np.random.default_rng(seed)
     D, L, H = 3, 5, 2
-    w = blocks.init_bi_scan(D, H, rng)
-    names, params = zip(*blocks.named_parameters(w, "bi_scan"))
+    w = blocks.scope(init_parameters(ModelConfig(d=D, r=1, h=H), rng),
+                     "blocks.0.intra_scan")
+    names, params = zip(*w.items())
     x = _rand(rng, (L, D), -1.0, 1.0)
 
     def fn(*_args):
-        return blocks.bi_scan_forward(x, w).sum()
+        return blocks.bi_scan_forward(x, w, False).sum()
 
     res = gradcheck(fn, [x, *params], name="bi_scan_block", tol=COMPOSITE_TOL,
                     input_names=["x", *names])
@@ -272,15 +274,16 @@ def suite_blocks(seed: int = 0) -> list[GradcheckResult]:
 
 def suite_dualpath(seed: int = 0) -> list[GradcheckResult]:
     from . import blocks, dualpath
+    from .model import ModelConfig, init_parameters
 
     rng = np.random.default_rng(seed)
     D, K, S, H = 2, 4, 3, 2
-    w = dualpath.init_dp_block(D, H, "rmsnorm", rng)
-    names, params = zip(*blocks.named_parameters(w, "block"))
+    w = blocks.scope(init_parameters(ModelConfig(d=D, r=1, h=H), rng), "blocks.0")
+    names, params = zip(*w.items())
     x = _rand(rng, (S, K, D), -1.0, 1.0)
 
     def fn(*_args):
-        return dualpath.dp_block(x, w).sum()
+        return dualpath.dp_block(x, w, False).sum()
 
     res = gradcheck(fn, [x, *params], name="dp_block", tol=COMPOSITE_TOL,
                     input_names=["x", *names])

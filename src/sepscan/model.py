@@ -16,6 +16,13 @@ The masking network is the standard dual-path shell:
 The head maps each frame alone and dechunk averages the chunks covering a
 frame, so the two commute: the head runs on N frames rather than K * S.
 
+The parameters are one ordered dict from checkpoint name to tensor.
+parameter_shapes is the only list of their names and shapes:
+init_parameters draws each entry by a rule keyed on its name, and
+from_checkpoint wraps the arrays a checkpoint holds without drawing
+anything.  Each stage reads its entries by name, a block the ones below
+its prefix (blocks.scope).
+
 Checkpoints are a readable text header (format line, config key-values,
 one name/shape record per parameter) followed by raw little-endian
 float32 data, the parameters back to back in record order, so a saved
@@ -26,7 +33,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +48,7 @@ from .numerics import NumericsError, Tensor
 
 CHECKPOINT_MAGIC = "sepscan-checkpoint"
 CHECKPOINT_VERSION = 2
+HEADER_LINE_MAX = 4096          # bytes; an l-preset record is about 50
 
 # the SepFormer front end that DPMamba keeps: never varied, so not config
 ENC_KERNEL = 16
@@ -227,63 +235,82 @@ def count_parameters(cfg: ModelConfig) -> int:
 
 
 # ---------------------------------------------------------------------------
-# weights and the model
+# initial values and the model
 # ---------------------------------------------------------------------------
 
-
-@dataclass
-class ModelWeights:
-    encoder: Tensor
-    decoder: Tensor
-    pre_norm: dp.NormWeights
-    input_proj: Tensor
-    blocks: list
-    mask_head_w: Tensor
-    mask_head_b: Tensor
-    out_proj_w: Tensor
-    out_proj_b: Tensor
-    out_gate_w: Tensor
-    out_gate_b: Tensor
-    final_proj: Tensor
+DT_MIN, DT_MAX = 1e-3, 1e-1     # range of the initial step softplus(b_delta)
 
 
-def _init_weights(cfg: ModelConfig, rng: np.random.Generator) -> ModelWeights:
-    d = cfg.d
-    lin = blocks_mod._linear_init
-    bound = 1.0 / math.sqrt(d)
-    return ModelWeights(
-        encoder=lin(rng, d, ENC_KERNEL),
-        decoder=lin(rng, ENC_KERNEL, d),
-        pre_norm=dp.init_norm(d, cfg.norm_kind),
-        input_proj=lin(rng, d, d),
-        blocks=[
-            dp.init_dp_block(d, cfg.h, cfg.norm_kind, rng,
-                             cfg.bidirectional, cfg.exact_zoh)
-            for _ in range(cfg.r)
-        ],
-        mask_head_w=lin(rng, SPEAKERS * d, d),
-        mask_head_b=nm.uniform((SPEAKERS * d,), -bound, bound, rng,
-                               requires_grad=True),
-        out_proj_w=lin(rng, d, d),
-        out_proj_b=nm.uniform((d,), -bound, bound, rng, requires_grad=True),
-        out_gate_w=lin(rng, d, d),
-        out_gate_b=nm.uniform((d,), -bound, bound, rng, requires_grad=True),
-        final_proj=lin(rng, d, d),
-    )
+def init_parameters(cfg: ModelConfig,
+                    rng: np.random.Generator) -> dict[str, Tensor]:
+    """Freshly drawn float64 parameters, each requiring a gradient.
+
+    Every entry of parameter_shapes is drawn from rng in turn, by a rule
+    keyed on its name: norm gains and d_skip start at one and norm biases
+    at zero; a_log makes a[e, k] = -(k + 1), a slow-to-fast decay ladder
+    shared by every channel; b_delta puts softplus(b_delta) log-uniformly
+    in [DT_MIN, DT_MAX]; every other entry is U(+-1/sqrt(fan_in)), fan_in
+    being a matrix's input width, the conv width for conv_bias and d for
+    the head biases.
+    """
+    params = {}
+    for name, shape in parameter_shapes(cfg):
+        leaf = name.rsplit(".", 1)[-1]
+        if leaf in ("gain", "d_skip"):
+            value = np.ones(shape)
+        elif leaf == "bias":
+            value = np.zeros(shape)
+        elif leaf == "a_log":
+            value = np.tile(np.log(np.arange(1, shape[1] + 1)), (shape[0], 1))
+        elif leaf == "b_delta":
+            dt = rng.uniform(np.log(DT_MIN), np.log(DT_MAX), size=shape)
+            value = np.log(np.expm1(np.exp(dt)))
+        else:
+            if len(shape) == 2:
+                fan_in = shape[1]
+            else:
+                fan_in = blocks_mod.CONV_WIDTH if leaf == "conv_bias" else cfg.d
+            bound = 1.0 / math.sqrt(fan_in)
+            value = rng.uniform(-bound, bound, size=shape)
+        params[name] = Tensor(value, requires_grad=True)
+    return params
+
+
+def _check_state(cfg: ModelConfig, arrays: dict[str, np.ndarray]) -> None:
+    """Refuse arrays that are not cfg's parameters by name and shape, or
+    that hold a non-finite value: the mask head's relu would turn a NaN
+    into silence rather than into an error."""
+    shapes = dict(parameter_shapes(cfg))
+    missing = [n for n in shapes if n not in arrays]
+    extra = [n for n in arrays if n not in shapes]
+    if missing or extra:
+        raise DataFormatError(
+            f"state mismatch: missing {missing[:3]}, unexpected {extra[:3]}")
+    for name, shape in shapes.items():
+        a = arrays[name]
+        if tuple(a.shape) != shape:
+            raise DataFormatError(
+                f"state '{name}': stored shape {tuple(a.shape)} != model {shape}")
+        if not np.all(np.isfinite(a)):
+            raise DataFormatError(f"state '{name}': non-finite values")
 
 
 class SeparationModel:
-    """Encoder, dual-path masking network, and decoder under one config."""
+    """Encoder, dual-path masking network, and decoder under one config.
+
+    The parameters are one dict, `params`, from checkpoint name to tensor
+    in the order of parameter_shapes; each stage reads its entries by name.
+    """
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator | None = None):
         self.config = config
-        self.weights = _init_weights(config, rng if rng is not None
-                                     else np.random.default_rng(0))
+        self.params = init_parameters(config, rng if rng is not None
+                                      else np.random.default_rng(0))
 
     # -- parameter access ---------------------------------------------------
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        return blocks_mod.named_parameters(self.weights)
+        return list(self.params.items())
 
     # -- signal path --------------------------------------------------------
 
@@ -292,7 +319,7 @@ class SeparationModel:
         if x.ndim != 1:
             raise NumericsError(f"encode expects a 1-D waveform, got {x.shape}")
         frames = nm.frame(x, ENC_KERNEL, ENC_STRIDE)
-        feats = nm.matmul(self.weights.encoder, frames)
+        feats = nm.matmul(self.params["encoder"], frames)
         if self.config.encoder_relu:
             feats = nm.relu(feats)
         return feats
@@ -301,31 +328,32 @@ class SeparationModel:
         """Frames [N, D] -> waveform [out_len] by transposed strided projection."""
         if feats.ndim != 2 or feats.shape[1] != self.config.d:
             raise NumericsError(f"decode expects [N, D], got {feats.shape}")
-        frames = nm.matmul(self.weights.decoder, feats)
+        frames = nm.matmul(self.params["decoder"], feats)
         return nm.overlap_add(frames, ENC_STRIDE, out_len)
 
     def masks(self, feats: Tensor) -> tuple[Tensor, ...]:
         """Frames [N, D] -> one nonnegative mask [N, D] per speaker."""
-        w = self.weights
+        w = self.params
         cfg = self.config
-        h = dp.apply_norm(feats, w.pre_norm)
-        h = nm.matmul(w.input_proj, h)
+        h = dp.apply_norm(feats, blocks_mod.scope(w, "pre_norm"))
+        h = nm.matmul(w["input_proj"], h)
         cf = dp.chunk(h, cfg.chunk_len)
-        for blk in w.blocks:
-            cf.data = dp.dp_block(cf.data, blk)
-        merged = nm.matmul(w.mask_head_w, dp.dechunk(cf), w.mask_head_b)
+        for i in range(cfg.r):
+            cf.data = dp.dp_block(cf.data, blocks_mod.scope(w, f"blocks.{i}"),
+                                  cfg.exact_zoh)
+        merged = nm.matmul(w["mask_head_w"], dp.dechunk(cf), w["mask_head_b"])
         out = []
         for i in range(SPEAKERS):
             sl = nm.narrow(merged, 1, i * cfg.d, cfg.d)
-            o = nm.tanh(nm.matmul(w.out_proj_w, sl, w.out_proj_b))
-            g = nm.sigmoid(nm.matmul(w.out_gate_w, sl, w.out_gate_b))
-            out.append(nm.relu(nm.matmul(w.final_proj, nm.mul(o, g))))
+            o = nm.tanh(nm.matmul(w["out_proj_w"], sl, w["out_proj_b"]))
+            g = nm.sigmoid(nm.matmul(w["out_gate_w"], sl, w["out_gate_b"]))
+            out.append(nm.relu(nm.matmul(w["final_proj"], nm.mul(o, g))))
         return tuple(out)
 
     def separate(self, x) -> tuple[Tensor, ...]:
         """Waveform [T] -> per-speaker waveforms, each exactly [T]."""
         if not isinstance(x, Tensor):
-            x = Tensor(x, dtype=self.weights.encoder.dtype)
+            x = Tensor(x, dtype=self.params["encoder"].dtype)
         T = x.shape[0]
         feats = self.encode(x)
         est = []
@@ -340,38 +368,28 @@ class SeparationModel:
 
         requires_grad is left alone, so SeparationModel(cfg).load_state(...)
         gives a float64 model that trains (fine-tuning from a checkpoint).
-        A non-finite weight is refused: the mask head's relu would turn a
-        NaN into silence rather than into an error.
         """
-        params = self.named_parameters()
-        have = {n for n, _ in params}
-        missing = [n for n, _ in params if n not in arrays]
-        extra = [n for n in arrays if n not in have]
-        if missing or extra:
-            raise DataFormatError(
-                f"state mismatch: missing {missing[:3]}, unexpected {extra[:3]}")
-        for name, p in params:
-            a = arrays[name]
-            if tuple(a.shape) != p.shape:
-                raise DataFormatError(
-                    f"state '{name}': stored shape {tuple(a.shape)} != model {p.shape}")
-            if not np.all(np.isfinite(a)):
-                raise DataFormatError(f"state '{name}': non-finite values")
-            p.data = a.astype(p.dtype)
+        _check_state(self.config, arrays)
+        for name, p in self.params.items():
+            p.data = arrays[name].astype(p.dtype)
 
     @classmethod
     def from_checkpoint(cls, path: str | Path) -> "SeparationModel":
         """An inference model: the checkpoint's float32 weights, frozen.
 
         No weight requires a gradient, so no op records a tape node and
-        separate() runs in float32 at the memory of its live arrays.
+        separate() runs in float32 at the memory of its live arrays.  The
+        weights are views of the payload load_checkpoint read, so nothing
+        is drawn or copied.
         """
         cfg, arrays = load_checkpoint(path)
-        model = cls(cfg, rng=np.random.default_rng(0))
-        model.load_state(arrays)            # checks names and shapes
-        for name, p in model.named_parameters():
-            p.data = arrays[name]
-            p.requires_grad = False
+        _check_state(cfg, arrays)
+        model = cls.__new__(cls)        # __init__ would draw weights to discard
+        model.config = cfg
+        model.params = {}
+        for name, _ in parameter_shapes(cfg):
+            p = model.params[name] = Tensor(())
+            p.data = arrays[name]       # Tensor() would copy it
         return model
 
 
@@ -382,25 +400,25 @@ class SeparationModel:
 
 def save_checkpoint(path: str | Path, cfg: ModelConfig,
                     named_params: list[tuple[str, Tensor]]) -> None:
-    """Text header + raw little-endian float32 payload; see load_checkpoint."""
-    records = []
-    payload = bytearray()
-    for name, p in named_params:
-        arr = np.ascontiguousarray(p.data, dtype="<f4")
-        shape = ",".join(str(s) for s in arr.shape) or "1"
-        records.append(f"{name} {shape}")
-        payload += arr.tobytes()
+    """Text header + raw little-endian float32 payload; see load_checkpoint.
+
+    The parameters go to the file one at a time, so at most one of them
+    is held as float32 bytes.
+    """
+    records = [f"{name} {','.join(str(s) for s in p.shape) or '1'}"
+               for name, p in named_params]
     header = "\n".join([
         f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION}",
         "[config]",
         config_to_text(cfg).rstrip("\n"),
         "[params]",
         *records,
-        f"[data] {len(payload) // 4}",
+        f"[data] {sum(p.size for _, p in named_params)}",
     ]) + "\n"
     with open(path, "wb") as f:
         f.write(header.encode("ascii"))
-        f.write(bytes(payload))
+        for _, p in named_params:
+            f.write(np.ascontiguousarray(p.data, dtype="<f4").data)
 
 
 def save_model(path: str | Path, model: SeparationModel) -> None:
@@ -419,29 +437,37 @@ def _header_int(path, what: str, text: str) -> int:
         f"checkpoint {path}: {what} {text!r} is not a nonnegative integer")
 
 
+def _header_line(f, path) -> str:
+    """The next header line of an open checkpoint, without its newline.
+
+    At most HEADER_LINE_MAX bytes are read, so a file that is not a
+    checkpoint is refused after its first line however large it is.
+    """
+    raw = f.readline(HEADER_LINE_MAX)
+    if not raw:
+        raise DataFormatError(f"checkpoint {path}: missing [data] section")
+    if not raw.endswith(b"\n"):
+        raise DataFormatError(
+            f"checkpoint {path}: header line cut short or over "
+            f"{HEADER_LINE_MAX} bytes")
+    try:
+        return raw[:-1].decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"checkpoint {path}: non-ascii header") from exc
+
+
 def load_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
     """The config and every parameter, each a view of one float32 array
     that holds the payload: the file's data is read once, into it."""
     with open(path, "rb") as f:
-        head = []
-        for raw in f:
-            head.append(raw)
-            if raw.startswith(b"[data] "):
-                break
-        else:
-            raise DataFormatError(f"checkpoint {path}: missing [data] section")
-        if not raw.endswith(b"\n"):
-            raise DataFormatError(f"checkpoint {path}: truncated [data] line")
-        try:
-            lines = b"".join(head).decode("ascii").splitlines()
-        except UnicodeDecodeError as exc:
-            raise DataFormatError(f"checkpoint {path}: non-ascii header") from exc
-
+        lines = [_header_line(f, path)]
         magic = lines[0].split()
         if len(magic) != 2 or magic[0] != CHECKPOINT_MAGIC:
             raise DataFormatError(f"checkpoint {path}: bad magic line {lines[0]!r}")
         if _header_int(path, "version", magic[1]) != CHECKPOINT_VERSION:
             raise DataFormatError(f"checkpoint {path}: unsupported version {magic[1]}")
+        while not lines[-1].startswith("[data] "):
+            lines.append(_header_line(f, path))
         try:
             cfg_at = lines.index("[config]")
             par_at = lines.index("[params]")

@@ -16,6 +16,8 @@ Rules the engine enforces rather than glosses over:
     weight as one 2-D GEMM; the per-channel ops (the norms, matmul's
     bias) act on the last axis and conv1d_depthwise along axis 0;
   * Tensor() and permute materialize C-ordered copies, never aliased views;
+    the one exception is a frozen checkpoint model, whose weights are views
+    of the float32 payload it was loaded from (model.from_checkpoint);
   * gradients accumulate additively on the leaves (the tensors with no
     VJP) across fan-out and across repeated backward() calls; callers
     reset explicitly with zero_grad().  No other tensor keeps a gradient.
@@ -574,20 +576,3 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
     return primitive(out, (x, gain, bias), vjp, "layernorm")
 
-
-# ---------------------------------------------------------------------------
-# constructors
-# ---------------------------------------------------------------------------
-
-
-def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-
-def ones(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.ones(shape), requires_grad=requires_grad)
-
-
-def uniform(shape, low: float, high: float, rng: np.random.Generator,
-            requires_grad: bool = False) -> Tensor:
-    return Tensor(rng.uniform(low, high, size=shape), requires_grad=requires_grad)

@@ -132,17 +132,6 @@ class SsmParams:
             raise NumericsError("scan: a must be finite and strictly negative")
 
 
-@dataclass
-class SsmProjection:
-    """Learned maps from a sequence to its (delta, b, c) scan parameters."""
-
-    w_delta_down: Tensor  # [dt_rank, E]
-    w_delta_up: Tensor    # [E, dt_rank]
-    b_delta: Tensor       # [E]
-    w_b: Tensor           # [H, E]
-    w_c: Tensor           # [H, E]
-
-
 # ---------------------------------------------------------------------------
 # discretization
 # ---------------------------------------------------------------------------
@@ -422,20 +411,22 @@ def scan_parallel(x: Tensor, params: SsmParams) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def selective_parameterize(x: Tensor, proj: SsmProjection, a: Tensor,
-                           exact_zoh: bool = False) -> SsmParams:
+def selective_parameterize(x: Tensor, proj: dict[str, Tensor], a: Tensor,
+                           exact_zoh: bool) -> SsmParams:
     """Derive per-step (delta, b, c) from the sequence itself.
 
+    proj holds the learned maps by name: w_delta_down [dt_rank, E],
+    w_delta_up [E, dt_rank], b_delta [E], w_b and w_c [H, E].
     delta = W_up (W_down x) through a rank-reduced pair, raw: the scan adds
-    delta_bias and takes the softplus.  b and c are direct linear readouts
-    of each step.  x: [L, E] or [L, B, E]; delta comes out in x's shape,
-    b and c as [L, H] or [L, B, H].
+    delta_bias (b_delta) and takes the softplus.  b and c are direct linear
+    readouts of each step.  x: [L, E] or [L, B, E]; delta comes out in x's
+    shape, b and c as [L, H] or [L, B, H].
     """
-    delta = nm.matmul(proj.w_delta_up, nm.matmul(proj.w_delta_down, x))
-    b = nm.matmul(proj.w_b, x)
-    c = nm.matmul(proj.w_c, x)
+    delta = nm.matmul(proj["w_delta_up"], nm.matmul(proj["w_delta_down"], x))
+    b = nm.matmul(proj["w_b"], x)
+    c = nm.matmul(proj["w_c"], x)
     return SsmParams(a=a, delta=delta, b=b, c=c, exact_zoh=exact_zoh,
-                     delta_bias=proj.b_delta)
+                     delta_bias=proj["b_delta"])
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,9 @@
-"""Gated scan block: direction symmetry, gating, init, parameter walking."""
-
-import copy
-import math
+"""Gated scan block: direction symmetry, gating, init, parameter names."""
 
 import numpy as np
-import pytest
 
 import sepscan.blocks as blocks
+import sepscan.model as M
 import sepscan.numerics as nm
 from sepscan.gradcheck import run_suite
 from sepscan.numerics import Tensor
@@ -14,6 +11,12 @@ from sepscan.numerics import Tensor
 
 def _input(rng, D, L):
     return Tensor((rng.standard_normal((D, L)) * 0.5).T)
+
+
+def _block(d, h, rng, bidirectional=True):
+    """The first scan block's entries of a freshly drawn one-block model."""
+    cfg = M.ModelConfig(d=d, r=1, h=h, bidirectional=bidirectional)
+    return blocks.scope(M.init_parameters(cfg, rng), "blocks.0.intra_scan")
 
 
 class TestDtRank:
@@ -30,91 +33,93 @@ class TestInit:
     def test_state_decay_ladder(self):
         # continuous-time poles initialize to -(h+1) per state index
         rng = np.random.default_rng(0)
-        w = blocks.init_bi_scan(4, 6, rng)
-        a = -np.exp(w.fwd.a_log.data)
+        w = _block(4, 6, rng)
+        a = -np.exp(w["fwd.a_log"].data)
         for h in range(6):
             np.testing.assert_allclose(a[:, h], -(h + 1), rtol=1e-12)
 
     def test_skip_starts_at_identity(self):
         rng = np.random.default_rng(0)
-        w = blocks.init_bi_scan(4, 6, rng)
-        assert np.all(w.fwd.d_skip.data == 1.0)
+        w = _block(4, 6, rng)
+        assert np.all(w["fwd.d_skip"].data == 1.0)
 
     def test_delta_bias_range(self):
         # softplus(b_delta) must land inside the documented [1e-3, 1e-1]
         rng = np.random.default_rng(1)
         for _ in range(5):
-            w = blocks.init_bi_scan(8, 4, rng)
-            dt = np.log1p(np.exp(w.fwd.proj.b_delta.data))
+            w = _block(8, 4, rng)
+            dt = np.log1p(np.exp(w["fwd.proj.b_delta"].data))
             assert np.all(dt >= 1e-3 - 1e-12) and np.all(dt <= 1e-1 + 1e-12)
 
     def test_unidirectional_has_no_backward(self):
         rng = np.random.default_rng(2)
-        w = blocks.init_bi_scan(4, 3, rng, bidirectional=False)
-        assert w.bwd is None
+        w = _block(4, 3, rng, bidirectional=False)
+        assert "fwd.a_log" in w
+        assert not blocks.scope(w, "bwd")
 
 
 class TestDirectionSymmetry:
     def test_tied_weights_flip_equivariance(self):
         # with bwd == fwd the block commutes with time reversal
         rng = np.random.default_rng(3)
-        w = blocks.init_bi_scan(3, 4, rng)
-        w.bwd = copy.deepcopy(w.fwd)
+        w = _block(3, 4, rng)
+        for name, p in blocks.scope(w, "fwd").items():
+            w[f"bwd.{name}"] = Tensor(p.data)
         x = _input(rng, 3, 11)
         xr = Tensor(x.data[::-1].copy())
-        y = blocks.bi_scan_forward(x, w).data
-        yr = blocks.bi_scan_forward(xr, w).data
+        y = blocks.bi_scan_forward(x, w, False).data
+        yr = blocks.bi_scan_forward(xr, w, False).data
         np.testing.assert_allclose(yr, y[::-1], atol=1e-12)
 
     def test_swapping_directions_equals_flipping_input(self):
         rng = np.random.default_rng(4)
-        w = blocks.init_bi_scan(3, 4, rng)
-        swapped = blocks.BiScanWeights(
-            w_in=w.w_in, w_gate=w.w_gate, w_out=w.w_out,
-            fwd=w.bwd, bwd=w.fwd, exact_zoh=w.exact_zoh)
+        w = _block(3, 4, rng)
+        other = {"fwd.": "bwd.", "bwd.": "fwd."}
+        swapped = {other.get(name[:4], name[:4]) + name[4:]: p
+                   for name, p in w.items()}
         x = _input(rng, 3, 9)
         xr = Tensor(x.data[::-1].copy())
-        y = blocks.bi_scan_forward(x, w).data
-        ys = blocks.bi_scan_forward(xr, swapped).data
+        y = blocks.bi_scan_forward(x, w, False).data
+        ys = blocks.bi_scan_forward(xr, swapped, False).data
         np.testing.assert_allclose(ys, y[::-1], atol=1e-12)
 
     def test_unidirectional_ignores_future(self):
         # causal: outputs before an input bump must not change
         rng = np.random.default_rng(5)
-        w = blocks.init_bi_scan(3, 4, rng, bidirectional=False)
+        w = _block(3, 4, rng, bidirectional=False)
         x = rng.standard_normal((3, 12)).T
-        base = blocks.bi_scan_forward(Tensor(x.copy()), w).data
+        base = blocks.bi_scan_forward(Tensor(x.copy()), w, False).data
         x2 = x.copy()
         x2[8] += 1.0
-        out = blocks.bi_scan_forward(Tensor(x2), w).data
+        out = blocks.bi_scan_forward(Tensor(x2), w, False).data
         np.testing.assert_allclose(out[:8], base[:8], atol=1e-12)
         assert not np.allclose(out[8:], base[8:])
 
     def test_bidirectional_sees_future(self):
         rng = np.random.default_rng(6)
-        w = blocks.init_bi_scan(3, 4, rng)
+        w = _block(3, 4, rng)
         x = rng.standard_normal((3, 12)).T
-        base = blocks.bi_scan_forward(Tensor(x.copy()), w).data
+        base = blocks.bi_scan_forward(Tensor(x.copy()), w, False).data
         x2 = x.copy()
         x2[8] += 1.0
-        out = blocks.bi_scan_forward(Tensor(x2), w).data
+        out = blocks.bi_scan_forward(Tensor(x2), w, False).data
         assert not np.allclose(out[:8], base[:8])
 
 
 def _branches(x, w):
     """The gated forward and backward branch outputs of one block."""
-    h_in = nm.matmul(w.w_in, x)
-    gate = nm.silu(nm.matmul(w.w_gate, x))
-    return (blocks._branch(h_in, gate, w.fwd, w.exact_zoh, reverse=False),
-            blocks._branch(h_in, gate, w.bwd, w.exact_zoh, reverse=True))
+    h_in = nm.matmul(w["w_in"], x)
+    gate = nm.silu(nm.matmul(w["w_gate"], x))
+    return (blocks._branch(h_in, gate, blocks.scope(w, "fwd"), False, reverse=False),
+            blocks._branch(h_in, gate, blocks.scope(w, "bwd"), False, reverse=True))
 
 
 class TestGating:
     def test_both_branches_share_the_gate(self):
         # zeroing the shared gate projection silences both branch outputs
         rng = np.random.default_rng(7)
-        w = blocks.init_bi_scan(3, 4, rng)
-        w.w_gate.data[...] = 0.0      # silu(0) == 0 exactly
+        w = _block(3, 4, rng)
+        w["w_gate"].data[...] = 0.0      # silu(0) == 0 exactly
         x = _input(rng, 3, 8)
         y_f, y_b = _branches(x, w)
         assert np.max(np.abs(y_f.data)) < 1e-12
@@ -122,21 +127,19 @@ class TestGating:
 
     def test_branch_merge_is_mean(self):
         rng = np.random.default_rng(8)
-        w = blocks.init_bi_scan(3, 4, rng)
+        w = _block(3, 4, rng)
         x = _input(rng, 3, 8)
-        y = blocks.bi_scan_forward(x, w)
+        y = blocks.bi_scan_forward(x, w, False)
         y_f, y_b = _branches(x, w)
-        merged = nm.matmul(w.w_out, nm.mean_pair(y_f, y_b))
+        merged = nm.matmul(w["w_out"], nm.mean_pair(y_f, y_b))
         np.testing.assert_allclose(y.data, merged.data, atol=1e-12)
 
     def test_gradient_reaches_every_parameter(self):
         rng = np.random.default_rng(9)
-        w = blocks.init_bi_scan(2, 3, rng)
-        for _, p in blocks.named_parameters(w):
-            p.requires_grad = True
+        w = _block(2, 3, rng)
         x = _input(rng, 2, 6)
-        blocks.bi_scan_forward(x, w).sum().backward()
-        for name, p in blocks.named_parameters(w):
+        blocks.bi_scan_forward(x, w, False).sum().backward()
+        for name, p in w.items():
             assert p.grad is not None, name
             assert np.any(p.grad != 0), f"zero gradient for {name}"
 
@@ -144,21 +147,23 @@ class TestGating:
 class TestBatched:
     def test_batched_matches_loop(self):
         rng = np.random.default_rng(10)
-        w = blocks.init_bi_scan(3, 4, rng)
+        w = _block(3, 4, rng)
         x = np.moveaxis(rng.standard_normal((5, 3, 7)) * 0.5, -1, 0)
-        batched = blocks.bi_scan_forward(Tensor(x), w).data
+        batched = blocks.bi_scan_forward(Tensor(x), w, False).data
         for i in range(5):
-            single = blocks.bi_scan_forward(Tensor(x[:, i].copy()), w).data
+            single = blocks.bi_scan_forward(Tensor(x[:, i].copy()), w, False).data
             np.testing.assert_allclose(batched[:, i], single, atol=1e-12)
 
 
 class TestNamedParameters:
     def test_names_unique_and_complete(self):
         rng = np.random.default_rng(11)
-        w = blocks.init_bi_scan(4, 3, rng)
-        items = blocks.named_parameters(w)
-        names = [n for n, _ in items]
-        assert len(names) == len(set(names))
+        # the dict would hide a name the inventory repeats
+        cfg = M.ModelConfig(d=4, r=2, h=3)
+        inventory = [n for n, _ in M.parameter_shapes(cfg)]
+        assert len(inventory) == len(set(inventory))
+        w = _block(4, 3, rng)
+        names = list(w)
         assert "w_in" in names and "fwd.proj.w_b" in names
         assert any(n.startswith("bwd.") for n in names)
 
@@ -167,9 +172,8 @@ class TestNamedParameters:
         rng = np.random.default_rng(12)
         d, h = 8, 5
         e, dtr = 2 * d, blocks.dt_rank_for(d)
-        w = blocks.init_bi_scan(d, h, rng)
-        fwd = sum(p.size for n, p in blocks.named_parameters(w)
-                  if n.startswith("fwd."))
+        w = _block(d, h, rng)
+        fwd = sum(p.size for p in blocks.scope(w, "fwd").values())
         assert fwd == e * (2 * dtr + 3 * h + 7)
 
 

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import sepscan.blocks as blocks
 import sepscan.dualpath as dp
+import sepscan.model as M
 import sepscan.numerics as nm
 from sepscan.gradcheck import run_suite
 from sepscan.numerics import NumericsError, Tensor
@@ -78,49 +80,52 @@ class TestChunk:
 
 
 class TestNorms:
+    @staticmethod
+    def _norm(d, kind):
+        cfg = M.ModelConfig(d=d, r=1, norm_kind=kind)
+        return blocks.scope(M.init_parameters(cfg, np.random.default_rng(0)),
+                            "pre_norm")
+
     def test_kinds(self):
         assert dp.NORM_KINDS == ("rmsnorm", "layernorm")
-        with pytest.raises(NumericsError):
-            dp.init_norm(4, "batchnorm")
 
     def test_rmsnorm_has_no_bias(self):
-        w = dp.init_norm(4, "rmsnorm")
-        assert w.bias is None
-        w2 = dp.init_norm(4, "layernorm")
-        assert w2.bias is not None
+        assert list(self._norm(4, "rmsnorm")) == ["gain"]
+        assert list(self._norm(4, "layernorm")) == ["gain", "bias"]
 
     def test_apply_norm_channel_axis(self):
         rng = np.random.default_rng(2)
         x = Tensor((rng.standard_normal((6, 9)) * 4).T)
-        w = dp.init_norm(6, "layernorm")
+        w = self._norm(6, "layernorm")
         y = dp.apply_norm(x, w).data
         np.testing.assert_allclose(y.mean(axis=-1), 0, atol=1e-12)
 
 
 class TestDpBlock:
-    def _block(self, rng, d=2, h=2, **kw):
-        return dp.init_dp_block(d, h, kw.pop("norm_kind", "rmsnorm"), rng, **kw)
+    def _block(self, rng, d=2, h=2, norm_kind="rmsnorm"):
+        cfg = M.ModelConfig(d=d, r=1, h=h, norm_kind=norm_kind)
+        return blocks.scope(M.init_parameters(cfg, rng), "blocks.0")
 
     def test_residual_identity_when_output_zeroed(self):
         # zero both W_out projections -> the block is exactly identity
         rng = np.random.default_rng(3)
         w = self._block(rng, d=3, h=2)
-        w.intra_scan.w_out.data[...] = 0.0
-        w.inter_scan.w_out.data[...] = 0.0
+        w["intra_scan.w_out"].data[...] = 0.0
+        w["inter_scan.w_out"].data[...] = 0.0
         x = rng.standard_normal((3, 6, 4)).T            # [S, K, D]
-        out = dp.dp_block(Tensor(x.copy()), w).data
+        out = dp.dp_block(Tensor(x.copy()), w, False).data
         np.testing.assert_array_equal(out, x)
 
     def test_intra_path_is_per_chunk(self):
         # zero the inter unit; changing one chunk must not affect others
         rng = np.random.default_rng(4)
         w = self._block(rng, d=2, h=2)
-        w.inter_scan.w_out.data[...] = 0.0
+        w["inter_scan.w_out"].data[...] = 0.0
         x = rng.standard_normal((2, 5, 3)).T
-        base = dp.dp_block(Tensor(x.copy()), w).data
+        base = dp.dp_block(Tensor(x.copy()), w, False).data
         x2 = x.copy()
         x2[1] += 1.0
-        out = dp.dp_block(Tensor(x2), w).data
+        out = dp.dp_block(Tensor(x2), w, False).data
         np.testing.assert_allclose(out[0], base[0], atol=1e-12)
         np.testing.assert_allclose(out[2], base[2], atol=1e-12)
         assert not np.allclose(out[1], base[1])
@@ -129,17 +134,17 @@ class TestDpBlock:
         rng = np.random.default_rng(5)
         w = self._block(rng, d=2, h=2)
         x = rng.standard_normal((2, 5, 3)).T
-        base = dp.dp_block(Tensor(x.copy()), w).data
+        base = dp.dp_block(Tensor(x.copy()), w, False).data
         x2 = x.copy()
         x2[1] += 1.0
-        out = dp.dp_block(Tensor(x2), w).data
+        out = dp.dp_block(Tensor(x2), w, False).data
         assert not np.allclose(out[0], base[0])
 
     def test_shape_preserved(self):
         rng = np.random.default_rng(6)
         w = self._block(rng, d=4, h=3, norm_kind="layernorm")
         x = Tensor(rng.standard_normal((4, 6, 5)).T)
-        assert dp.dp_block(x, w).shape == (5, 6, 4)
+        assert dp.dp_block(x, w, False).shape == (5, 6, 4)
 
 
 def test_dp_block_gradients():

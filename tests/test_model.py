@@ -22,6 +22,17 @@ def tiny_model(seed=0, **over):
     return M.SeparationModel(cfg, rng=np.random.default_rng(seed))
 
 
+def traced_peak(fn):
+    """The tracemalloc peak, in bytes, of one call of fn."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestParameterCounts:
     # published size ladder, +/-2%
     LADDER = [
@@ -117,14 +128,71 @@ class TestPinnedOutput:
             np.testing.assert_allclose(est.data[::25], want, rtol=1e-9, atol=0)
 
 
+class TestPinnedInit:
+    """Seeded initial values of a config TestPinnedOutput does not cover:
+    a layernorm, unidirectional model, one sum per parameter."""
+
+    CFG = M.ModelConfig(d=8, r=1, h=4, chunk_len=16, norm_kind="layernorm",
+                        bidirectional=False)
+    SUMS = {
+        "encoder": 2.8967898276117143,
+        "decoder": -1.4459622341829512,
+        "pre_norm.gain": 8.0,
+        "pre_norm.bias": 0.0,
+        "input_proj": -0.4771030338312773,
+        "blocks.0.intra_norm.gain": 8.0,
+        "blocks.0.intra_norm.bias": 0.0,
+        "blocks.0.intra_scan.w_in": -2.4287980610410482,
+        "blocks.0.intra_scan.w_gate": -2.727101667735151,
+        "blocks.0.intra_scan.w_out": 0.1755510668083211,
+        "blocks.0.intra_scan.fwd.conv_kernel": -1.474194657211403,
+        "blocks.0.intra_scan.fwd.conv_bias": -0.6105134146955449,
+        "blocks.0.intra_scan.fwd.proj.w_delta_down": -0.4520784758177411,
+        "blocks.0.intra_scan.fwd.proj.w_delta_up": 3.56086738680924,
+        "blocks.0.intra_scan.fwd.proj.b_delta": -69.79090351422778,
+        "blocks.0.intra_scan.fwd.proj.w_b": -2.4383757644596162,
+        "blocks.0.intra_scan.fwd.proj.w_c": -0.4180194288116082,
+        "blocks.0.intra_scan.fwd.a_log": 50.84886128556713,
+        "blocks.0.intra_scan.fwd.d_skip": 16.0,
+        "blocks.0.inter_norm.gain": 8.0,
+        "blocks.0.inter_norm.bias": 0.0,
+        "blocks.0.inter_scan.w_in": 0.18181909887405778,
+        "blocks.0.inter_scan.w_gate": 5.080274393039019,
+        "blocks.0.inter_scan.w_out": -1.3184051519022824,
+        "blocks.0.inter_scan.fwd.conv_kernel": 0.13019714661591208,
+        "blocks.0.inter_scan.fwd.conv_bias": -0.3592524009422512,
+        "blocks.0.inter_scan.fwd.proj.w_delta_down": 0.3680326831180012,
+        "blocks.0.inter_scan.fwd.proj.w_delta_up": -5.166970063848771,
+        "blocks.0.inter_scan.fwd.proj.b_delta": -72.82859666762721,
+        "blocks.0.inter_scan.fwd.proj.w_b": -1.804376104596068,
+        "blocks.0.inter_scan.fwd.proj.w_c": -0.22642304933312563,
+        "blocks.0.inter_scan.fwd.a_log": 50.84886128556713,
+        "blocks.0.inter_scan.fwd.d_skip": 16.0,
+        "mask_head_w": -1.4657511384376305,
+        "mask_head_b": -0.7607149104036905,
+        "out_proj_w": 0.7145117827032959,
+        "out_proj_b": 0.3403490626611221,
+        "out_gate_w": -0.8225991576002221,
+        "out_gate_b": 0.5454724239630196,
+        "final_proj": 0.5824092081638228,
+    }
+
+    def test_per_parameter_sums(self):
+        mdl = M.SeparationModel(self.CFG, rng=np.random.default_rng(13))
+        params = mdl.named_parameters()
+        assert [n for n, _ in params] == list(self.SUMS)
+        got = [float(p.data.sum()) for _, p in params]
+        np.testing.assert_allclose(got, list(self.SUMS.values()), rtol=1e-12, atol=0)
+
+
 class TestEncodeDecodePlumbing:
     def test_identity_basis_overlap_add_pattern(self):
         # with encoder = I and decoder = I/2, interior samples (covered by
         # two frames at 50% overlap) reconstruct exactly; the first and
         # last `stride` samples are halved
         mdl = tiny_model(d=16)
-        mdl.weights.encoder.data = np.eye(16)
-        mdl.weights.decoder.data = 0.5 * np.eye(16)
+        mdl.params["encoder"].data = np.eye(16)
+        mdl.params["decoder"].data = 0.5 * np.eye(16)
         T = 64
         x = np.random.default_rng(2).standard_normal(T)
         y = mdl.decode(mdl.encode(Tensor(x)), T).data
@@ -148,7 +216,7 @@ class TestDeterminism:
 
     def test_different_seed_different_weights(self):
         a, b = tiny_model(seed=1), tiny_model(seed=2)
-        assert not np.array_equal(a.weights.encoder.data, b.weights.encoder.data)
+        assert not np.array_equal(a.params["encoder"].data, b.params["encoder"].data)
 
 
 class TestCheckpoint:
@@ -281,6 +349,36 @@ class TestCheckpoint:
         for (name, t), a in zip(named, arrays.values(), strict=True):
             assert a.flags.aligned and a.flags.writeable
             assert np.array_equal(a, t.data), name
+
+    @pytest.fixture(scope="class")
+    def xs_model(self):
+        return M.SeparationModel(M.preset("xs"), rng=np.random.default_rng(7))
+
+    def test_save_holds_one_parameter_at_a_time(self, tmp_path, xs_model):
+        payload = 4 * M.count_parameters(xs_model.config)          # 9.0 MB
+        peak = traced_peak(lambda: M.save_model(tmp_path / "xs.ckpt", xs_model))
+        assert peak <= 0.25 * payload
+
+    def test_from_checkpoint_draws_nothing(self, tmp_path, xs_model):
+        """The frozen model's weights are the payload's views: no random
+        model is drawn to be overwritten and no weight is copied."""
+        p = tmp_path / "xs.ckpt"
+        M.save_model(p, xs_model)
+        payload = 4 * M.count_parameters(xs_model.config)
+        peak = traced_peak(lambda: M.SeparationModel.from_checkpoint(p))
+        assert peak <= 1.5 * payload
+
+    @pytest.mark.parametrize("unit", [b"x", b"not a checkpoint\n"],
+                             ids=["no_newline", "text"])
+    def test_large_non_checkpoint_refused_after_one_line(self, tmp_path, unit):
+        p = tmp_path / "big.bin"
+        p.write_bytes(unit * (20_000_000 // len(unit)))
+
+        def load():
+            with pytest.raises(DataFormatError, match="checkpoint"):
+                M.load_checkpoint(p)
+
+        assert traced_peak(load) < 1_000_000
 
     # (header line to replace, its replacement): the magic line, the first
     # param record (the tiny model's is "encoder 4,16") or the [data] line

@@ -539,21 +539,21 @@ class TestSelectiveParameterize:
     def test_shapes_and_delta_positive(self):
         rng = np.random.default_rng(7)
         E, L, H, R = 4, 10, 3, 2
-        proj = ssm.SsmProjection(
-            w_delta_down=Tensor(rng.standard_normal((R, E)) * 0.3),
-            w_delta_up=Tensor(rng.standard_normal((E, R)) * 0.3),
-            b_delta=Tensor(rng.standard_normal(E)),
-            w_b=Tensor(rng.standard_normal((H, E)) * 0.3),
-            w_c=Tensor(rng.standard_normal((H, E)) * 0.3),
-        )
+        proj = {
+            "w_delta_down": Tensor(rng.standard_normal((R, E)) * 0.3),
+            "w_delta_up": Tensor(rng.standard_normal((E, R)) * 0.3),
+            "b_delta": Tensor(rng.standard_normal(E)),
+            "w_b": Tensor(rng.standard_normal((H, E)) * 0.3),
+            "w_c": Tensor(rng.standard_normal((H, E)) * 0.3),
+        }
         a = Tensor(-np.exp(rng.uniform(-1, 1, (E, H))))
         params = ssm.selective_parameterize(Tensor(rng.standard_normal((E, L)).T),
-                                            proj, a)
+                                            proj, a, False)
         assert params.delta.shape == (L, E)
         assert params.b.shape == (L, H)
         assert params.c.shape == (L, H)
         # delta is the raw projection; the scan adds the bias and softplus
-        assert params.delta_bias is proj.b_delta
+        assert params.delta_bias is proj["b_delta"]
         assert np.all(ssm._step_sizes(params.delta.data, params.delta_bias.data) > 0)
 
 

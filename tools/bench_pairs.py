@@ -27,8 +27,11 @@ from pathlib import Path
 
 import numpy as np
 
-WORKLOADS = ("separate_xs_1s", "separate_cli_2x0.5s", "train_toy_step")
-END_TO_END = ("setup_s", "rtf_p50", "step_s_p50", "step_s_p90", "peak_mb")
+# the workloads and end-to-end metrics are the ones the benchmark declares
+_DECLARED = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json")
+                       .read_text())
+WORKLOADS = tuple(w["name"] for w in _DECLARED["workloads"])
+END_TO_END = tuple(m["name"] for m in _DECLARED["end_to_end"])
 SEEDS = tuple(range(101, 111))
 
 
