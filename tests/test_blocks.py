@@ -74,7 +74,7 @@ class TestDirectionSymmetry:
     def test_swapping_directions_equals_flipping_input(self):
         rng = np.random.default_rng(4)
         w = _block(3, 4, rng)
-        other = {"fwd.": "bwd.", "bwd.": "fwd."}
+        other = {"fwd.": "bwd.", "bwd.": "fwd."}       # fwd.* <-> bwd.*
         swapped = {other.get(name[:4], name[:4]) + name[4:]: p
                    for name, p in w.items()}
         x = _input(rng, 3, 9)
