@@ -22,6 +22,20 @@ unidirectional variant drops the backward branch and the final averaging.
 The projections act on the channel axis (the last) and the convs and
 scans on time (axis 0), so no operand is permuted on its way to a scan.
 
+Every op of the block is independent across the batch axis of [L, B, D]
+(chunks in the intra pass, positions in the inter pass).  So an untaped
+(inference) block runs over contiguous tiles of that axis and writes each
+tile's output into one [L, B, D] result: its E-wide temporaries (h_in,
+the gate, each branch's conv output, step sizes, delta x and y, and the
+mean of the two directions) exist for one tile at a time, and the peak
+no longer grows by about 20 MB per second of audio.  The tile is sized in
+bytes, from L*E*itemsize against _TILE_BYTES, like the scan kernels'
+batch tiles (ssm._TILE_BYTES): one rule serves every (L, E, dtype), and a
+batch whose [L, B, E] array fits is one tile, run as it was.  The size
+stays well above a few rows per GEMM, where the projections would round
+differently, so the tiled outputs are bit-identical to the untiled ones.
+A taped (training) block runs whole.
+
 A block holds no weights of its own.  It reads the entries of the
 model's name-keyed parameter dict below its prefix, which `scope`
 selects: w_in, w_gate, w_out, and per direction (fwd., bwd.) the conv
@@ -34,11 +48,16 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from . import numerics as nm
 from . import ssm
 from .numerics import Tensor
 
 CONV_WIDTH = 4
+
+# bytes of one batch tile's [L, b, E] array in an untaped block
+_TILE_BYTES = 1 << 20
 
 
 def dt_rank_for(d: int) -> int:
@@ -74,7 +93,24 @@ def bi_scan_forward(h: Tensor, w: dict[str, Tensor], exact_zoh: bool) -> Tensor:
 
     w maps the block's parameter names below its prefix (w_in, fwd.a_log,
     ...) to tensors; the block is unidirectional when it has no bwd.* entry.
+    Untaped, a batch runs over tiles of its batch axis (module docstring).
     """
+    taped = h.requires_grad or any(p.requires_grad for p in w.values())
+    if taped or h.ndim != 3:
+        return _bi_scan(h, w, exact_zoh)
+    L, B, _ = h.shape
+    n = max(1, _TILE_BYTES // (L * w["w_in"].shape[0] * h.data.itemsize))
+    if n >= B:
+        return _bi_scan(h, w, exact_zoh)
+    out = np.empty((L, B, w["w_out"].shape[0]), dtype=h.dtype)
+    for i in range(0, B, n):
+        out[:, i:i + n] = _bi_scan(nm.as_tensor(h.data[:, i:i + n]), w,
+                                   exact_zoh).data
+    return nm.as_tensor(out)
+
+
+def _bi_scan(h: Tensor, w: dict[str, Tensor], exact_zoh: bool) -> Tensor:
+    """bi_scan_forward on the whole of h, taped or not."""
     h_in = nm.matmul(w["w_in"], h)
     gate = nm.silu(nm.matmul(w["w_gate"], h))
     y_f = _branch(h_in, gate, scope(w, "fwd"), exact_zoh, reverse=False)

@@ -16,8 +16,10 @@ Rules the engine enforces rather than glosses over:
     weight as one 2-D GEMM; the per-channel ops (the norms, matmul's
     bias) act on the last axis and conv1d_depthwise along axis 0;
   * Tensor() and permute materialize C-ordered copies, never aliased views;
-    the one exception is a frozen checkpoint model, whose weights are views
-    of the float32 payload it was loaded from (model.from_checkpoint);
+    the exceptions are untaped: a frozen checkpoint model, whose weights
+    are views of the float32 payload it was loaded from
+    (model.from_checkpoint), and the batch tiles of an inference block
+    (blocks.bi_scan_forward), which as_tensor wraps;
   * gradients accumulate additively on the leaves (the tensors with no
     VJP) across fan-out and across repeated backward() calls; callers
     reset explicitly with zero_grad().  No other tensor keeps a gradient.
@@ -202,6 +204,14 @@ def primitive(
         out._parents = ()
         out._vjp = None
     return out
+
+
+def as_tensor(arr: np.ndarray) -> Tensor:
+    """A leaf that holds arr itself where Tensor() would copy it; for the
+    untaped views of the module rules."""
+    t = Tensor(())
+    t.data = arr
+    return t
 
 
 def _same_shape(a: Tensor, b: Tensor, op: str) -> None:

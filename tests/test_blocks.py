@@ -1,6 +1,10 @@
 """Gated scan block: direction symmetry, gating, init, parameter names."""
 
+import gc
+import tracemalloc
+
 import numpy as np
+import pytest
 
 import sepscan.blocks as blocks
 import sepscan.model as M
@@ -153,6 +157,98 @@ class TestBatched:
         for i in range(5):
             single = blocks.bi_scan_forward(Tensor(x[:, i].copy()), w, False).data
             np.testing.assert_allclose(batched[:, i], single, atol=1e-12)
+
+
+class TestBatchTiles:
+    """An untaped block runs over byte-sized tiles of its batch axis."""
+
+    @pytest.fixture(scope="class")
+    def xs(self, tmp_path_factory):
+        """A frozen float32 xs model, as `separate` loads it."""
+        p = tmp_path_factory.mktemp("xs") / "xs.ckpt"
+        M.save_model(p, M.SeparationModel(M.preset("xs"),
+                                          rng=np.random.default_rng(3)))
+        return M.SeparationModel.from_checkpoint(p)
+
+    @staticmethod
+    def mix(seconds):
+        return np.random.default_rng(5).standard_normal(int(8000 * seconds)) * 0.3
+
+    @staticmethod
+    def stems(model, x, monkeypatch, tile_bytes):
+        """The stems at a tile size, and each bi_scan_forward call's tile
+        batch sizes, one list per call in call order."""
+        calls = []
+        forward, run = blocks.bi_scan_forward, blocks._bi_scan
+
+        def counted_forward(*args):
+            calls.append([])
+            return forward(*args)
+
+        def counted_run(h, *args):
+            calls[-1].append(h.shape[1])
+            return run(h, *args)
+
+        monkeypatch.setattr(blocks, "_TILE_BYTES", tile_bytes)
+        monkeypatch.setattr(blocks, "bi_scan_forward", counted_forward)
+        monkeypatch.setattr(blocks, "_bi_scan", counted_run)
+        try:
+            return np.stack([e.data for e in model.separate(x)]), calls
+        finally:
+            monkeypatch.undo()
+
+    @pytest.fixture(scope="class")
+    def untiled_1s(self, xs):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(blocks, "_TILE_BYTES", 1 << 62)
+            return np.stack([e.data for e in xs.separate(self.mix(1.0))])
+
+    # 512 KiB splits both passes at 1 s into 4 tiles of whole GEMMs; 1 byte
+    # makes every tile one batch row, whose few-row GEMMs round differently:
+    # measured 4.8e-7 of the peak amplitude, a few float32 ulps
+    @pytest.mark.parametrize("tile_bytes,tol", [(512 * 1024, 0.0), (1, 1e-5)],
+                             ids=["512KiB", "one_row"])
+    def test_small_tiles_match_the_untiled_block(self, xs, untiled_1s,
+                                                 monkeypatch, tile_bytes, tol):
+        got, calls = self.stems(xs, self.mix(1.0), monkeypatch, tile_bytes)
+        # the tracer files a dp_block's first call as intra, its second as
+        # inter, so each pass is one call however many tiles it runs
+        assert len(calls) == 2 * xs.config.r
+        assert all(len(tiles) >= 3 for tiles in calls)
+        # intra: 7 chunks per batch; inter: 250 positions
+        assert {sum(t) for t in calls[0::2]} == {7}
+        assert {sum(t) for t in calls[1::2]} == {250}
+        if tol == 0.0:
+            assert np.array_equal(got, untiled_1s)
+        else:
+            np.testing.assert_allclose(got, untiled_1s, rtol=0,
+                                       atol=tol * np.abs(untiled_1s).max())
+
+    @pytest.mark.parametrize("seconds", [1.0, 2.0])
+    def test_default_tile_is_bit_identical(self, xs, untiled_1s, monkeypatch,
+                                           seconds):
+        x = self.mix(seconds)
+        got, calls = self.stems(xs, x, monkeypatch, blocks._TILE_BYTES)
+        assert len(calls) == 2 * xs.config.r
+        assert len(calls[0]) >= 2          # the tiles engage at 1 s
+        if seconds == 1.0:
+            ref = untiled_1s
+        else:
+            ref, _ = self.stems(xs, x, monkeypatch, 1 << 62)
+        assert np.array_equal(got, ref)
+
+    def test_peak_at_10s_is_bounded(self, xs):
+        """80.1 MB measured with 1 MiB tiles; 205 MB untiled, where every
+        E-wide temporary of a block held the whole batch."""
+        x = self.mix(10.0)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            xs.separate(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 90e6
 
 
 class TestNamedParameters:
