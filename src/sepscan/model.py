@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +49,7 @@ from .numerics import NumericsError, Tensor
 CHECKPOINT_MAGIC = "sepscan-checkpoint"
 CHECKPOINT_VERSION = 2
 HEADER_LINE_MAX = 4096          # bytes; an l-preset record is about 50
+CONFIG_LINES_MAX = 64           # a saved config is 8 lines
 
 # the SepFormer front end that DPMamba keeps: never varied, so not config
 ENC_KERNEL = 16
@@ -230,6 +231,14 @@ def parameter_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     return shapes
 
 
+def _record_count(cfg: ModelConfig) -> int:
+    """len(parameter_shapes(cfg)) without building the list, which grows
+    with r: a checkpoint's r is untrusted until its records are counted."""
+    block = 2 * (len(_norm_shapes("", cfg.d, cfg.norm_kind))
+                 + len(_bi_scan_shapes("", cfg)))
+    return len(parameter_shapes(replace(cfg, r=1))) + (cfg.r - 1) * block
+
+
 def count_parameters(cfg: ModelConfig) -> int:
     return sum(int(np.prod(s)) for _, s in parameter_shapes(cfg))
 
@@ -280,6 +289,9 @@ def _check_state(cfg: ModelConfig, arrays: dict[str, np.ndarray]) -> None:
     """Refuse arrays that are not cfg's parameters by name and shape, or
     that hold a non-finite value: the mask head's relu would turn a NaN
     into silence rather than into an error."""
+    if len(arrays) != _record_count(cfg):
+        raise DataFormatError(f"state mismatch: {len(arrays)} arrays for "
+                              f"{_record_count(cfg)} parameters")
     shapes = dict(parameter_shapes(cfg))
     missing = [n for n in shapes if n not in arrays]
     extra = [n for n in arrays if n not in shapes]
@@ -388,8 +400,7 @@ class SeparationModel:
         model.config = cfg
         model.params = {}
         for name, _ in parameter_shapes(cfg):
-            p = model.params[name] = Tensor(())
-            p.data = arrays[name]       # Tensor() would copy it
+            model.params[name] = nm.as_tensor(arrays[name])
         return model
 
 
@@ -456,26 +467,50 @@ def _header_line(f, path) -> str:
         raise DataFormatError(f"checkpoint {path}: non-ascii header") from exc
 
 
+def _record(path, line: str) -> tuple[str, tuple[int, ...], str]:
+    """(name, shape, shape text) of one `name shape` param record."""
+    parts = line.split()
+    if len(parts) != 2:
+        raise DataFormatError(f"checkpoint {path}: bad param record {line!r}")
+    name, shape_s = parts
+    return name, tuple(_header_int(path, f"'{name}' shape", s)
+                       for s in shape_s.split(",")), shape_s
+
+
 def load_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
     """The config and every parameter, each a view of one float32 array
-    that holds the payload: the file's data is read once, into it."""
+    that holds the payload: the file's data is read once, into it.
+
+    The header is read a bounded line at a time: at most CONFIG_LINES_MAX
+    config lines, then at most as many records as the config has
+    parameters, so a file that is not a checkpoint is refused within a few
+    KiB of memory however long it is.  That the records are the config's
+    parameters by name and shape is _check_state's test.
+    """
     with open(path, "rb") as f:
-        lines = [_header_line(f, path)]
-        magic = lines[0].split()
+        line = _header_line(f, path)
+        magic = line.split()
         if len(magic) != 2 or magic[0] != CHECKPOINT_MAGIC:
-            raise DataFormatError(f"checkpoint {path}: bad magic line {lines[0]!r}")
+            raise DataFormatError(f"checkpoint {path}: bad magic line {line!r}")
         if _header_int(path, "version", magic[1]) != CHECKPOINT_VERSION:
             raise DataFormatError(f"checkpoint {path}: unsupported version {magic[1]}")
-        while not lines[-1].startswith("[data] "):
-            lines.append(_header_line(f, path))
-        try:
-            cfg_at = lines.index("[config]")
-            par_at = lines.index("[params]")
-        except ValueError as exc:
-            raise DataFormatError(f"checkpoint {path}: missing header section") from exc
-        cfg = config_from_text("\n".join(lines[cfg_at + 1 : par_at]))
+        if _header_line(f, path) != "[config]":
+            raise DataFormatError(f"checkpoint {path}: missing [config] section")
+        config_lines = []
+        while (line := _header_line(f, path)) != "[params]":
+            if len(config_lines) == CONFIG_LINES_MAX:
+                raise DataFormatError(f"checkpoint {path}: [config] section "
+                                      f"over {CONFIG_LINES_MAX} lines")
+            config_lines.append(line)
+        cfg = config_from_text("\n".join(config_lines))
 
-        total = _header_int(path, "[data] size", lines[-1][len("[data] "):].strip())
+        records, most = [], _record_count(cfg)
+        while not (line := _header_line(f, path)).startswith("[data] "):
+            if len(records) == most:
+                raise DataFormatError(f"checkpoint {path}: more param records "
+                                      f"than the {most} of its config")
+            records.append(_record(path, line))
+        total = _header_int(path, "[data] size", line[len("[data] "):].strip())
         left = os.fstat(f.fileno()).st_size - f.tell()
         if left != total * 4:     # before allocating: the count is untrusted
             raise DataFormatError(
@@ -485,13 +520,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray
 
     arrays: dict[str, np.ndarray] = {}
     off = 0       # each record's data follows the previous record's
-    for record in lines[par_at + 1 : -1]:
-        parts = record.split()
-        if len(parts) != 2:
-            raise DataFormatError(f"checkpoint {path}: bad param record {record!r}")
-        name, shape_s = parts
-        shape = tuple(_header_int(path, f"'{name}' shape", s)
-                      for s in shape_s.split(","))
+    for name, shape, shape_s in records:
         size = math.prod(shape)
         if off + size > total:
             raise DataFormatError(

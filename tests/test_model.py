@@ -2,6 +2,7 @@
 
 import gc
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -64,6 +65,11 @@ class TestParameterCounts:
             assert live == M.parameter_shapes(mdl.config)
             assert (sum(p.size for _, p in mdl.named_parameters())
                     == M.count_parameters(mdl.config))
+
+    @pytest.mark.parametrize("name,cfg,target", LADDER, ids=[r[0] for r in LADDER])
+    def test_record_count_is_the_inventory_length(self, name, cfg, target):
+        for c in (cfg, replace(cfg, norm_kind="layernorm", r=3)):
+            assert M._record_count(c) == len(M.parameter_shapes(c))
 
 
 class TestShapes:
@@ -377,6 +383,47 @@ class TestCheckpoint:
         def load():
             with pytest.raises(DataFormatError, match="checkpoint"):
                 M.load_checkpoint(p)
+
+        assert traced_peak(load) < 1_000_000
+
+    JUNK_AFTER = {
+        "magic": b"sepscan-checkpoint 2\n",
+        "config": b"sepscan-checkpoint 2\n[config]\n",
+        "params": b"sepscan-checkpoint 2\n[config]\nd = 2\nr = 1\n[params]\n",
+    }
+
+    @pytest.mark.parametrize("megabytes", [2, 20])
+    @pytest.mark.parametrize("section", JUNK_AFTER.keys())
+    def test_many_line_junk_refused_in_bounded_memory(self, tmp_path, section,
+                                                      megabytes):
+        """Every header section holds a bounded number of lines, so a valid
+        start followed by millions of short lines is refused within KiBs."""
+        p = tmp_path / "junk.ckpt"
+        p.write_bytes(self.JUNK_AFTER[section] + b"x\n" * (megabytes * 500_000))
+
+        def load():
+            with pytest.raises(DataFormatError, match="checkpoint"):
+                M.load_checkpoint(p)
+
+        assert traced_peak(load) < 1_000_000
+
+    def test_more_records_than_the_config_has_refused(self, tmp_path):
+        p = tmp_path / "m.ckpt"
+        M.save_model(p, tiny_model())
+        p.write_bytes(p.read_bytes().replace(b"\n[data] ", b"\nextra 0\n[data] ", 1))
+        with pytest.raises(DataFormatError, match="more param records"):
+            M.load_checkpoint(p)
+
+    def test_huge_block_count_refused_by_count(self, tmp_path):
+        """A config's r is counted, not enumerated: r = 1e9 would otherwise
+        build a list of 4.4e10 parameter names and shapes before the refusal."""
+        p = tmp_path / "m.ckpt"
+        p.write_bytes(b"sepscan-checkpoint 2\n[config]\nd = 2\nr = 1000000000\n"
+                      b"[params]\nencoder 2,16\n[data] 32\n" + bytes(128))
+
+        def load():
+            with pytest.raises(DataFormatError, match="1 arrays for 44000000011 "):
+                M.SeparationModel.from_checkpoint(p)
 
         assert traced_peak(load) < 1_000_000
 
