@@ -258,6 +258,8 @@ def _adjoint(x, u, d, b, c, ck, g, gx, gdelta, gb, gc, aT, ga, exact_zoh):
     w = np.empty_like(lam)
     wa = np.empty_like(lam)
     s = np.empty((B, 1, E), dtype=dtype)
+    if exact_zoh:
+        dbbar, dp, tmp = (np.empty_like(lam) for _ in range(3))
     for blk in range(len(ck), -1, -1):
         t0 = blk * _BLOCK
         t1 = min(t0 + _BLOCK, L)
@@ -288,12 +290,18 @@ def _adjoint(x, u, d, b, c, ck, g, gx, gdelta, gb, gc, aT, ga, exact_zoh):
             if exact_zoh:
                 # p = expm1(delta a) / a: dp/ddelta = Abar and
                 # dp/da = (delta Abar - p) / a; dL/dp = lambda x_t b_t
-                dbbar = lam * x[t, :, None, :]
-                dp = dbbar * b[t, :, :, None]
-                gdelta[t] += (dp * at).sum(axis=1)
-                ga += (dp * (d[t, :, None, :] * at - p_b[i]) / aT).sum(axis=0)
-                gb[t] = (dbbar * p_b[i]).sum(axis=-1)
-                gx[t] = (lam * p_b[i] * b[t, :, :, None]).sum(axis=1)
+                np.multiply(lam, x[t, :, None, :], out=dbbar)
+                np.multiply(dbbar, b[t, :, :, None], out=dp)
+                gdelta[t] += np.multiply(dp, at, out=tmp).sum(axis=1)
+                np.multiply(d[t, :, None, :], at, out=tmp)
+                tmp -= p_b[i]
+                tmp *= dp
+                tmp /= aT
+                ga += tmp.sum(axis=0)
+                gb[t] = np.multiply(dbbar, p_b[i], out=tmp).sum(axis=-1)
+                np.multiply(lam, p_b[i], out=tmp)
+                tmp *= b[t, :, :, None]
+                gx[t] = tmp.sum(axis=1)
             else:
                 # Euler: Bbar = delta b, so with s = b_t lambda_t the x- and
                 # delta-gradients are delta_t s and x_t s, and gb sums
