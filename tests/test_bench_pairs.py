@@ -28,17 +28,21 @@ def _write(root: Path, workload: str, seed: int, trace: int, values, side: str):
                                 "environment": {"side": side}}))
 
 
-@pytest.fixture
-def collated(tmp_path):
+def _collate(tmp_path, change):
     roots = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
     for workload in bench_pairs.WORKLOADS:
-        for side, series in (("parent", PARENT), ("change", CHANGE)):
+        for side, series in (("parent", PARENT), ("change", change)):
             for seed, v in zip(bench_pairs.SEEDS, series, strict=True):
                 _write(roots[side], workload, seed, 0,
                        {n: v * k for n, k in SCALE.items()}, side)
             _write(roots[side], workload, bench_pairs.SEEDS[0], 1,
                    {"ssm.scan_elems": 7.0 if side == "parent" else 8.0}, side)
     return bench_pairs.collate(roots["parent"], roots["change"])
+
+
+@pytest.fixture
+def collated(tmp_path):
+    return _collate(tmp_path, CHANGE)
 
 
 def test_collate_summarizes_every_metric(collated):
@@ -62,3 +66,35 @@ def test_collate_summarizes_every_metric(collated):
                                       "change": {"ssm.scan_elems": 8.0}}
         assert entry["environment"] == {"parent": {"side": "parent"},
                                         "change": {"side": "change"}}
+
+
+# the parent's quartiles are 12.25 and 16.75 (times the metric's scale), so
+# a claim needs the change's median more than 4.5 below the parent's 14.5
+VERDICTS = {
+    # change series: (within_bound, claim_met) of every metric
+    "mixed": (CHANGE, True, False),
+    "wins_all_by_5": ([p - 5.0 for p in PARENT], True, True),
+    "wins_all_by_4": ([p - 4.0 for p in PARENT], True, False),
+    "wins_9_of_10": ([p - 5.0 for p in PARENT[:9]] + PARENT[9:], True, True),
+    "wins_8_of_10": ([p - 5.0 for p in PARENT[:8]] + PARENT[8:], True, False),
+}
+
+
+@pytest.mark.parametrize("change,within,claim", VERDICTS.values(),
+                         ids=VERDICTS.keys())
+def test_collate_judges_bound_and_claim(tmp_path, change, within, claim):
+    for entry in _collate(tmp_path, change)["workloads"].values():
+        for name in SCALE:
+            m = entry["end_to_end"][name]
+            assert (m["within_bound"], m["claim_met"]) == (within, claim), name
+
+
+def test_within_bound_reads_each_metric_bound(tmp_path):
+    """20% slower is within a 0.25 bound and outside peak_mb's 0.15."""
+    bounds = {n: m["bound"] for n, m in bench_pairs.END_TO_END.items()}
+    assert bounds["rtf_p50"] == 0.25 and bounds["peak_mb"] == 0.15
+    for entry in _collate(tmp_path, [p * 1.2 for p in PARENT])["workloads"].values():
+        for name, bound in bounds.items():
+            m = entry["end_to_end"][name]
+            assert m["within_bound"] == (0.2 <= bound), name
+            assert not m["claim_met"] and m["pairs_won"] == 0

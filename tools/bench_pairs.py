@@ -13,8 +13,12 @@ leaves its result file in that checkout's perfbench/out/, which is what
 --collate-only reads back.
 
 The output holds, per workload: the median [q1, q3] of each end-to-end
-metric on both sides, the pairs the change won, the fail fractions, the
-traced per-layer metrics of both sides, and run.py's environment block.
+metric on both sides, the pairs the change won, whether the change's median
+is within the metric's declared bound of the parent's (within_bound) and
+whether it clears the bar for claiming a gain (claim_met: at least 9 of 10
+pairs won and the medians further apart than the parent's q3 - q1), the
+fail fractions, the traced per-layer metrics of both sides, and run.py's
+environment block.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import numpy as np
 _DECLARED = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json")
                        .read_text())
 WORKLOADS = tuple(w["name"] for w in _DECLARED["workloads"])
-END_TO_END = tuple(m["name"] for m in _DECLARED["end_to_end"])
+END_TO_END = {m["name"]: m for m in _DECLARED["end_to_end"]}
 SEEDS = tuple(range(101, 111))
 
 
@@ -78,17 +82,27 @@ def collate(parent: Path, change: Path) -> dict:
                                    .read_text())
                   for side, root in (("parent", parent), ("change", change))}
         metrics = {}
-        for name in END_TO_END:
+        for name, declared in END_TO_END.items():
             vals = {side: [r["metrics"][name]["value"] for r in rs]
                     for side, rs in runs.items()}
+            par, chg = summary(vals["parent"]), summary(vals["change"])
+            # +1 where lower is better: gains and wins are then positive
+            sign = 1.0 if declared["better"] == "lower" else -1.0
+            gain = sign * (par["median"] - chg["median"])
+            won = sum(sign * (p - c) > 0 for p, c in zip(vals["parent"],
+                                                         vals["change"]))
             metrics[name] = {
                 "unit": runs["parent"][0]["metrics"][name]["unit"],
-                "parent": summary(vals["parent"]),
-                "change": summary(vals["change"]),
-                "change_over_parent": (summary(vals["change"])["median"]
-                                       / summary(vals["parent"])["median"]),
-                "pairs_won": sum(c < p for p, c in zip(vals["parent"],
-                                                       vals["change"])),
+                "parent": par,
+                "change": chg,
+                "change_over_parent": chg["median"] / par["median"],
+                "pairs_won": won,
+                # no worse than the parent by more than the declared bound
+                "within_bound": -gain <= declared["bound"] * abs(par["median"]),
+                # a gain may be claimed: 9 of 10 pairs won, and the medians
+                # further apart than the parent's quartiles
+                "claim_met": (won >= 0.9 * len(seeds)
+                              and gain > par["q3"] - par["q1"]),
             }
         out["workloads"][workload] = {
             "end_to_end": metrics,
