@@ -27,14 +27,14 @@ Every op of the block is independent across the batch axis of [L, B, D]
 (inference) block runs over contiguous tiles of that axis and writes each
 tile's output into one [L, B, D] result: its E-wide temporaries (h_in,
 the gate, each branch's conv output, step sizes, delta x and y, and the
-mean of the two directions) exist for one tile at a time, and the peak
-no longer grows by about 20 MB per second of audio.  The tile is sized in
-bytes, from L*E*itemsize against _TILE_BYTES, like the scan kernels'
-batch tiles (ssm._TILE_BYTES): one rule serves every (L, E, dtype), and a
-batch whose [L, B, E] array fits is one tile, run as it was.  The size
-stays well above a few rows per GEMM, where the projections would round
-differently, so the tiled outputs are bit-identical to the untiled ones.
-A taped (training) block runs whole.
+mean of the two directions) exist for one tile at a time, so the block's
+share of the peak is set by the tile, not by the input length.  The tile
+is sized in bytes, from L*E*itemsize against _TILE_BYTES, like the scan
+kernels' batch tiles (ssm._TILE_BYTES): one rule serves every (L, E,
+dtype), and a batch whose [L, B, E] array fits is one tile, run as it
+was.  The size keeps hundreds of rows in every projection GEMM; GEMMs of
+a few rows round differently, and at this size the tiled outputs are
+bit-identical to the untiled ones.  A taped (training) block runs whole.
 
 A block holds no weights of its own.  It reads the entries of the
 model's name-keyed parameter dict below its prefix, which `scope`
