@@ -289,9 +289,9 @@ def _check_state(cfg: ModelConfig, arrays: dict[str, np.ndarray]) -> None:
     """Refuse arrays that are not cfg's parameters by name and shape, or
     that hold a non-finite value: the mask head's relu would turn a NaN
     into silence rather than into an error."""
-    if len(arrays) != _record_count(cfg):
-        raise DataFormatError(f"state mismatch: {len(arrays)} arrays for "
-                              f"{_record_count(cfg)} parameters")
+    if len(arrays) != (n := _record_count(cfg)):
+        raise DataFormatError(
+            f"state mismatch: {len(arrays)} arrays for {n} parameters")
     shapes = dict(parameter_shapes(cfg))
     missing = [n for n in shapes if n not in arrays]
     extra = [n for n in arrays if n not in shapes]
@@ -467,14 +467,14 @@ def _header_line(f, path) -> str:
         raise DataFormatError(f"checkpoint {path}: non-ascii header") from exc
 
 
-def _record(path, line: str) -> tuple[str, tuple[int, ...], str]:
-    """(name, shape, shape text) of one `name shape` param record."""
+def _record(path, line: str) -> tuple[str, tuple[int, ...]]:
+    """(name, shape) of one `name shape` param record."""
     parts = line.split()
     if len(parts) != 2:
         raise DataFormatError(f"checkpoint {path}: bad param record {line!r}")
     name, shape_s = parts
     return name, tuple(_header_int(path, f"'{name}' shape", s)
-                       for s in shape_s.split(",")), shape_s
+                       for s in shape_s.split(","))
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
@@ -504,11 +504,11 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray
             config_lines.append(line)
         cfg = config_from_text("\n".join(config_lines))
 
-        records, most = [], _record_count(cfg)
+        records, max_records = [], _record_count(cfg)
         while not (line := _header_line(f, path)).startswith("[data] "):
-            if len(records) == most:
+            if len(records) == max_records:
                 raise DataFormatError(f"checkpoint {path}: more param records "
-                                      f"than the {most} of its config")
+                                      f"than the {max_records} of its config")
             records.append(_record(path, line))
         total = _header_int(path, "[data] size", line[len("[data] "):].strip())
         left = os.fstat(f.fileno()).st_size - f.tell()
@@ -520,7 +520,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray
 
     arrays: dict[str, np.ndarray] = {}
     off = 0       # each record's data follows the previous record's
-    for name, shape, shape_s in records:
+    for name, shape in records:
         size = math.prod(shape)
         if off + size > total:
             raise DataFormatError(
@@ -530,7 +530,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray
         try:      # numpy refuses some shapes even of an empty record
             arrays[name] = flat[off : off + size].reshape(shape)
         except ValueError as exc:
-            raise DataFormatError(f"checkpoint {path}: bad shape {shape_s}") from exc
+            raise DataFormatError(f"checkpoint {path}: bad shape {shape}") from exc
         off += size
     if off != total:
         raise DataFormatError(
