@@ -175,7 +175,7 @@ class TestBatchTiles:
         return np.random.default_rng(5).standard_normal(int(8000 * seconds)) * 0.3
 
     @staticmethod
-    def stems(model, x, monkeypatch, tile_bytes):
+    def stems(model, x, tile_bytes):
         """The stems at a tile size, and each bi_scan_forward call's tile
         batch sizes, one list per call in call order."""
         calls = []
@@ -189,19 +189,15 @@ class TestBatchTiles:
             calls[-1].append(h.shape[1])
             return run(h, *args)
 
-        monkeypatch.setattr(blocks, "_TILE_BYTES", tile_bytes)
-        monkeypatch.setattr(blocks, "bi_scan_forward", counted_forward)
-        monkeypatch.setattr(blocks, "_bi_scan", counted_run)
-        try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(blocks, "_TILE_BYTES", tile_bytes)
+            mp.setattr(blocks, "bi_scan_forward", counted_forward)
+            mp.setattr(blocks, "_bi_scan", counted_run)
             return np.stack([e.data for e in model.separate(x)]), calls
-        finally:
-            monkeypatch.undo()
 
     @pytest.fixture(scope="class")
     def untiled_1s(self, xs):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(blocks, "_TILE_BYTES", 1 << 62)
-            return np.stack([e.data for e in xs.separate(self.mix(1.0))])
+        return self.stems(xs, self.mix(1.0), 1 << 62)[0]
 
     # 512 KiB splits both passes at 1 s into 4 tiles of whole GEMMs; 1 byte
     # makes every tile one batch row, whose few-row GEMMs round differently:
@@ -209,8 +205,8 @@ class TestBatchTiles:
     @pytest.mark.parametrize("tile_bytes,tol", [(512 * 1024, 0.0), (1, 1e-5)],
                              ids=["512KiB", "one_row"])
     def test_small_tiles_match_the_untiled_block(self, xs, untiled_1s,
-                                                 monkeypatch, tile_bytes, tol):
-        got, calls = self.stems(xs, self.mix(1.0), monkeypatch, tile_bytes)
+                                                 tile_bytes, tol):
+        got, calls = self.stems(xs, self.mix(1.0), tile_bytes)
         # the tracer files a dp_block's first call as intra, its second as
         # inter, so each pass is one call however many tiles it runs
         assert len(calls) == 2 * xs.config.r
@@ -225,16 +221,15 @@ class TestBatchTiles:
                                        atol=tol * np.abs(untiled_1s).max())
 
     @pytest.mark.parametrize("seconds", [1.0, 2.0])
-    def test_default_tile_is_bit_identical(self, xs, untiled_1s, monkeypatch,
-                                           seconds):
+    def test_default_tile_is_bit_identical(self, xs, untiled_1s, seconds):
         x = self.mix(seconds)
-        got, calls = self.stems(xs, x, monkeypatch, blocks._TILE_BYTES)
+        got, calls = self.stems(xs, x, blocks._TILE_BYTES)
         assert len(calls) == 2 * xs.config.r
         assert len(calls[0]) >= 2          # the tiles engage at 1 s
         if seconds == 1.0:
             ref = untiled_1s
         else:
-            ref, _ = self.stems(xs, x, monkeypatch, 1 << 62)
+            ref, _ = self.stems(xs, x, 1 << 62)
         assert np.array_equal(got, ref)
 
     def test_peak_at_10s_is_bounded(self, xs):

@@ -86,11 +86,7 @@ def collate(parent: Path, change: Path) -> dict:
             vals = {side: [r["metrics"][name]["value"] for r in rs]
                     for side, rs in runs.items()}
             par, chg = summary(vals["parent"]), summary(vals["change"])
-            # +1 where lower is better: gains and wins are then positive
-            sign = 1.0 if declared["better"] == "lower" else -1.0
-            gain = sign * (par["median"] - chg["median"])
-            won = sum(sign * (p - c) > 0 for p, c in zip(vals["parent"],
-                                                         vals["change"]))
+            won = sum(c < p for p, c in zip(vals["parent"], vals["change"]))
             metrics[name] = {
                 "unit": runs["parent"][0]["metrics"][name]["unit"],
                 "parent": par,
@@ -98,11 +94,12 @@ def collate(parent: Path, change: Path) -> dict:
                 "change_over_parent": chg["median"] / par["median"],
                 "pairs_won": won,
                 # no worse than the parent by more than the declared bound
-                "within_bound": -gain <= declared["bound"] * abs(par["median"]),
+                "within_bound": (chg["median"]
+                                 <= par["median"] * (1.0 + declared["bound"])),
                 # a gain may be claimed: 9 of 10 pairs won, and the medians
                 # further apart than the parent's quartiles
-                "claim_met": (won >= 0.9 * len(seeds)
-                              and gain > par["q3"] - par["q1"]),
+                "claim_met": (won >= 0.9 * len(seeds) and par["median"]
+                              - chg["median"] > par["q3"] - par["q1"]),
             }
         out["workloads"][workload] = {
             "end_to_end": metrics,
