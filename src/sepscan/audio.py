@@ -33,23 +33,40 @@ NUM_PARTIALS = 5
 # ---------------------------------------------------------------------------
 
 
+_WAVE_ERRORS = (wave.Error, EOFError, OSError, RuntimeError)
+
+
+def _pcm16_params(f, path) -> tuple[int, int]:
+    """(sample count, rate) of an open WAV, refusing all but mono PCM16."""
+    if f.getnchannels() != 1:
+        raise DataFormatError(
+            f"{path}: expected mono, got {f.getnchannels()} channels")
+    if f.getsampwidth() != 2:
+        raise DataFormatError(
+            f"{path}: expected 16-bit PCM, got {8 * f.getsampwidth()}-bit")
+    return f.getnframes(), f.getframerate()
+
+
+def wav_info(path) -> tuple[int, int]:
+    """The sample count and rate a mono PCM16 WAV's header declares; no
+    sample is read, so a truncated file passes here and fails wav_read."""
+    try:
+        with wave.open(str(path), "rb") as f:
+            return _pcm16_params(f, path)
+    except _WAVE_ERRORS as exc:
+        raise DataFormatError(f"{path}: not a readable WAV file ({exc!r})") from exc
+
+
 def wav_read(path) -> tuple[np.ndarray, int]:
     """Read a mono PCM16 WAV into float64 in [-1, 1) plus its sample rate."""
     try:
         with wave.open(str(path), "rb") as f:
-            channels = f.getnchannels()
-            width = f.getsampwidth()
-            rate = f.getframerate()
-            n = f.getnframes()
+            n, rate = _pcm16_params(f, path)
             raw = f.readframes(n)
-    except (wave.Error, EOFError, OSError, RuntimeError) as exc:
+    except _WAVE_ERRORS as exc:
         # wave raises a bare RuntimeError when a chunk overruns its parent
         raise DataFormatError(f"{path}: not a readable WAV file ({exc!r})") from exc
-    if channels != 1:
-        raise DataFormatError(f"{path}: expected mono, got {channels} channels")
-    if width != 2:
-        raise DataFormatError(f"{path}: expected 16-bit PCM, got {8 * width}-bit")
-    if len(raw) < n * width:
+    if len(raw) < n * 2:
         raise DataFormatError(
             f"{path}: truncated: the header promises {n} samples, the data "
             f"holds {len(raw)} bytes")

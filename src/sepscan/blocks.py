@@ -46,8 +46,6 @@ model.parameter_shapes; the initial values are model.init_parameters.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import numerics as nm
@@ -61,8 +59,9 @@ _TILE_BYTES = 1 << 20
 
 
 def dt_rank_for(d: int) -> int:
-    """Rank of the two-stage delta projection for model width d."""
-    return max(1, math.ceil(d / 16))
+    """Rank of the two-stage delta projection for model width d, ceil(d / 16)
+    in integers: a checkpoint's d may be too large for a float."""
+    return max(1, -(-d // 16))
 
 
 def scope(params: dict[str, Tensor], prefix: str) -> dict[str, Tensor]:

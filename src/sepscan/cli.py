@@ -10,7 +10,7 @@ Subcommands:
     eval        score a checkpoint against mixtures from a corpus manifest
 
 Exit codes: 0 success, 2 usage error (argparse), 3 malformed input data
-(including a malformed checkpoint, one of a format version other than 2 or
+(including a malformed checkpoint, one of a format version other than 3 or
 one with a non-finite weight, a config key the model does not have, a WAV
 whose rate is not model.SAMPLE_RATE, a path the operating system refuses,
 a constant corpus file, separate inputs whose outputs would collide, and an
@@ -41,14 +41,20 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-def _load_wav_checked(path) -> np.ndarray:
-    x, rate = audio.wav_read(path)
+def _wav_length_checked(path) -> int:
+    """The sample count in the header of a WAV at the model's rate."""
+    n, rate = audio.wav_info(path)
     if rate != model_mod.SAMPLE_RATE:
         raise DataFormatError(f"{path}: sample rate {rate} does not match "
                               f"the model's {model_mod.SAMPLE_RATE}")
-    if x.size == 0:
+    if n == 0:
         raise DataFormatError(f"{path}: empty WAV")
-    return x
+    return n
+
+
+def _load_wav_checked(path) -> np.ndarray:
+    _wav_length_checked(path)
+    return audio.wav_read(path)[0]
 
 
 def _same_file(a, b) -> bool:
@@ -69,23 +75,31 @@ def _refuse_overwrite(outputs, inputs) -> None:
 
 def _corpus_pairs(manifest, count: int,
                   rng: np.random.Generator) -> list[training.MixExample]:
-    """Build fixed mixtures by pairing distinct corpus files."""
+    """Build fixed mixtures by pairing distinct corpus files.
+
+    The draws do not depend on the audio, so they are made once the
+    headers have given the shortest length; then each file is read and
+    checked in turn and only the drawn files' prefixes of that length are
+    kept, so memory is set by count and the longest file, not by the
+    number of files.
+    """
     paths = audio.read_manifest(manifest)
     if len(paths) < 2:
         raise DataFormatError(f"{manifest}: need at least 2 corpus files")
-    waves = [_load_wav_checked(p) for p in paths]
-    shortest = min(w.size for w in waves)
-    for path, w in zip(paths, waves):
-        if np.all(w[:shortest] == w[0]):
+    shortest = min(_wav_length_checked(p) for p in paths)
+    draws = [(rng.choice(len(paths), size=2, replace=False),
+              training.sample_snr(rng)) for _ in range(count)]
+    drawn = {int(k) for pair, _ in draws for k in pair}
+    prefixes = {}
+    for k, path in enumerate(paths):
+        w = audio.wav_read(path)[0][:shortest]
+        if np.all(w == w[0]):
             raise DataFormatError(f"{path}: constant (silent or DC) over the first "
                                   f"{shortest} samples, the shortest file's length")
-    examples = []
-    for _ in range(count):
-        i, j = rng.choice(len(waves), size=2, replace=False)
-        snr = training.sample_snr(rng)
-        examples.append(training.mix_sources(waves[i][:shortest],
-                                             waves[j][:shortest], snr))
-    return examples
+        if k in drawn:
+            prefixes[k] = w.copy()      # not a view that keeps the whole file
+    return [training.mix_sources(prefixes[i], prefixes[j], snr)
+            for (i, j), snr in draws]
 
 
 # ---------------------------------------------------------------------------

@@ -253,41 +253,40 @@ def suite_ssm(seed: int = 0) -> list[GradcheckResult]:
     return checks
 
 
-def suite_blocks(seed: int = 0) -> list[GradcheckResult]:
+def _block_check(seed: int, name: str, prefix: str, d: int, x_shape,
+                 forward) -> list[GradcheckResult]:
+    """forward(x, w, False).sum() checked in x and every weight w below
+    prefix, of a seeded width-d model with r = 1 and h = 2; the weights are
+    drawn before x."""
     from . import blocks
     from .model import ModelConfig, init_parameters
 
     rng = np.random.default_rng(seed)
-    D, L, H = 3, 5, 2
-    w = blocks.scope(init_parameters(ModelConfig(d=D, r=1, h=H), rng),
-                     "blocks.0.intra_scan")
+    w = blocks.scope(init_parameters(ModelConfig(d=d, r=1, h=2), rng), prefix)
     names, params = zip(*w.items())
-    x = _rand(rng, (L, D), -1.0, 1.0)
+    x = _rand(rng, x_shape, -1.0, 1.0)
 
     def fn(*_args):
-        return blocks.bi_scan_forward(x, w, False).sum()
+        return forward(x, w, False).sum()
 
-    res = gradcheck(fn, [x, *params], name="bi_scan_block", tol=COMPOSITE_TOL,
-                    input_names=["x", *names])
-    return [res]
+    return [gradcheck(fn, [x, *params], name=name, tol=COMPOSITE_TOL,
+                      input_names=["x", *names])]
+
+
+def suite_blocks(seed: int = 0) -> list[GradcheckResult]:
+    from . import blocks
+
+    # x is [L, D] = [5, 3]
+    return _block_check(seed, "bi_scan_block", "blocks.0.intra_scan", 3, (5, 3),
+                        blocks.bi_scan_forward)
 
 
 def suite_dualpath(seed: int = 0) -> list[GradcheckResult]:
-    from . import blocks, dualpath
-    from .model import ModelConfig, init_parameters
+    from . import dualpath
 
-    rng = np.random.default_rng(seed)
-    D, K, S, H = 2, 4, 3, 2
-    w = blocks.scope(init_parameters(ModelConfig(d=D, r=1, h=H), rng), "blocks.0")
-    names, params = zip(*w.items())
-    x = _rand(rng, (S, K, D), -1.0, 1.0)
-
-    def fn(*_args):
-        return dualpath.dp_block(x, w, False).sum()
-
-    res = gradcheck(fn, [x, *params], name="dp_block", tol=COMPOSITE_TOL,
-                    input_names=["x", *names])
-    return [res]
+    # x is [S, K, D] = [3, 4, 2]
+    return _block_check(seed, "dp_block", "blocks.0", 2, (3, 4, 2),
+                        dualpath.dp_block)
 
 
 def suite_model(seed: int = 0) -> list[GradcheckResult]:

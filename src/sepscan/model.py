@@ -24,9 +24,10 @@ anything.  Each stage reads its entries by name, a block the ones below
 its prefix (blocks.scope).
 
 Checkpoints are a readable text header (format line, config key-values,
-one name/shape record per parameter) followed by raw little-endian
-float32 data, the parameters back to back in record order, so a saved
-model can be inspected with a pager and loaded without pickle.
+a bare [data] line) followed by raw little-endian float32 data, the
+parameters back to back in parameter_shapes order, so a saved model can
+be inspected with a pager and loaded without pickle.  The config fixes
+every name and shape, so the header lists none.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ from .errors import DataFormatError
 from .numerics import NumericsError, Tensor
 
 CHECKPOINT_MAGIC = "sepscan-checkpoint"
-CHECKPOINT_VERSION = 2
-HEADER_LINE_MAX = 4096          # bytes; an l-preset record is about 50
+CHECKPOINT_VERSION = 3
+HEADER_LINE_MAX = 4096          # bytes; a config line is under 30
 CONFIG_LINES_MAX = 64           # a saved config is 8 lines
 
 # the SepFormer front end that DPMamba keeps: never varied, so not config
@@ -231,16 +232,16 @@ def parameter_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     return shapes
 
 
-def _record_count(cfg: ModelConfig) -> int:
-    """len(parameter_shapes(cfg)) without building the list, which grows
-    with r: a checkpoint's r is untrusted until its records are counted."""
-    block = 2 * (len(_norm_shapes("", cfg.d, cfg.norm_kind))
-                 + len(_bi_scan_shapes("", cfg)))
-    return len(parameter_shapes(replace(cfg, r=1))) + (cfg.r - 1) * block
+def _size(shapes) -> int:
+    return sum(math.prod(s) for _, s in shapes)
 
 
 def count_parameters(cfg: ModelConfig) -> int:
-    return sum(int(np.prod(s)) for _, s in parameter_shapes(cfg))
+    """The size of parameter_shapes(cfg), by arithmetic: the size at r = 1
+    plus r - 1 blocks, so any r costs the same (a checkpoint's r is
+    untrusted until its payload size has been checked against it)."""
+    one = _size(parameter_shapes(replace(cfg, r=1)))
+    return one + (cfg.r - 1) * (_size(parameter_shapes(replace(cfg, r=2))) - one)
 
 
 # ---------------------------------------------------------------------------
@@ -285,26 +286,26 @@ def init_parameters(cfg: ModelConfig,
     return params
 
 
-def _check_state(cfg: ModelConfig, arrays: dict[str, np.ndarray]) -> None:
-    """Refuse arrays that are not cfg's parameters by name and shape, or
-    that hold a non-finite value: the mask head's relu would turn a NaN
-    into silence rather than into an error."""
-    if len(arrays) != (n := _record_count(cfg)):
-        raise DataFormatError(
-            f"state mismatch: {len(arrays)} arrays for {n} parameters")
+def _check_shapes(cfg: ModelConfig, params: dict) -> None:
+    """Refuse params (arrays or tensors) that are not cfg's parameters by
+    name and shape."""
     shapes = dict(parameter_shapes(cfg))
-    missing = [n for n in shapes if n not in arrays]
-    extra = [n for n in arrays if n not in shapes]
+    missing = [n for n in shapes if n not in params]
+    extra = [n for n in params if n not in shapes]
     if missing or extra:
         raise DataFormatError(
             f"state mismatch: missing {missing[:3]}, unexpected {extra[:3]}")
     for name, shape in shapes.items():
-        a = arrays[name]
-        if tuple(a.shape) != shape:
-            raise DataFormatError(
-                f"state '{name}': stored shape {tuple(a.shape)} != model {shape}")
-        if not np.all(np.isfinite(a)):
-            raise DataFormatError(f"state '{name}': non-finite values")
+        if tuple(params[name].shape) != shape:
+            raise DataFormatError(f"state '{name}': shape "
+                                  f"{tuple(params[name].shape)} != config {shape}")
+
+
+def _check_finite(name: str, a: np.ndarray) -> None:
+    """Refuse a non-finite weight: the mask head's relu would turn a NaN
+    into silence rather than into an error."""
+    if not np.all(np.isfinite(a)):
+        raise DataFormatError(f"state '{name}': non-finite values")
 
 
 class SeparationModel:
@@ -381,8 +382,9 @@ class SeparationModel:
         requires_grad is left alone, so SeparationModel(cfg).load_state(...)
         gives a float64 model that trains (fine-tuning from a checkpoint).
         """
-        _check_state(self.config, arrays)
+        _check_shapes(self.config, arrays)
         for name, p in self.params.items():
+            _check_finite(name, arrays[name])
             p.data = arrays[name].astype(p.dtype)
 
     @classmethod
@@ -395,12 +397,11 @@ class SeparationModel:
         is drawn or copied.
         """
         cfg, arrays = load_checkpoint(path)
-        _check_state(cfg, arrays)
+        for name, a in arrays.items():
+            _check_finite(name, a)
         model = cls.__new__(cls)        # __init__ would draw weights to discard
         model.config = cfg
-        model.params = {}
-        for name, _ in parameter_shapes(cfg):
-            model.params[name] = nm.as_tensor(arrays[name])
+        model.params = {name: nm.as_tensor(a) for name, a in arrays.items()}
         return model
 
 
@@ -409,43 +410,24 @@ class SeparationModel:
 # ---------------------------------------------------------------------------
 
 
-def save_checkpoint(path: str | Path, cfg: ModelConfig,
-                    named_params: list[tuple[str, Tensor]]) -> None:
+def save_model(path: str | Path, model: SeparationModel) -> None:
     """Text header + raw little-endian float32 payload; see load_checkpoint.
 
-    The parameters go to the file one at a time, so at most one of them
-    is held as float32 bytes.
+    The parameters must have the shapes of the model's config, else no
+    file is written.  They go to the file one at a time, so at most one of
+    them is held as float32 bytes.
     """
-    records = [f"{name} {','.join(str(s) for s in p.shape) or '1'}"
-               for name, p in named_params]
+    _check_shapes(model.config, model.params)
     header = "\n".join([
         f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION}",
         "[config]",
-        config_to_text(cfg).rstrip("\n"),
-        "[params]",
-        *records,
-        f"[data] {sum(p.size for _, p in named_params)}",
+        config_to_text(model.config).rstrip("\n"),
+        "[data]",
     ]) + "\n"
     with open(path, "wb") as f:
         f.write(header.encode("ascii"))
-        for _, p in named_params:
-            f.write(np.ascontiguousarray(p.data, dtype="<f4").data)
-
-
-def save_model(path: str | Path, model: SeparationModel) -> None:
-    save_checkpoint(path, model.config, model.named_parameters())
-
-
-def _header_int(path, what: str, text: str) -> int:
-    """A nonnegative integer field of a checkpoint header, else DataFormatError."""
-    try:
-        value = int(text)
-        if value >= 0:
-            return value
-    except ValueError:
-        pass
-    raise DataFormatError(
-        f"checkpoint {path}: {what} {text!r} is not a nonnegative integer")
+        for name, _ in parameter_shapes(model.config):
+            f.write(np.ascontiguousarray(model.params[name].data, dtype="<f4").data)
 
 
 def _header_line(f, path) -> str:
@@ -467,72 +449,44 @@ def _header_line(f, path) -> str:
         raise DataFormatError(f"checkpoint {path}: non-ascii header") from exc
 
 
-def _record(path, line: str) -> tuple[str, tuple[int, ...]]:
-    """(name, shape) of one `name shape` param record."""
-    parts = line.split()
-    if len(parts) != 2:
-        raise DataFormatError(f"checkpoint {path}: bad param record {line!r}")
-    name, shape_s = parts
-    return name, tuple(_header_int(path, f"'{name}' shape", s)
-                       for s in shape_s.split(","))
-
-
 def load_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
-    """The config and every parameter, each a view of one float32 array
-    that holds the payload: the file's data is read once, into it.
+    """The config and every parameter of parameter_shapes(config), each a
+    view of one float32 array that holds the payload: the file's data is
+    read once, into it.
 
-    The header is read a bounded line at a time: at most CONFIG_LINES_MAX
-    config lines, then at most as many records as the config has
-    parameters, so a file that is not a checkpoint is refused within a few
-    KiB of memory however long it is.  That the records are the config's
-    parameters by name and shape is _check_state's test.
+    The header is read a bounded line at a time, at most CONFIG_LINES_MAX
+    config lines, and the payload must be exactly the config's parameters
+    before anything is allocated for it, so a file that is not a
+    checkpoint is refused within a few KiB of memory however long it is.
     """
     with open(path, "rb") as f:
         line = _header_line(f, path)
-        magic = line.split()
-        if len(magic) != 2 or magic[0] != CHECKPOINT_MAGIC:
+        if not line.startswith(CHECKPOINT_MAGIC + " "):
             raise DataFormatError(f"checkpoint {path}: bad magic line {line!r}")
-        if _header_int(path, "version", magic[1]) != CHECKPOINT_VERSION:
-            raise DataFormatError(f"checkpoint {path}: unsupported version {magic[1]}")
+        if line != f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION}":
+            raise DataFormatError(f"checkpoint {path}: unsupported version "
+                                  f"{line[len(CHECKPOINT_MAGIC) + 1:]}")
         if _header_line(f, path) != "[config]":
             raise DataFormatError(f"checkpoint {path}: missing [config] section")
         config_lines = []
-        while (line := _header_line(f, path)) != "[params]":
+        while (line := _header_line(f, path)) != "[data]":
             if len(config_lines) == CONFIG_LINES_MAX:
                 raise DataFormatError(f"checkpoint {path}: [config] section "
                                       f"over {CONFIG_LINES_MAX} lines")
             config_lines.append(line)
         cfg = config_from_text("\n".join(config_lines))
-
-        records, max_records = [], _record_count(cfg)
-        while not (line := _header_line(f, path)).startswith("[data] "):
-            if len(records) == max_records:
-                raise DataFormatError(f"checkpoint {path}: more param records "
-                                      f"than the {max_records} of its config")
-            records.append(_record(path, line))
-        total = _header_int(path, "[data] size", line[len("[data] "):].strip())
+        total = count_parameters(cfg)
         left = os.fstat(f.fileno()).st_size - f.tell()
-        if left != total * 4:     # before allocating: the count is untrusted
+        if left != total * 4:
             raise DataFormatError(
-                f"checkpoint {path}: payload is {left} bytes, "
-                f"header promises {total * 4}")
+                f"checkpoint {path}: payload is {left} bytes, its config's "
+                f"parameters take {total * 4}")
         flat = np.fromfile(f, dtype="<f4", count=total)
 
     arrays: dict[str, np.ndarray] = {}
-    off = 0       # each record's data follows the previous record's
-    for name, shape in records:
+    off = 0
+    for name, shape in parameter_shapes(cfg):
         size = math.prod(shape)
-        if off + size > total:
-            raise DataFormatError(
-                f"checkpoint {path}: record '{name}' overruns the payload")
-        if name in arrays:
-            raise DataFormatError(f"checkpoint {path}: duplicate param '{name}'")
-        try:      # numpy refuses some shapes even of an empty record
-            arrays[name] = flat[off : off + size].reshape(shape)
-        except ValueError as exc:
-            raise DataFormatError(f"checkpoint {path}: bad shape {shape}") from exc
+        arrays[name] = flat[off : off + size].reshape(shape)
         off += size
-    if off != total:
-        raise DataFormatError(
-            f"checkpoint {path}: the records hold {off} values, [data] {total}")
     return cfg, arrays

@@ -1,7 +1,9 @@
 """CLI contracts: subcommands, exit codes, determinism, file outputs."""
 
+import gc
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -221,10 +223,10 @@ class TestSeparateCommand:
 
     @pytest.mark.parametrize("command", ["separate", "eval"])
     def test_non_finite_checkpoint_is_data_error(self, workspace, command):
-        cfg, arrays = M.load_checkpoint(workspace["ckpt"])
-        arrays["final_proj"][0, 0] = np.nan
+        model = M.SeparationModel(M.config_from_text(TINY_CFG))
+        model.params["final_proj"].data[0, 0] = np.nan
         bad = workspace["root"] / "nan.ckpt"
-        M.save_checkpoint(bad, cfg, [(n, nm.Tensor(a)) for n, a in arrays.items()])
+        M.save_model(bad, model)
         out = workspace["root"] / f"nan_{command}"
         argv = {"separate": ["--in", str(workspace["mix"]), "--out", str(out)],
                 "eval": ["--manifest", str(workspace["corpus"] / "manifest.txt")]}
@@ -234,14 +236,26 @@ class TestSeparateCommand:
         assert not out.exists()
 
     def test_malformed_checkpoint_is_data_error(self, workspace):
-        head, sep, rest = workspace["ckpt"].read_bytes().partition(b"\n[data] ")
+        blob = workspace["ckpt"].read_bytes()
         bad = workspace["root"] / "bad.ckpt"
-        bad.write_bytes(head + sep + b"zz" + rest[rest.index(b"\n"):])
+        bad.write_bytes(blob.replace(b"\nh = ", b"\nh = z", 1))
         r = run_cli("separate", "--ckpt", str(bad),
                     "--in", str(workspace["mix"]),
                     "--out", str(workspace["root"] / "x"))
         assert r.returncode == 3
         assert "error" in r.stderr and "Traceback" not in r.stderr
+
+    def test_version_2_checkpoint_is_data_error(self, workspace,
+                                                old_format_checkpoint):
+        model = M.SeparationModel(M.config_from_text(TINY_CFG))
+        old = workspace["root"] / "v2.ckpt"
+        old.write_bytes(old_format_checkpoint(model, 2))
+        out = workspace["root"] / "v2_out"
+        r = run_cli("separate", "--ckpt", str(old),
+                    "--in", str(workspace["mix"]), "--out", str(out))
+        assert r.returncode == 3
+        assert "unsupported version 2" in r.stderr
+        assert "Traceback" not in r.stderr and not out.exists()
 
     def test_truncated_wav_is_data_error(self, workspace, tmp_path):
         cut = tmp_path / "cut.wav"
@@ -517,6 +531,55 @@ class TestConstantCorpusFile:
         err = capsys.readouterr().err
         assert f"{bad}: constant (silent or DC) over the first 480 samples" in err
         assert not out.exists()
+
+
+class TestCorpusPairs:
+    """The pairs are drawn from header lengths; each file is then read once,
+    and only the drawn prefixes are kept."""
+
+    @staticmethod
+    def _corpus(root, files):
+        """files 1 s WAVs (copies of two utterances) and their manifest."""
+        root.mkdir()
+        blobs = []
+        for k in range(2):
+            audio.wav_write(root / "src.wav",
+                            audio.synth_utterance(k, 1.0, 8000, seed=5), 8000)
+            blobs.append((root / "src.wav").read_bytes())
+        for i in range(files):
+            (root / f"f{i}.wav").write_bytes(blobs[i % 2])
+        (root / "manifest.txt").write_text(
+            "".join(f"f{i}.wav\n" for i in range(files)))
+        return root / "manifest.txt"
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_examples_match_reading_every_file_first(self, tmp_path, seed):
+        manifest = self._corpus(tmp_path / "c", 6)
+        waves = [audio.wav_read(p)[0] for p in audio.read_manifest(manifest)]
+        rng = np.random.default_rng(seed)
+        want = []
+        for _ in range(3):
+            i, j = rng.choice(len(waves), size=2, replace=False)
+            want.append(T.mix_sources(waves[i], waves[j], T.sample_snr(rng)))
+        got = cli._corpus_pairs(manifest, 3, np.random.default_rng(seed))
+        for g, w in zip(got, want, strict=True):
+            assert np.array_equal(g.mix, w.mix) and g.snr_db == w.snr_db
+            assert all(np.array_equal(a, b) for a, b in zip(g.sources, w.sources))
+
+    def test_peak_is_set_by_the_pairs_not_the_files(self, tmp_path):
+        """Reading every file first grew 64 KB per 1 s file: 12 MB more at
+        200 files than at 10.  Now only the manifest's paths grow."""
+        peaks = {}
+        for files in (10, 200):
+            manifest = self._corpus(tmp_path / str(files), files)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                cli._corpus_pairs(manifest, 2, np.random.default_rng(0))
+                peaks[files] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[200] - peaks[10] < 256_000, peaks
 
 
 class TestEvalCommand:

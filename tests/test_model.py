@@ -1,6 +1,7 @@
 """Model shapes, parameter accounting, checkpoint format, config parsing."""
 
 import gc
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -67,9 +68,22 @@ class TestParameterCounts:
                     == M.count_parameters(mdl.config))
 
     @pytest.mark.parametrize("name,cfg,target", LADDER, ids=[r[0] for r in LADDER])
-    def test_record_count_is_the_inventory_length(self, name, cfg, target):
+    def test_count_is_the_inventory_size(self, name, cfg, target):
         for c in (cfg, replace(cfg, norm_kind="layernorm", r=3)):
-            assert M._record_count(c) == len(M.parameter_shapes(c))
+            assert M.count_parameters(c) == sum(
+                int(np.prod(shape)) for _, shape in M.parameter_shapes(c))
+
+    def test_count_of_a_billion_blocks_is_arithmetic(self):
+        """A checkpoint's r is checked against its payload size through this
+        count, so it must not enumerate r blocks."""
+        def size(r):
+            shapes = M.parameter_shapes(M.ModelConfig(d=2, r=r))
+            return sum(int(np.prod(shape)) for _, shape in shapes)
+
+        start = time.perf_counter()
+        n = M.count_parameters(M.ModelConfig(d=2, r=10**9))
+        assert time.perf_counter() - start < 0.01
+        assert n == size(1) + (10**9 - 1) * (size(2) - size(1))
 
 
 class TestShapes:
@@ -250,9 +264,12 @@ class TestCheckpoint:
     def test_header_is_readable_text(self, tmp_path):
         p = tmp_path / "m.ckpt"
         M.save_model(p, tiny_model())
-        head = p.read_bytes()[:200].decode("ascii", errors="replace")
-        assert head.startswith("sepscan-checkpoint 2\n[config]\n")
-        assert "d = 4" in head and "\n[params]\nencoder 4,16\ndecoder 16,4\n" in head
+        cfg = M.ModelConfig(**TINY)
+        header = f"sepscan-checkpoint 3\n[config]\n{M.config_to_text(cfg)}[data]\n"
+        blob = p.read_bytes()
+        assert blob[:len(header)].decode("ascii") == header
+        assert "d = 4\nr = 1\n" in header
+        assert len(blob) == len(header) + 4 * M.count_parameters(cfg)
 
     def test_truncated_payload_rejected(self, tmp_path):
         p = tmp_path / "m.ckpt"
@@ -278,12 +295,12 @@ class TestCheckpoint:
 
     def test_non_finite_weight_rejected(self, tmp_path):
         p = tmp_path / "m.ckpt"
-        M.save_model(p, tiny_model())
+        mdl = tiny_model()
+        mdl.params["final_proj"].data[0, 0] = np.nan
+        M.save_model(p, mdl)
         cfg, arrays = M.load_checkpoint(p)
-        arrays["final_proj"][0, 0] = np.nan
         with pytest.raises(DataFormatError, match="final_proj"):
             tiny_model().load_state(arrays)
-        M.save_checkpoint(p, cfg, [(n, Tensor(a)) for n, a in arrays.items()])
         with pytest.raises(DataFormatError, match="'final_proj': non-finite"):
             M.SeparationModel.from_checkpoint(p)
 
@@ -295,55 +312,24 @@ class TestCheckpoint:
         with pytest.raises(DataFormatError, match="mismatch"):
             tiny_model().load_state(arrays)
 
-    def test_version_1_rejected(self, tmp_path):
-        """A format-1 file (front-end config keys, offset records) is refused
-        by its version, before anything else in it is read."""
-        p = tmp_path / "m.ckpt"
-        M.save_model(p, tiny_model())
-        head, sep, payload = p.read_bytes().partition(b"\n[data] ")
-        lines = head.decode("ascii").split("\n")
-        at = lines.index("[params]")
-        off = 0
-        for i in range(at + 1, len(lines)):
-            name, shape = lines[i].split()
-            lines[i] = f"{name} {shape} {off}"
-            off += int(np.prod([int(n) for n in shape.split(",")]))
-        lines[at:at] = ["enc_kernel = 16", "enc_stride = 8", "num_speakers = 2",
-                        "sample_rate = 8000"]
-        lines[0] = "sepscan-checkpoint 1"
-        p.write_bytes("\n".join(lines).encode("ascii") + sep + payload)
-        with pytest.raises(DataFormatError, match="unsupported version 1"):
-            M.load_checkpoint(p)
+    def test_version_1_rejected(self, tmp_path, old_format_checkpoint):
+        """Format-1 (front-end config keys, offset records) and format-2
+        (name/shape records, counted [data]) files are refused by their
+        version, before anything else in them is read."""
+        mdl = tiny_model()
+        for version in (1, 2):
+            p = tmp_path / f"v{version}.ckpt"
+            p.write_bytes(old_format_checkpoint(mdl, version))
+            with pytest.raises(DataFormatError, match=f"unsupported version {version}"):
+                M.load_checkpoint(p)
 
-    @pytest.mark.parametrize("shape", ["4,15", "4,17"], ids=["gap", "overrun"])
-    def test_records_must_add_up_to_the_data_count(self, tmp_path, shape):
-        """Each record's data follows the one before, so a record sized too
-        small or too large would shift every later parameter."""
-        p = tmp_path / "m.ckpt"
-        M.save_model(p, tiny_model())
-        blob = p.read_bytes()
-        p.write_bytes(blob.replace(b"\nencoder 4,16", f"\nencoder {shape}".encode(), 1))
-        with pytest.raises(DataFormatError, match="checkpoint"):
-            M.load_checkpoint(p)
-
-    def test_data_count_past_the_records_rejected(self, tmp_path):
-        p = tmp_path / "m.ckpt"
-        M.save_model(p, tiny_model())
-        head, sep, rest = p.read_bytes().partition(b"\n[data] ")
-        count, newline, payload = rest.partition(b"\n")
-        p.write_bytes(head + sep + str(int(count) + 1).encode() + newline
-                      + payload + bytes(4))
-        with pytest.raises(DataFormatError, match="records hold"):
-            M.load_checkpoint(p)
-
-    def test_load_holds_the_payload_once(self, tmp_path):
+    def test_load_holds_the_payload_once(self, tmp_path, xs_model):
         """The arrays are views of one buffer the payload is read into, so the
         load's peak is about the payload: no file blob, slice or copies."""
-        p = tmp_path / "big.ckpt"
-        named = [(f"w{i}", Tensor(np.full((512, 1024), i, np.float32)))
-                 for i in range(4)]
-        M.save_checkpoint(p, M.ModelConfig(**TINY), named)
-        payload = 4 * 512 * 1024 * 4            # 8 MiB
+        p = tmp_path / "xs.ckpt"
+        M.save_model(p, xs_model)
+        payload = 4 * M.count_parameters(xs_model.config)
+        assert payload >= 8 << 20
         gc.collect()
         tracemalloc.start()
         try:
@@ -352,9 +338,10 @@ class TestCheckpoint:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * payload
-        for (name, t), a in zip(named, arrays.values(), strict=True):
+        for (name, t), a in zip(xs_model.params.items(), arrays.values(),
+                                strict=True):
             assert a.flags.aligned and a.flags.writeable
-            assert np.array_equal(a, t.data), name
+            assert np.array_equal(a, t.data.astype(np.float32)), name
 
     @pytest.fixture(scope="class")
     def xs_model(self):
@@ -386,18 +373,22 @@ class TestCheckpoint:
 
         assert traced_peak(load) < 1_000_000
 
+    # junk after the magic line, in the config, after a format-2 [params]
+    # heading (read as one more config line) and as the payload
     JUNK_AFTER = {
-        "magic": b"sepscan-checkpoint 2\n",
-        "config": b"sepscan-checkpoint 2\n[config]\n",
-        "params": b"sepscan-checkpoint 2\n[config]\nd = 2\nr = 1\n[params]\n",
+        "magic": b"sepscan-checkpoint 3\n",
+        "config": b"sepscan-checkpoint 3\n[config]\n",
+        "params": b"sepscan-checkpoint 3\n[config]\nd = 2\nr = 1\n[params]\n",
+        "data": b"sepscan-checkpoint 3\n[config]\nd = 2\nr = 1\n[data]\n",
     }
 
     @pytest.mark.parametrize("megabytes", [2, 20])
     @pytest.mark.parametrize("section", JUNK_AFTER.keys())
     def test_many_line_junk_refused_in_bounded_memory(self, tmp_path, section,
                                                       megabytes):
-        """Every header section holds a bounded number of lines, so a valid
-        start followed by millions of short lines is refused within KiBs."""
+        """The header holds a bounded number of lines and the payload's size
+        is checked before it is read, so a valid start followed by millions
+        of short lines is refused within KiBs."""
         p = tmp_path / "junk.ckpt"
         p.write_bytes(self.JUNK_AFTER[section] + b"x\n" * (megabytes * 500_000))
 
@@ -407,35 +398,27 @@ class TestCheckpoint:
 
         assert traced_peak(load) < 1_000_000
 
-    def test_more_records_than_the_config_has_refused(self, tmp_path):
-        p = tmp_path / "m.ckpt"
-        M.save_model(p, tiny_model())
-        p.write_bytes(p.read_bytes().replace(b"\n[data] ", b"\nextra 0\n[data] ", 1))
-        with pytest.raises(DataFormatError, match="more param records"):
-            M.load_checkpoint(p)
-
     def test_huge_block_count_refused_by_count(self, tmp_path):
         """A config's r is counted, not enumerated: r = 1e9 would otherwise
         build a list of 4.4e10 parameter names and shapes before the refusal."""
         p = tmp_path / "m.ckpt"
-        p.write_bytes(b"sepscan-checkpoint 2\n[config]\nd = 2\nr = 1000000000\n"
-                      b"[params]\nencoder 2,16\n[data] 32\n" + bytes(128))
+        p.write_bytes(b"sepscan-checkpoint 3\n[config]\nd = 2\nr = 1000000000\n"
+                      b"[data]\n" + bytes(128))
 
         def load():
-            with pytest.raises(DataFormatError, match="1 arrays for 44000000011 "):
+            with pytest.raises(DataFormatError,
+                               match="payload is 128 bytes, .* take 3856000000392"):
                 M.SeparationModel.from_checkpoint(p)
 
         assert traced_peak(load) < 1_000_000
 
-    # (header line to replace, its replacement): the magic line, the first
-    # param record (the tiny model's is "encoder 4,16") or the [data] line
+    # (a line of the tiny model's header, its replacement)
     MALFORMED_HEADERS = {
-        "version_not_int": ("magic", "sepscan-checkpoint one"),
-        "data_size_not_int": ("data", "[data] zz"),
-        "shape_not_int": ("record", "encoder 4,x"),
-        "shape_negative": ("record", "encoder -4,16"),
-        "record_with_offset": ("record", "encoder 4,16 0"),
-        "shape_too_large": ("record", "encoder 0,1000000000000000000000"),
+        "version_not_int": ("sepscan-checkpoint 3", "sepscan-checkpoint one"),
+        "width_not_int": ("d = 4", "d = four"),
+        "width_past_float": ("d = 4", "d = 1" + "0" * 400),
+        "counted_data_line": ("[data]", "[data] 84"),
+        "no_data_line": ("[data]", "[params]"),
     }
 
     @pytest.mark.parametrize("line,text", MALFORMED_HEADERS.values(),
@@ -443,14 +426,20 @@ class TestCheckpoint:
     def test_malformed_header_is_data_error(self, tmp_path, line, text):
         p = tmp_path / "m.ckpt"
         M.save_model(p, tiny_model())
-        blob = p.read_bytes()
-        end = blob.index(b"\n", blob.index(b"\n[data] ") + 1)
-        lines = blob[:end].decode("ascii").split("\n")
-        at = {"magic": 0, "record": lines.index("[params]") + 1, "data": -1}[line]
-        lines[at] = text
-        p.write_bytes("\n".join(lines).encode("ascii") + blob[end:])
-        with pytest.raises(DataFormatError, match="checkpoint"):
+        head, sep, payload = p.read_bytes().partition(b"\n[data]\n")
+        lines = (head + sep).decode("ascii").split("\n")
+        lines[lines.index(line)] = text
+        p.write_bytes("\n".join(lines).encode("ascii") + payload)
+        with pytest.raises(DataFormatError, match="checkpoint|config"):
             M.load_checkpoint(p)
+
+    def test_save_refuses_a_reshaped_parameter(self, tmp_path):
+        mdl = tiny_model()
+        mdl.params["encoder"].data = mdl.params["encoder"].data.reshape(8, 8)
+        p = tmp_path / "m.ckpt"
+        with pytest.raises(DataFormatError, match="'encoder': shape"):
+            M.save_model(p, mdl)
+        assert not p.exists()
 
 
 class TestInferenceModel:
