@@ -33,6 +33,7 @@ NUM_PARTIALS = 5
 # ---------------------------------------------------------------------------
 
 
+# wave raises a bare RuntimeError when a chunk overruns its parent
 _WAVE_ERRORS = (wave.Error, EOFError, OSError, RuntimeError)
 
 
@@ -64,7 +65,6 @@ def wav_read(path) -> tuple[np.ndarray, int]:
             n, rate = _pcm16_params(f, path)
             raw = f.readframes(n)
     except _WAVE_ERRORS as exc:
-        # wave raises a bare RuntimeError when a chunk overruns its parent
         raise DataFormatError(f"{path}: not a readable WAV file ({exc!r})") from exc
     if len(raw) < n * 2:
         raise DataFormatError(

@@ -383,8 +383,9 @@ class SeparationModel:
         gives a float64 model that trains (fine-tuning from a checkpoint).
         """
         _check_shapes(self.config, arrays)
+        for name, a in arrays.items():      # all checked before any is copied
+            _check_finite(name, a)
         for name, p in self.params.items():
-            _check_finite(name, arrays[name])
             p.data = arrays[name].astype(p.dtype)
 
     @classmethod
@@ -455,9 +456,10 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray
     read once, into it.
 
     The header is read a bounded line at a time, at most CONFIG_LINES_MAX
-    config lines, and the payload must be exactly the config's parameters
-    before anything is allocated for it, so a file that is not a
-    checkpoint is refused within a few KiB of memory however long it is.
+    config lines, and the payload's size is checked against
+    count_parameters(config) before anything is allocated for it, so a file
+    that is not a checkpoint is refused within a few KiB of memory however
+    long it is.
     """
     with open(path, "rb") as f:
         line = _header_line(f, path)

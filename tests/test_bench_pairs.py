@@ -28,10 +28,10 @@ def _write(root: Path, workload: str, seed: int, trace: int, values, side: str):
                                 "environment": {"side": side}}))
 
 
-def _collate(tmp_path, change):
+def _collate(tmp_path, change, parent=PARENT):
     roots = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
     for workload in bench_pairs.WORKLOADS:
-        for side, series in (("parent", PARENT), ("change", change)):
+        for side, series in (("parent", parent), ("change", change)):
             for seed, v in zip(bench_pairs.SEEDS, series, strict=True):
                 _write(roots[side], workload, seed, 0,
                        {n: v * k for n, k in SCALE.items()}, side)
@@ -98,3 +98,30 @@ def test_within_bound_reads_each_metric_bound(tmp_path):
             m = entry["end_to_end"][name]
             assert m["within_bound"] == (0.2 <= bound), name
             assert not m["claim_met"] and m["pairs_won"] == 0
+
+
+# (parent series, change series, resolved under a 0.25 bound, under 0.15)
+SPREADS = {
+    # q3 - q1 = 4.5 against a median of 14.5: 0.31, wider than both bounds
+    "wide": (PARENT, CHANGE, False, False),
+    # every change run (at most 9) beats every parent run (at least 10)
+    "wide_beaten_by_every_run": (PARENT, [p - 10.0 for p in PARENT], True, True),
+    # one change run (10) ties the parent's best
+    "wide_one_tie": (PARENT, [p - 9.0 for p in PARENT], False, False),
+    # q3 - q1 = 2.25 against 12.25: 0.18, between the two bounds
+    "between": ([10.0 + 0.5 * i for i in range(10)], CHANGE, True, False),
+    # 4.5 against 104.5: 0.04, within both
+    "tight": ([100.0 + i for i in range(10)], CHANGE, True, True),
+}
+
+
+@pytest.mark.parametrize("parent,change,at_25,at_15", SPREADS.values(),
+                         ids=SPREADS.keys())
+def test_resolved_compares_the_parent_spread_with_the_bound(
+        tmp_path, parent, change, at_25, at_15):
+    bounds = {n: m["bound"] for n, m in bench_pairs.END_TO_END.items()}
+    assert set(bounds.values()) == {0.25, 0.15}
+    for entry in _collate(tmp_path, change, parent)["workloads"].values():
+        for name, bound in bounds.items():
+            assert entry["end_to_end"][name]["resolved"] == (
+                at_25 if bound == 0.25 else at_15), name

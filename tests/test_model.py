@@ -264,12 +264,12 @@ class TestCheckpoint:
     def test_header_is_readable_text(self, tmp_path):
         p = tmp_path / "m.ckpt"
         M.save_model(p, tiny_model())
-        cfg = M.ModelConfig(**TINY)
-        header = f"sepscan-checkpoint 3\n[config]\n{M.config_to_text(cfg)}[data]\n"
+        header = ("sepscan-checkpoint 3\n[config]\nd = 4\nr = 1\nh = 2\n"
+                  "chunk_len = 4\nnorm_kind = rmsnorm\nbidirectional = true\n"
+                  "exact_zoh = false\nencoder_relu = false\n[data]\n")
         blob = p.read_bytes()
         assert blob[:len(header)].decode("ascii") == header
-        assert "d = 4\nr = 1\n" in header
-        assert len(blob) == len(header) + 4 * M.count_parameters(cfg)
+        assert len(blob) == len(header) + 4 * M.count_parameters(M.ModelConfig(**TINY))
 
     def test_truncated_payload_rejected(self, tmp_path):
         p = tmp_path / "m.ckpt"
@@ -299,8 +299,11 @@ class TestCheckpoint:
         mdl.params["final_proj"].data[0, 0] = np.nan
         M.save_model(p, mdl)
         cfg, arrays = M.load_checkpoint(p)
+        target = tiny_model(seed=1)
+        before = target.params["encoder"].data.copy()
         with pytest.raises(DataFormatError, match="final_proj"):
-            tiny_model().load_state(arrays)
+            target.load_state(arrays)
+        assert np.array_equal(target.params["encoder"].data, before)
         with pytest.raises(DataFormatError, match="'final_proj': non-finite"):
             M.SeparationModel.from_checkpoint(p)
 

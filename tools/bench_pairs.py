@@ -14,10 +14,13 @@ leaves its result file in that checkout's perfbench/out/, which is what
 
 The output holds, per workload: the median [q1, q3] of each end-to-end
 metric on both sides, the pairs the change won, whether the change's median
-is within the metric's declared bound of the parent's (within_bound) and
+is within the metric's declared bound of the parent's (within_bound),
 whether it clears the bar for claiming a gain (claim_met: at least 9 of 10
-pairs won and the medians further apart than the parent's q3 - q1), the
-fail fractions, the traced per-layer metrics of both sides, and run.py's
+pairs won and the medians further apart than the parent's q3 - q1), whether
+the runs can tell the two apart at that bound at all (resolved: the
+parent's q3 - q1 is at most the bound times its median, or every change
+run beats every parent run; an unresolved metric is not shown unchanged),
+the fail fractions, the traced per-layer metrics of both sides, and run.py's
 environment block.
 """
 
@@ -100,6 +103,11 @@ def collate(parent: Path, change: Path) -> dict:
                 # further apart than the parent's quartiles
                 "claim_met": (won >= 0.9 * len(seeds) and par["median"]
                               - chg["median"] > par["q3"] - par["q1"]),
+                # the parent's runs spread no wider than the bound, or the
+                # change's runs all beat the parent's
+                "resolved": (par["q3"] - par["q1"]
+                             <= declared["bound"] * par["median"]
+                             or max(vals["change"]) < min(vals["parent"])),
             }
         out["workloads"][workload] = {
             "end_to_end": metrics,
