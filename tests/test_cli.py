@@ -567,8 +567,9 @@ class TestCorpusPairs:
             assert all(np.array_equal(a, b) for a, b in zip(g.sources, w.sources))
 
     def test_peak_is_set_by_the_pairs_not_the_files(self, tmp_path):
-        """Reading every file first grew 64 KB per 1 s file: 12 MB more at
-        200 files than at 10.  Now only the manifest's paths grow."""
+        """Reading every file before drawing would hold 64 KB per 1 s file,
+        12 MB more at 200 files than at 10; only the manifest's paths may
+        grow with the file count."""
         peaks = {}
         for files in (10, 200):
             manifest = self._corpus(tmp_path / str(files), files)
