@@ -78,10 +78,10 @@ def _corpus_pairs(manifest, count: int,
     """Build fixed mixtures by pairing distinct corpus files.
 
     The draws do not depend on the audio, so they are made once the
-    headers have given the shortest length; then each file is read and
-    checked in turn and only the drawn files' prefixes of that length are
-    kept, so memory is set by count and the longest file, not by the
-    number of files.
+    headers have given the shortest length; then each file's prefix of
+    that length is read and checked in turn (the rest only counted, for
+    the truncation check) and only the drawn prefixes are kept, so memory
+    is set by count, not by the number or the length of the files.
     """
     paths = audio.read_manifest(manifest)
     if len(paths) < 2:
@@ -92,12 +92,12 @@ def _corpus_pairs(manifest, count: int,
     drawn = {int(k) for pair, _ in draws for k in pair}
     prefixes = {}
     for k, path in enumerate(paths):
-        w = audio.wav_read(path)[0][:shortest]
+        w = audio.wav_read(path, shortest)[0]
         if np.all(w == w[0]):
             raise DataFormatError(f"{path}: constant (silent or DC) over the first "
                                   f"{shortest} samples, the shortest file's length")
         if k in drawn:
-            prefixes[k] = w.copy()      # not a view that keeps the whole file
+            prefixes[k] = w
     return [training.mix_sources(prefixes[i], prefixes[j], snr)
             for (i, j), snr in draws]
 

@@ -30,9 +30,12 @@ Both scans differentiate through a fused adjoint that does not store the
 hidden-state trajectory.  A scan on the gradient tape keeps h_{t0-1} at
 each block start t0 > 0, one state per _BLOCK steps (the parallel scan
 reads them off its prefix states); the adjoint walks the blocks once, in
-reverse, rebuilding each block's states from its checkpoint.  An untaped
-(inference) scan keeps none.  _zoh is the one copy of the discretization
-arithmetic, which both scans and the adjoint call.
+reverse, rebuilding each block's states from its checkpoint one step at a
+time with the forward's own per-step _zoh call, so its states are the
+forward's bit for bit and its input term Bbar x needs one state-sized
+buffer, not a block of them.  An untaped (inference) scan keeps none.
+_zoh is the one copy of the discretization arithmetic, which both scans
+and the adjoint call.
 
 The sequential loop and the adjoint step through the operands in the
 layout the graph already holds them: x, delta (and the adjoint's g) are
@@ -40,10 +43,10 @@ time-major [L, B, E] and b and c [L, B, H], so each step reads
 contiguous slices, every broadcast runs over E in its inner loop, and no
 operand is relaid out on entry; only a goes to [H, E].  The state is one
 [B, H, E] buffer updated in place (h *= Abar; h += Bbar x), with the
-step's Abar and Bbar x written into two reused buffers through _zoh's out=,
-so an untaped scan's live state stays O(B*E*H) whatever L is; the
-contractions over H (y_t = c_t h_t, and the adjoint's b_t lambda_t and
-its h_t g_t, one per block) are matmuls.
+step's Abar and Bbar x (and the exact hold's p) written into reused
+buffers through _zoh's out=, so an untaped scan's live state stays
+O(B*E*H) whatever L is; the contractions over H (y_t = c_t h_t, and the
+adjoint's b_t lambda_t and its h_t g_t, one per block) are matmuls.
 Under Euler the input term Bbar_t x_t = b_t (delta_t x_t) takes one
 state-sized multiply per step, with delta x formed once per tile.
 
@@ -151,7 +154,7 @@ def _step_sizes(delta, bias):
     return delta
 
 
-def _zoh(dt, a, b, exact_zoh, u=None, out=(None, None)):
+def _zoh(dt, a, b, exact_zoh, u=None, out=(None, None, None)):
     """Discretize broadcastable ndarrays: (Abar, Bbar, p) with Bbar = p * b.
 
     p = expm1(dt a) / a under the exact hold and dt under Euler; it is
@@ -159,13 +162,13 @@ def _zoh(dt, a, b, exact_zoh, u=None, out=(None, None)):
     the exact hold and dt x under Euler (where Bbar x = b (dt x), one
     multiply once u is formed), the second result is the input term Bbar x
     in place of Bbar.  out =
-    (abar, bbar) writes the first two results into those arrays in place
-    of fresh ones.
+    (abar, bbar, p) writes the results into those arrays in place of fresh
+    ones; Euler's p is dt itself and ignores its buffer.
     """
-    abar, bbar = out
+    abar, bbar, p = out
     z = np.multiply(dt, a, out=abar)
     if exact_zoh:
-        p = np.expm1(z)
+        p = np.expm1(z, out=p)
         p /= a
         bbar = np.multiply(p, b, out=bbar)
         if u is not None:
@@ -203,9 +206,10 @@ def _scan_forward(x, d, bias, a, b, c, exact_zoh, taped):
         uk = x[:, k] if exact_zoh else dk * x[:, k]
         h = np.zeros((k.stop - k.start, H, E), dtype=x.dtype)
         abar, bx = np.empty_like(h), np.empty_like(h)
+        p = np.empty_like(h) if exact_zoh else None
         for t in range(L):
             _zoh(dk[t, :, None, :], aT, b[t, k, :, None], exact_zoh,
-                 uk[t, :, None, :], out=(abar, bx))
+                 uk[t, :, None, :], out=(abar, bx, p))
             h *= abar
             h += bx
             np.matmul(c[t, k, None, :], h, out=y[t, k, None, :])
@@ -220,8 +224,9 @@ def _scan_backward(x, d, bias, a, b, c, exact_zoh, ck, g):
     Hidden states are not kept from the forward pass, only the block
     checkpoints ck it returned.  Per batch tile, one sweep walks the blocks
     in reverse, rebuilds each block's states from its checkpoint (from
-    zeros for block 0), takes the c-gradient gc_t = h_t g_t of the whole
-    block in one matmul and runs the adjoint recurrence
+    zeros for block 0) one step at a time with the forward's own _zoh
+    calls, takes the c-gradient gc_t = h_t g_t of the whole block in one
+    matmul and runs the adjoint recurrence
 
         lambda_t = g_t c_t + Abar_{t+1} lambda_{t+1}
 
@@ -248,32 +253,35 @@ def _adjoint(x, u, d, b, c, ck, g, gx, gdelta, gb, gc, aT, ga, exact_zoh):
     H = aT.shape[0]
     dtype = x.dtype
 
-    # blocks in reverse; lam_carry = Abar_{t+1} lambda_{t+1}
+    # blocks in reverse; lam_carry = Abar_{t+1} lambda_{t+1}.  The reverse
+    # loop needs each step's Abar (and p under the exact hold) again, so
+    # those are kept for a block; the input term is consumed as it is made
     n_max = min(_BLOCK, L)
     abar_b = np.empty((n_max, B, H, E), dtype=dtype)
-    bx_b = np.empty_like(abar_b)
     hbuf = np.empty((n_max + 1, B, H, E), dtype=dtype)
     lam = np.empty((B, H, E), dtype=dtype)
+    bx = np.empty_like(lam)
     lam_carry = np.zeros_like(lam)
     w = np.empty_like(lam)
     wa = np.empty_like(lam)
     s = np.empty((B, 1, E), dtype=dtype)
     if exact_zoh:
+        p_b = np.empty_like(abar_b)
         dbbar, dp, tmp = (np.empty_like(lam) for _ in range(3))
     for blk in range(len(ck), -1, -1):
         t0 = blk * _BLOCK
         t1 = min(t0 + _BLOCK, L)
         n = t1 - t0
-        # the same _zoh input term as the forward, so the rebuilt states are
+        # rebuild states h_{t0-1} .. h_{t1-1} for this block, step by step
+        # with the forward's own _zoh call and update, so they are
         # bit-identical to the ones it stepped and checkpointed
-        _, _, p_b = _zoh(d[t0:t1, :, None, :], aT, b[t0:t1, :, :, None],
-                         exact_zoh, u[t0:t1, :, None, :],
-                         out=(abar_b[:n], bx_b[:n]))
-        # rebuild states h_{t0-1} .. h_{t1-1} for this block
         hbuf[0] = ck[blk - 1] if blk else 0
         for i in range(n):
+            t = t0 + i
+            _zoh(d[t, :, None, :], aT, b[t, :, :, None], exact_zoh, u[t, :, None, :],
+                 out=(abar_b[i], bx, p_b[i] if exact_zoh else None))
             np.multiply(abar_b[i], hbuf[i], out=hbuf[i + 1])
-            hbuf[i + 1] += bx_b[i]
+            hbuf[i + 1] += bx
         np.matmul(hbuf[1:n + 1], g[t0:t1, :, :, None], out=gc[t0:t1, :, :, None])
         for i in range(n - 1, -1, -1):
             t = t0 + i

@@ -85,6 +85,17 @@ class TestWavRejection:
         with pytest.raises(DataFormatError, match="truncated"):
             audio.wav_read(p)
 
+    def test_frames_reads_a_prefix_and_still_refuses_a_cut(self, tmp_path):
+        # longer than one skip block, so the rest is counted in several
+        p = tmp_path / "long.wav"
+        audio.wav_write(p, np.linspace(-0.5, 0.5, 3 * audio._SKIP_FRAMES + 5), 8000)
+        whole = audio.wav_read(p)[0]
+        for frames in (0, 7, whole.size, whole.size + 1):
+            assert np.array_equal(audio.wav_read(p, frames)[0], whole[:frames])
+        p.write_bytes(p.read_bytes()[:-2])      # the last sample, past the prefix
+        with pytest.raises(DataFormatError, match="truncated"):
+            audio.wav_read(p, 7)
+
     def test_chunk_overrunning_the_file_rejected(self, tmp_path):
         # wave itself raises a bare RuntimeError when it skips this chunk
         p = tmp_path / "overrun.wav"

@@ -534,28 +534,41 @@ class TestConstantCorpusFile:
 
 
 class TestCorpusPairs:
-    """The pairs are drawn from header lengths; each file is then read once,
-    and only the drawn prefixes are kept."""
+    """The pairs are drawn from header lengths; each file's prefix of the
+    shortest length is then read once, and only the drawn prefixes are
+    kept."""
 
     @staticmethod
-    def _corpus(root, files):
-        """files 1 s WAVs (copies of two utterances) and their manifest."""
+    def _corpus(root, seconds):
+        """A WAV per entry of seconds, utterance i % 2 of that length (each
+        distinct one synthesized once), and their manifest."""
         root.mkdir()
-        blobs = []
-        for k in range(2):
-            audio.wav_write(root / "src.wav",
-                            audio.synth_utterance(k, 1.0, 8000, seed=5), 8000)
-            blobs.append((root / "src.wav").read_bytes())
-        for i in range(files):
-            (root / f"f{i}.wav").write_bytes(blobs[i % 2])
+        blobs = {}
+        for i, s in enumerate(seconds):
+            if (i % 2, s) not in blobs:
+                audio.wav_write(root / "src.wav",
+                                audio.synth_utterance(i % 2, s, 8000, seed=5), 8000)
+                blobs[i % 2, s] = (root / "src.wav").read_bytes()
+            (root / f"f{i}.wav").write_bytes(blobs[i % 2, s])
         (root / "manifest.txt").write_text(
-            "".join(f"f{i}.wav\n" for i in range(files)))
+            "".join(f"f{i}.wav\n" for i in range(len(seconds))))
         return root / "manifest.txt"
+
+    @staticmethod
+    def _peak(manifest) -> int:
+        gc.collect()
+        tracemalloc.start()
+        try:
+            cli._corpus_pairs(manifest, 2, np.random.default_rng(0))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_examples_match_reading_every_file_first(self, tmp_path, seed):
-        manifest = self._corpus(tmp_path / "c", 6)
-        waves = [audio.wav_read(p)[0] for p in audio.read_manifest(manifest)]
+        # files longer than the shortest give up only their 1 s prefix
+        manifest = self._corpus(tmp_path / "c", [1.0, 1.0, 3.0, 1.0, 2.0, 1.0])
+        waves = [audio.wav_read(p)[0][:8000] for p in audio.read_manifest(manifest)]
         rng = np.random.default_rng(seed)
         want = []
         for _ in range(3):
@@ -570,17 +583,29 @@ class TestCorpusPairs:
         """Reading every file before drawing would hold 64 KB per 1 s file,
         12 MB more at 200 files than at 10; only the manifest's paths may
         grow with the file count."""
-        peaks = {}
-        for files in (10, 200):
-            manifest = self._corpus(tmp_path / str(files), files)
-            gc.collect()
-            tracemalloc.start()
-            try:
-                cli._corpus_pairs(manifest, 2, np.random.default_rng(0))
-                peaks[files] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        peaks = {files: self._peak(self._corpus(tmp_path / str(files), [1.0] * files))
+                 for files in (10, 200)}
         assert peaks[200] - peaks[10] < 256_000, peaks
+
+    def test_peak_is_set_by_the_shortest_file_not_the_longest(self, tmp_path):
+        """A 60 s file read whole would hold its 0.96 MB of PCM and 3.84 MB
+        of float64; past the shortest file's 2 s its data is only counted,
+        a block of audio._SKIP_FRAMES (32 KB) at a time."""
+        peaks = {name: self._peak(self._corpus(tmp_path / name, seconds))
+                 for name, seconds in (("short", [2.0] * 3),
+                                       ("long", [2.0, 2.0, 60.0]))}
+        assert peaks["long"] - peaks["short"] < 64_000, peaks
+
+    def test_long_file_cut_past_the_prefix_is_data_error(self, workspace,
+                                                          tmp_path, capsys):
+        manifest = self._corpus(tmp_path / "c", [0.5, 0.5, 3.0])
+        cut = manifest.parent / "f2.wav"
+        cut.write_bytes(cut.read_bytes()[:-2])
+        rc = cli.main(["eval", "--ckpt", str(workspace["ckpt"]),
+                       "--manifest", str(manifest)])
+        assert rc == 3
+        assert f"{cut}: truncated: the header promises 24000 samples" in \
+            capsys.readouterr().err
 
 
 class TestEvalCommand:

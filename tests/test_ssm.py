@@ -1,6 +1,8 @@
 """Scan semantics: discretization values, closed forms, dense oracle, duality."""
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -263,6 +265,31 @@ class TestBlockReplay:
         else:
             assert kept == [None]
 
+    @pytest.mark.parametrize("L, B", [(32, 13), (13, 32)])
+    def test_replay_holds_two_block_buffers(self, L, B):
+        """At the train intra and inter shapes, the Euler adjoint's peak
+        past its outputs is two [n, B, H, E] buffers, n = min(L, _BLOCK):
+        each step's Abar and the block's states.  The rest is state-sized or
+        [L, B, E], 1/H of one (2.5x and 2.8x in all); a block-wide input
+        term Bbar x would add a third (3.5x and 3.7x)."""
+        E, H = 64, 8
+        rng = np.random.default_rng(L)
+        x, d, g = (rng.standard_normal((L, B, E)) for _ in range(3))
+        b, c = (rng.standard_normal((L, B, H)) for _ in range(2))
+        a, bias = -np.exp(rng.uniform(-1, 1, (E, H))), rng.uniform(-3, -1, E)
+        _, ck = ssm._scan_forward(x, d, bias, a, b, c, False, True)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            gx, gdelta, _, gb, gc_ = ssm._scan_backward(x, d, bias, a, b, c,
+                                                        False, ck, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        past_outputs = peak - sum(arr.nbytes for arr in (gx, gdelta, gb, gc_))
+        block = min(L, ssm._BLOCK) * B * H * E * x.itemsize
+        assert past_outputs <= 3.0 * block, past_outputs / block
+
 
 def _oracle(x, delta, a, b, c, exact_zoh):
     """Literal float64 loop over [L, B, E]: h_t = exp(delta_t a) h_{t-1}
@@ -360,9 +387,11 @@ class TestKernelParity:
         a = -np.exp(rng.uniform(-1, 1, (4, 5)))
         b = rng.standard_normal((2, 4, 1))
         fresh = ssm._zoh(dt, a, b, exact_zoh)
-        out = (np.empty((2, 4, 5)), np.empty((2, 4, 5)))
+        out = tuple(np.empty((2, 4, 5)) for _ in range(3))
         into = ssm._zoh(dt, a, b, exact_zoh, out=out)
         assert into[0] is out[0] and into[1] is out[1]
+        # Euler's p is dt itself; the exact hold writes p into its buffer
+        assert into[2] is (out[2] if exact_zoh else dt)
         for want, got in zip(fresh, into):
             assert np.array_equal(want, got)
 
