@@ -62,9 +62,7 @@ def dechunk(cf: ChunkedFeature) -> Tensor:
     S, K, D = cf.data.shape
     hop, N = K // 2, cf.original_len
     summed = nm.overlap_add(cf.data, hop, N)               # [N, D]
-    coverage = np.zeros(N, dtype=cf.data.dtype)
-    for s in range(S):
-        coverage[s * hop : s * hop + K] += 1.0
+    coverage = nm._overlap_add_array(np.ones((S, K), cf.data.dtype), hop, N)
     inv = Tensor(np.broadcast_to((1.0 / coverage)[:, None], (N, D)))
     return nm.mul(summed, inv)
 

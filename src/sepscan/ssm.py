@@ -154,29 +154,26 @@ def _step_sizes(delta, bias):
     return delta
 
 
-def _zoh(dt, a, b, exact_zoh, u=None, out=(None, None, None)):
-    """Discretize broadcastable ndarrays: (Abar, Bbar, p) with Bbar = p * b.
+def _zoh(dt, a, b, exact_zoh, u, out=(None, None, None)):
+    """Discretize broadcastable ndarrays: (Abar, Bbar x, p) with Bbar = p * b.
 
     p = expm1(dt a) / a under the exact hold and dt under Euler; it is
-    also dBbar/db, which the adjoint reuses.  Given u, which is x under
-    the exact hold and dt x under Euler (where Bbar x = b (dt x), one
-    multiply once u is formed), the second result is the input term Bbar x
-    in place of Bbar.  out =
-    (abar, bbar, p) writes the results into those arrays in place of fresh
-    ones; Euler's p is dt itself and ignores its buffer.
+    also dBbar/db, which the adjoint reuses.  u is x under the exact hold
+    and dt x under Euler, where Bbar x = b (dt x) is one multiply once u is
+    formed.  out = (abar, bx, p) writes the results into those arrays in
+    place of fresh ones; Euler's p is dt itself and ignores its buffer.
     """
-    abar, bbar, p = out
+    abar, bx, p = out
     z = np.multiply(dt, a, out=abar)
     if exact_zoh:
         p = np.expm1(z, out=p)
         p /= a
-        bbar = np.multiply(p, b, out=bbar)
-        if u is not None:
-            bbar *= u
+        bx = np.multiply(p, b, out=bx)
+        bx *= u
     else:
         p = dt
-        bbar = np.multiply(p if u is None else u, b, out=bbar)
-    return np.exp(z, out=z), bbar, p
+        bx = np.multiply(u, b, out=bx)
+    return np.exp(z, out=z), bx, p
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +189,8 @@ def _tiles(B, H, E, itemsize):
 
 
 def _scan_forward(x, d, bias, a, b, c, exact_zoh, taped):
-    """Reference loop: y_t = c_t h_t, one matmul over H per step.  Returns
+    """The sequential kernel: steps h_t = Abar_t h_{t-1} + Bbar_t x_t per
+    batch tile and reads y_t = c_t h_t, one matmul over H per step.  Returns
     (y, ck): a taped scan's ck holds h_{t0-1} for each block start t0 > 0,
     [(L - 1) // _BLOCK, B, H, E], for the adjoint; an untaped one's is None.
     """
@@ -325,30 +323,22 @@ def _scan_parallel_forward(x, d, bias, a, b, c, exact_zoh, taped):
 
     The recurrence elements (a_t, u_t) with u_t = Bbar_t x_t compose as
     (a2, u2) o (a1, u1) = (a2 a1, a2 u1 + u2); an inclusive scan under this
-    product yields h_t directly.  log2(L) passes, each a full-width array
-    op, O(L log L) work against the sequential loop's O(L).  It works in
-    its own [B, E, L, H] form, behind one relayout of views in and out.
-    When taped, it reads _scan_forward's block checkpoints off eu.
+    product yields h_t directly.  log2(L) passes along the time axis, each
+    a full-width array op in place, O(L log L) work against the sequential
+    loop's O(L).  It runs on the kernels' time-major [L, B, H, E] states,
+    so when taped the adjoint's block checkpoints are slices of eu.
     """
-    x, d = x.transpose(1, 2, 0), _step_sizes(d, bias).transpose(1, 2, 0)  # [B, E, L]
-    b, c = b.transpose(1, 0, 2), c.transpose(1, 0, 2)       # [B, L, H]
-    ea, bbar, _ = _zoh(d[..., None], a[None, :, None, :],
-                       b[:, None, :, :], exact_zoh)              # [B, E, L, H]
-    eu = bbar * x[..., None]
-    L = x.shape[-1]
+    L = x.shape[0]
+    d = _step_sizes(d, bias)
+    ea, eu, _ = _zoh(d[:, :, None, :], a.T, b[..., None], exact_zoh,
+                     (x if exact_zoh else d * x)[:, :, None, :])   # [L, B, H, E]
     k = 1
     while k < L:
-        prev_a = ea[..., :-k, :]
-        prev_u = eu[..., :-k, :]
-        nu = eu.copy()
-        nu[..., k:, :] += ea[..., k:, :] * prev_u
-        na = ea.copy()
-        na[..., k:, :] *= prev_a
-        ea, eu = na, nu
+        eu[k:] += ea[k:] * eu[:-k]
+        ea[k:] *= ea[:-k]
         k *= 2
-    ck = (eu[:, :, _BLOCK - 1:L - 1:_BLOCK].transpose(2, 0, 3, 1).copy()
-          if taped else None)                                    # [n, B, H, E]
-    return (eu * c[:, None, :, :]).sum(axis=-1).transpose(2, 0, 1), ck
+    ck = eu[_BLOCK - 1:L - 1:_BLOCK].copy() if taped else None     # [n, B, H, E]
+    return np.matmul(c[:, :, None, :], eu)[:, :, 0], ck
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 
 import sepscan.audio as audio
 import sepscan.cli as cli
+import sepscan.gradcheck as gradcheck
 import sepscan.model as M
 import sepscan.numerics as nm
 import sepscan.training as T
@@ -159,6 +160,13 @@ class TestGradcheckCommand:
 
     def test_unknown_module_rejected(self):
         assert run_cli("gradcheck", "--module", "bogus").returncode == 2
+
+    def test_a_failing_check_is_numeric_error(self, monkeypatch, capsys):
+        suite, make, _tol = gradcheck.CHECKS["add"]
+        monkeypatch.setitem(gradcheck.CHECKS, "add", (suite, make, 0.0))
+        assert cli.main(["gradcheck", "--module", "numerics"]) == 4
+        out = capsys.readouterr().out
+        assert "FAIL add" in out and "1 of 25 gradchecks failed" in out
 
 
 class TestBenchCommand:

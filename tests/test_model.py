@@ -4,6 +4,7 @@ import gc
 import time
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -573,6 +574,12 @@ class TestConfig:
         assert M.load_config("m").r == 16
         with pytest.raises(DataFormatError):
             M.load_config(tmp_path / "missing.cfg")
+
+    def test_config_files_are_the_presets(self):
+        configs = Path(__file__).resolve().parents[1] / "configs"
+        assert sorted(f.stem for f in configs.glob("*.cfg")) == sorted(M.PRESETS)
+        for name in M.PRESETS:
+            assert M.load_config(configs / f"{name}.cfg") == M.preset(name)
 
     def test_invalid_field_values_rejected(self):
         with pytest.raises(DataFormatError):

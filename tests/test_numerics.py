@@ -299,14 +299,26 @@ def test_every_primitive_gradient():
 
 
 def test_removing_a_check_leaves_the_others_inputs_unchanged(monkeypatch):
-    # each entry draws from its own generator: dropping the first entry of
-    # each suite moves no other entry's recorded error, to the bit
+    # each check draws from its own generator: dropping the first numerics
+    # and the first ssm check moves no other check's recorded error, to the bit
     def errors():
-        return {r.name: r.max_rel_err for r in run_suite("numerics") + run_suite("ssm")}
+        return {r.name: r.max_rel_err for r in run_suite("all")}
 
     full = errors()
-    monkeypatch.delitem(gc.NUMERICS_CHECKS, "add")
-    monkeypatch.delitem(gc.SSM_CHECKS, "selective_scan_euler")
+    monkeypatch.delitem(gc.CHECKS, "add")
+    monkeypatch.delitem(gc.CHECKS, "selective_scan_euler")
     rest = errors()
     assert len(rest) == len(full) - 2
     assert rest == {k: full[k] for k in rest}
+
+
+def test_every_check_keeps_its_suite_tolerance():
+    # the contract's tolerances, pinned: an edit to the table cannot loosen
+    # a check without failing here
+    assert (gc.PRIMITIVE_TOL, gc.COMPOSITE_TOL, gc.FULL_MODEL_TOL) == (1e-6, 1e-5, 1e-4)
+    suite_tol = {"numerics": gc.PRIMITIVE_TOL, "ssm": gc.PRIMITIVE_TOL,
+                 "blocks": gc.COMPOSITE_TOL, "dualpath": gc.COMPOSITE_TOL,
+                 "model": gc.FULL_MODEL_TOL}
+    want = {name: gc.COMPOSITE_TOL if name in ("rmsnorm", "layernorm")
+            else suite_tol[suite] for name, (suite, _make, _tol) in gc.CHECKS.items()}
+    assert {name: tol for name, (_suite, _make, tol) in gc.CHECKS.items()} == want
