@@ -332,6 +332,9 @@ def _scan_parallel_forward(x, d, bias, a, b, c, exact_zoh, taped):
     d = _step_sizes(d, bias)
     ea, eu, _ = _zoh(d[:, :, None, :], a.T, b[..., None], exact_zoh,
                      (x if exact_zoh else d * x)[:, :, None, :])   # [L, B, H, E]
+    # in place: numpy buffers the overlapping operands of each op, so every
+    # pass reads the previous pass's values; eu goes first, as it needs the
+    # ea from before this pass
     k = 1
     while k < L:
         eu[k:] += ea[k:] * eu[:-k]
