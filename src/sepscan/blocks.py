@@ -26,9 +26,12 @@ Every op of the block is independent across the batch axis of [L, B, D]
 (chunks in the intra pass, positions in the inter pass).  So an untaped
 (inference) block runs over contiguous tiles of that axis and writes each
 tile's output into one [L, B, D] result: its E-wide temporaries (h_in,
-the gate, each branch's conv output, step sizes, delta x and y, and the
-mean of the two directions) exist for one tile at a time, so the block's
-share of the peak is set by the tile, not by the input length.  The tile
+the gate, each branch's conv output x, raw delta, step sizes, delta x and
+y, and the mean of the two directions) exist for one tile at a time, so
+the block's share of the peak is set by the tile, not by the input length.
+Within a tile each lives only while it is read: both directions' x are
+formed from h_in before either scan runs, so h_in dies first, and each x
+dies once its scan has returned.  The tile
 is sized in bytes, from L*E*itemsize against _TILE_BYTES, like the scan
 kernels' batch tiles (ssm._TILE_BYTES): one rule serves every (L, E,
 dtype), and a batch whose [L, B, E] array fits is one tile, run as it
@@ -76,11 +79,15 @@ def scope(params: dict[str, Tensor], prefix: str) -> dict[str, Tensor]:
 # ---------------------------------------------------------------------------
 
 
-def _branch(h_in: Tensor, gate: Tensor, w: dict[str, Tensor], exact_zoh: bool,
+def _conv(h_in: Tensor, w: dict[str, Tensor], reverse: bool) -> Tensor:
+    """One direction's scan input: SiLU(conv(h_in)), anti-causal if reverse."""
+    return nm.silu(nm.conv1d_depthwise(h_in, w["conv_kernel"], w["conv_bias"],
+                                       reverse=reverse))
+
+
+def _branch(x: Tensor, gate: Tensor, w: dict[str, Tensor], exact_zoh: bool,
             reverse: bool) -> Tensor:
-    """One direction: SiLU(conv(h_in)) through one scan, skip and gate fused."""
-    x = nm.silu(nm.conv1d_depthwise(h_in, w["conv_kernel"], w["conv_bias"],
-                                    reverse=reverse))
+    """One direction: x = _conv(h_in) through one scan, skip and gate fused."""
     a = nm.neg(nm.exp(w["a_log"]))
     params = ssm.selective_parameterize(x, scope(w, "proj"), a, exact_zoh)
     params.d_skip, params.gate = w["d_skip"], gate
@@ -109,12 +116,16 @@ def bi_scan_forward(h: Tensor, w: dict[str, Tensor], exact_zoh: bool) -> Tensor:
 
 
 def _bi_scan(h: Tensor, w: dict[str, Tensor], exact_zoh: bool) -> Tensor:
-    """bi_scan_forward on the whole of h, taped or not."""
+    """bi_scan_forward on the whole of h, taped or not; h_in and each x
+    are dropped as soon as nothing reads them (module docstring)."""
+    fwd, bwd = scope(w, "fwd"), scope(w, "bwd")
     h_in = nm.matmul(w["w_in"], h)
     gate = nm.silu(nm.matmul(w["w_gate"], h))
-    y_f = _branch(h_in, gate, scope(w, "fwd"), exact_zoh, reverse=False)
-    bwd = scope(w, "bwd")
-    if not bwd:
-        return nm.matmul(w["w_out"], y_f)
-    y_b = _branch(h_in, gate, bwd, exact_zoh, reverse=True)
-    return nm.matmul(w["w_out"], nm.mean_pair(y_f, y_b))
+    x_f = _conv(h_in, fwd, reverse=False)
+    x_b = _conv(h_in, bwd, reverse=True) if bwd else None
+    del h_in
+    y = _branch(x_f, gate, fwd, exact_zoh, reverse=False)
+    del x_f
+    if bwd:
+        y = nm.mean_pair(y, _branch(x_b, gate, bwd, exact_zoh, reverse=True))
+    return nm.matmul(w["w_out"], y)

@@ -95,11 +95,10 @@ def dp_block(h: Tensor, w: dict[str, Tensor], exact_zoh: bool) -> Tensor:
     """
     if h.ndim != 3:
         raise NumericsError(f"dp_block expects [S, K, D], got {h.shape}")
-    intra_in = nm.permute(apply_norm(h, blocks.scope(w, "intra_norm")),
-                          1, 0, 2)                                  # [K, S, D]
-    intra_out = blocks.bi_scan_forward(intra_in, blocks.scope(w, "intra_scan"),
-                                       exact_zoh)
-    h = nm.add(h, nm.permute(intra_out, 1, 0, 2))                   # [S, K, D]
+    # nested, so the intra pass's [K, S, D] input and output die in the add
+    h = nm.add(h, nm.permute(blocks.bi_scan_forward(
+        nm.permute(apply_norm(h, blocks.scope(w, "intra_norm")), 1, 0, 2),
+        blocks.scope(w, "intra_scan"), exact_zoh), 1, 0, 2))
 
     inter_out = blocks.bi_scan_forward(apply_norm(h, blocks.scope(w, "inter_norm")),
                                        blocks.scope(w, "inter_scan"), exact_zoh)

@@ -348,9 +348,10 @@ class SeparationModel:
         """Frames [N, D] -> one nonnegative mask [N, D] per speaker."""
         w = self.params
         cfg = self.config
-        h = dp.apply_norm(feats, blocks_mod.scope(w, "pre_norm"))
-        h = nm.matmul(w["input_proj"], h)
-        cf = dp.chunk(h, cfg.chunk_len)
+        # the projection goes straight into chunk, so only the chunks outlive it
+        cf = dp.chunk(nm.matmul(w["input_proj"],
+                                dp.apply_norm(feats, blocks_mod.scope(w, "pre_norm"))),
+                      cfg.chunk_len)
         for i in range(cfg.r):
             cf.data = dp.dp_block(cf.data, blocks_mod.scope(w, f"blocks.{i}"),
                                   cfg.exact_zoh)

@@ -52,10 +52,12 @@ state-sized multiply per step, with delta x formed once per tile.
 
 Both kernels run over contiguous tiles of the batch axis, each a full scan
 of its rows from its own step sizes and delta x, so those arrays exist a
-tile at a time.  A state is touched several times per step, so it should
-stay in cache from one step to the next: the tile is sized in bytes, from
-H*E*itemsize against _TILE_BYTES, so the same rule serves every (E, H,
-dtype) and a batch whose whole state fits is one tile.  The inter-chunk
+tile at a time.  The forward allocates its state and step buffers once per
+call, sized by the first (largest) tile; each tile steps in leading views
+of them, its state zeroed first.  A state is touched several times per
+step, so it should stay in cache from one step to the next: the tile is
+sized in bytes, from H*E*itemsize against _TILE_BYTES, so the same rule
+serves every (E, H, dtype) and a batch whose whole state fits is one tile.  The inter-chunk
 scans of a wide model are where this matters: at E = 256, H = 16 a batch
 of 250 chunks is a 4 MB float32 state, which untiled streams through
 memory at every step.
@@ -146,10 +148,12 @@ def _step_sizes(delta, bias):
     must be finite and strictly positive; a softplus may underflow to 0."""
     if bias is not None:
         z = delta + bias
-        delta = np.negative(np.abs(z))
+        delta = np.abs(z)
+        np.negative(delta, out=delta)
         np.log1p(np.exp(delta, out=delta), out=delta)
         delta += np.maximum(z, 0.0, out=z)
-    if not np.all(np.isfinite(delta)) or np.any(delta <= 0.0):
+    # NaN fails both comparisons; initial= passes an empty tile
+    if not (delta.min(initial=np.inf) > 0.0 and delta.max(initial=0.0) < np.inf):
         raise NumericsError("scan: delta must be finite and strictly positive")
     return delta
 
@@ -199,12 +203,18 @@ def _scan_forward(x, d, bias, a, b, c, exact_zoh, taped):
     H = aT.shape[0]
     y = np.empty(x.shape, dtype=x.dtype)
     ck = np.empty((max(L - 1, 0) // _BLOCK, B, H, E), x.dtype) if taped else None
-    for k in _tiles(B, H, E, x.itemsize):
+    tiles = _tiles(B, H, E, x.itemsize)
+    # the first tile is the largest; every tile steps in leading views
+    state = (tiles[0].stop if tiles else 0, H, E)
+    h_all, abar_all, bx_all = (np.empty(state, x.dtype) for _ in range(3))
+    p_all = np.empty(state, x.dtype) if exact_zoh else None
+    for k in tiles:
         dk = _step_sizes(d[:, k], bias)
         uk = x[:, k] if exact_zoh else dk * x[:, k]
-        h = np.zeros((k.stop - k.start, H, E), dtype=x.dtype)
-        abar, bx = np.empty_like(h), np.empty_like(h)
-        p = np.empty_like(h) if exact_zoh else None
+        n = k.stop - k.start
+        h, abar, bx = h_all[:n], abar_all[:n], bx_all[:n]
+        p = p_all[:n] if exact_zoh else None
+        h.fill(0)
         for t in range(L):
             _zoh(dk[t, :, None, :], aT, b[t, k, :, None], exact_zoh,
                  uk[t, :, None, :], out=(abar, bx, p))

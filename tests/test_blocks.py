@@ -114,8 +114,11 @@ def _branches(x, w):
     """The gated forward and backward branch outputs of one block."""
     h_in = nm.matmul(w["w_in"], x)
     gate = nm.silu(nm.matmul(w["w_gate"], x))
-    return (blocks._branch(h_in, gate, blocks.scope(w, "fwd"), False, reverse=False),
-            blocks._branch(h_in, gate, blocks.scope(w, "bwd"), False, reverse=True))
+    fwd, bwd = blocks.scope(w, "fwd"), blocks.scope(w, "bwd")
+    return (blocks._branch(blocks._conv(h_in, fwd, reverse=False), gate, fwd, False,
+                           reverse=False),
+            blocks._branch(blocks._conv(h_in, bwd, reverse=True), gate, bwd, False,
+                           reverse=True))
 
 
 class TestGating:
@@ -232,18 +235,26 @@ class TestBatchTiles:
             ref, _ = self.stems(xs, x, 1 << 62)
         assert np.array_equal(got, ref)
 
-    def test_peak_at_10s_is_bounded(self, xs):
-        """80.1 MB measured with 1 MiB tiles; 205 MB untiled, where every
-        E-wide temporary of a block held the whole batch."""
-        x = self.mix(10.0)
+    @staticmethod
+    def peak(model, x):
         gc.collect()
         tracemalloc.start()
         try:
-            xs.separate(x)
-            peak = tracemalloc.get_traced_memory()[1]
+            model.separate(x)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 90e6
+
+    def test_peak_at_1s_is_bounded(self, xs):
+        """10.85 MB measured; 14.44 MB while masks, dp_block and the block
+        held arrays they no longer read.  The bound leaves 10%."""
+        assert self.peak(xs, self.mix(1.0)) <= 12e6
+
+    def test_peak_at_10s_is_bounded(self, xs):
+        """61.64 MB measured with 1 MiB tiles; 205 MB untiled, where every
+        E-wide temporary of a block held the whole batch.  The bound leaves
+        7%."""
+        assert self.peak(xs, self.mix(10.0)) <= 66e6
 
 
 class TestNamedParameters:

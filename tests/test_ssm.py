@@ -244,6 +244,23 @@ class TestBlockReplay:
             else:
                 assert np.array_equal(want, got), name
 
+    @pytest.mark.parametrize("exact_zoh", [False, True])
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_reused_tile_buffers_start_from_zero(self, exact_zoh, taped,
+                                                 monkeypatch):
+        # one set of step buffers serves every tile; tiles of 3 + 3 + 1 rows,
+        # so the last tile steps in a shorter view that still holds the
+        # state the tile before it ended on
+        L, B, E, H = 2 * ssm._BLOCK + 5, 7, 3, 4
+        x, d, a, b, c = _random_scan(np.random.default_rng(16), B, E, L, H)
+        bias = np.random.default_rng(17).uniform(-1, 1, E)
+        y_one, ck_one = ssm._scan_forward(x, d, bias, a, b, c, exact_zoh, taped)
+        monkeypatch.setattr(ssm, "_TILE_BYTES", 3 * H * E * 8)
+        assert [k.stop - k.start for k in ssm._tiles(B, H, E, 8)] == [3, 3, 1]
+        y, ck = ssm._scan_forward(x, d, bias, a, b, c, exact_zoh, taped)
+        assert np.array_equal(y, y_one)
+        assert np.array_equal(ck, ck_one) if taped else ck is None
+
     @pytest.mark.parametrize("taped", [False, True])
     def test_only_a_taped_scan_keeps_checkpoints(self, taped, monkeypatch):
         L, B, E, H = 2 * ssm._BLOCK + 5, 2, 3, 4
@@ -545,7 +562,7 @@ class TestFusedScan:
     def test_parallel_matches_bare_parallel_scan(self, exact_zoh):
         self._check(ssm.scan_parallel, exact_zoh)
 
-    @pytest.mark.parametrize("raw", [np.nan, -800.0, -1e4])
+    @pytest.mark.parametrize("raw", [np.nan, -800.0, -1e4, np.inf])
     def test_nan_or_underflowing_delta_rejected(self, raw):
         # softplus(z) underflows to 0 in float64 below about -745
         args = self._args(np.random.default_rng(14), 2, 3, 8, 4)
@@ -553,6 +570,26 @@ class TestFusedScan:
         with pytest.raises(NumericsError,
                            match="delta must be finite and strictly positive"):
             self._fused(ssm.scan_sequential, args, args[0], False)
+
+    @pytest.mark.parametrize("step", [0.0, -1.0, np.inf])
+    def test_nonpositive_or_infinite_unbiased_delta_rejected(self, step):
+        # with no delta_bias the raw delta is the step size, checked as given
+        x, delta, a, b, c = map(Tensor, _random_scan(np.random.default_rng(18),
+                                                     2, 3, 8, 4))
+        delta.data[5, 1, 2] = step
+        with pytest.raises(NumericsError,
+                           match="delta must be finite and strictly positive"):
+            ssm.scan_sequential(x, ssm.SsmParams(a=a, delta=delta, b=b, c=c))
+
+    @pytest.mark.parametrize("biased", [False, True])
+    def test_empty_sequence_gives_empty_output(self, biased):
+        # L = 0: every step-size tile is empty, which the check passes
+        x, delta, a, b, c = map(Tensor, _random_scan(np.random.default_rng(19),
+                                                     2, 3, 0, 4))
+        bias = Tensor(np.zeros(3)) if biased else None
+        y = ssm.scan_sequential(x, ssm.SsmParams(a=a, delta=delta, b=b, c=c,
+                                                 delta_bias=bias))
+        assert y.shape == (0, 2, 3)
 
     @pytest.mark.parametrize("field", ["delta_bias", "d_skip", "gate"])
     def test_fused_field_shape_mismatch_rejected(self, field):
