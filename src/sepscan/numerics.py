@@ -24,11 +24,16 @@ Rules the engine enforces rather than glosses over:
     VJP) across fan-out and across repeated backward() calls; callers
     reset explicitly with zero_grad().  No other tensor keeps a gradient.
 
-The recorded graph is the chain of ``_parents`` links hanging off each
-tensor, together with the saved arrays closed over by each ``_vjp``
-callback.  ``backward`` linearizes that DAG once (topological order),
-visits every node exactly once, and pushes vector-Jacobian products
-toward the leaves.
+The recorded graph is made of nodes, not tensors.  A taped op's output
+tensor points at one node: the op's name, its VJP callback, and per input
+where that input's gradient goes (the input's own node, the input itself
+if it is a leaf, or nowhere if it needs no gradient).  A node holds no
+output array, and each VJP closes over exactly the arrays it reads, so an
+op's output lives only while the caller holds it or some VJP reads it.
+A node refers to no tensor but the leaves, which refer to no node, so the
+graph is acyclic and freed by reference counting alone.  ``backward``
+linearizes that DAG once (topological order), visits every node exactly
+once, and pushes vector-Jacobian products toward the leaves.
 """
 
 from __future__ import annotations
@@ -59,9 +64,9 @@ _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 class Tensor:
-    """A dense float array plus the graph edge that produced it."""
+    """A dense float array plus the graph node of the op that produced it."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_op")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.array(data, dtype=dtype, copy=True, order="C")
@@ -70,9 +75,7 @@ class Tensor:
         self.data: np.ndarray = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = ()
-        self._vjp: Callable[[np.ndarray], tuple] | None = None
-        self._op = "leaf"
+        self._node: _Node | None = None      # set on a taped op's output
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -104,8 +107,8 @@ class Tensor:
         flags = []
         if self.requires_grad:
             flags.append("requires_grad")
-        if self._vjp is not None:
-            flags.append(f"op={self._op}")
+        if self._node is not None:
+            flags.append(f"op={self._node.op}")
         tail = (", " + ", ".join(flags)) if flags else ""
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}{tail})"
 
@@ -127,44 +130,66 @@ class Tensor:
             raise NumericsError(
                 f"backward requires a scalar loss, got shape {self.shape}"
             )
-        if self._vjp is None and not self.requires_grad:
+        root = _vertex(self)
+        if root is None:
             raise NumericsError(
                 "backward on a detached loss: no input in its history had "
                 "requires_grad=True"
             )
-        order = _topo_order(self)
-        pending: dict[int, np.ndarray] = {id(self): np.ones((), dtype=self.dtype)}
-        for node in reversed(order):
-            g = pending.pop(id(node), None)
+        pending: dict[int, np.ndarray] = {id(root): np.ones((), dtype=self.dtype)}
+        for vertex in reversed(_topo_order(root)):
+            g = pending.pop(id(vertex), None)
             if g is None:
                 continue
-            if node._vjp is None:
-                node.grad = g if node.grad is None else node.grad + g
+            if isinstance(vertex, Tensor):          # a leaf
+                vertex.grad = g if vertex.grad is None else vertex.grad + g
                 continue
-            for parent, pg in zip(node._parents, node._vjp(g)):
-                if pg is None or not parent.requires_grad:
+            for parent, pg in zip(vertex.parents, vertex.vjp(g)):
+                if pg is None or parent is None:
                     continue
                 have = pending.get(id(parent))
                 pending[id(parent)] = pg if have is None else have + pg
 
 
-def _topo_order(root: Tensor) -> list[Tensor]:
-    """Iterative postorder: leaves first, root last; each node exactly once."""
-    order: list[Tensor] = []
+class _Node:
+    """One taped op: its name, its VJP, and per input the vertex (see
+    _vertex) its gradient goes to.  It holds no output array."""
+
+    __slots__ = ("op", "vjp", "parents")
+
+    def __init__(self, op: str, vjp: Callable[[np.ndarray], tuple],
+                 parents: tuple):
+        self.op = op
+        self.vjp = vjp
+        self.parents = parents
+
+
+def _vertex(t: Tensor) -> "_Node | Tensor | None":
+    """Where t's gradient goes: its node if an op taped it, t itself if it
+    is a leaf that requires a gradient, else nowhere (None)."""
+    if not t.requires_grad:
+        return None
+    return t if t._node is None else t._node
+
+
+def _topo_order(root: "_Node | Tensor") -> list:
+    """Iterative postorder: leaves first, root last; each vertex exactly once."""
+    order: list = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple] = [(root, False)]
     while stack:
-        node, expanded = stack.pop()
+        vertex, expanded = stack.pop()
         if expanded:
-            order.append(node)
+            order.append(vertex)
             continue
-        if id(node) in seen:
+        if id(vertex) in seen:
             continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent in node._parents:
-            if id(parent) not in seen:
-                stack.append((parent, False))
+        seen.add(id(vertex))
+        stack.append((vertex, True))
+        if isinstance(vertex, _Node):
+            for parent in vertex.parents:
+                if parent is not None and id(parent) not in seen:
+                    stack.append((parent, False))
     return order
 
 
@@ -179,12 +204,14 @@ def primitive(
     vjp: Callable[[np.ndarray], tuple],
     op: str,
 ) -> Tensor:
-    """Record one executed op: output array, its inputs, and a VJP callback.
+    """Wrap one executed op's output array, taping a node for it when any
+    input requires a gradient.
 
     vjp receives the upstream gradient and must return one array (or None)
-    per parent, each matching that parent's shape.  Other modules use this
-    to define fused primitives (the selective scan) without touching the
-    engine internals.
+    per parent, each matching that parent's shape.  It should close over
+    the arrays it reads and no tensor: the node keeps the vjp, not the
+    output or the inputs.  Other modules use this to define fused
+    primitives (the selective scan) without touching the engine internals.
     """
     for p in parents:
         if p.data.dtype != data.dtype:
@@ -194,15 +221,12 @@ def primitive(
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    out._op = op
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._vjp = vjp
+        out._node = _Node(op, vjp, tuple(_vertex(p) for p in parents))
     else:
         out.requires_grad = False
-        out._parents = ()
-        out._vjp = None
+        out._node = None
     return out
 
 
@@ -233,9 +257,13 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "mul")
+    # each side's gradient reads the other side's values
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
 
     def vjp(g):
-        return g * b.data, g * a.data
+        return (None if bd is None else g * bd,
+                None if ad is None else g * ad)
 
     return primitive(a.data * b.data, (a, b), vjp, "mul")
 
@@ -273,12 +301,14 @@ def sigmoid(x: Tensor) -> Tensor:
 
 
 def silu(x: Tensor) -> Tensor:
-    s = _stable_sigmoid(x.data)
-    out = x.data * s
+    xd = x.data
 
     def vjp(g):
-        return (g * s * (1.0 + x.data * (1.0 - s)),)
+        s = _stable_sigmoid(xd)         # recomputed, so the tape keeps x alone
+        return (g * s * (1.0 + xd * (1.0 - s)),)
 
+    out = _stable_sigmoid(xd)
+    out *= xd
     return primitive(out, (x,), vjp, "silu")
 
 
@@ -329,8 +359,10 @@ def permute(x: Tensor, *dims: int) -> Tensor:
 
 
 def tsum(x: Tensor) -> Tensor:
+    shape, dtype = x.shape, x.dtype
+
     def vjp(g):
-        return (np.full(x.shape, float(g), dtype=x.dtype),)
+        return (np.full(shape, float(g), dtype=dtype),)
 
     return primitive(np.asarray(x.data.sum(), dtype=x.dtype), (x,), vjp, "sum")
 
@@ -343,17 +375,17 @@ def _channel_sum(g: np.ndarray) -> np.ndarray:
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     """Slice `length` entries from `start` along `axis`."""
     axis = axis % x.ndim
-    if start < 0 or start + length > x.shape[axis]:
+    if start < 0 or length < 0 or start + length > x.shape[axis]:
         raise NumericsError(
             f"narrow: [{start}:{start + length}] out of bounds for axis {axis} "
             f"of {x.shape}"
         )
     index = [slice(None)] * x.ndim
     index[axis] = slice(start, start + length)
-    index = tuple(index)
+    index, shape = tuple(index), x.shape
 
     def vjp(g):
-        full = np.zeros(x.shape, dtype=g.dtype)
+        full = np.zeros(shape, dtype=g.dtype)
         full[index] = g
         return (full,)
 
@@ -448,13 +480,19 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     if bias is not None and bias.shape != (O,):
         raise NumericsError(f"matmul: bias {bias.shape} does not match {O} outputs")
 
+    # each operand's gradient reads the other operand's values
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
+    shape = b.shape
+    bias_grad = None if bias is None else bias.requires_grad
+
     def vjp(g):
         g = g.reshape(-1, O)
-        ga = g.T @ b.data.reshape(-1, I) if a.requires_grad else None
-        gb = (g @ a.data).reshape(b.shape) if b.requires_grad else None
-        if bias is None:
+        ga = None if bd is None else g.T @ bd.reshape(-1, I)
+        gb = None if ad is None else (g @ ad).reshape(shape)
+        if bias_grad is None:
             return ga, gb
-        return ga, gb, g.sum(axis=0) if bias.requires_grad else None
+        return ga, gb, g.sum(axis=0) if bias_grad else None
 
     out = b.data.reshape(-1, I) @ a.data.T
     if bias is not None:
@@ -501,6 +539,8 @@ def conv1d_depthwise(x: Tensor, kernel: Tensor, bias: Tensor,
         late, early = slice(s, None), slice(None, L - s)
         taps.append((w, early, late) if reverse else (w, late, early))
     taps_k = kernel.data.T  # [W, E]: tap w's weights broadcast over the rows
+    x_grad, bias_grad = x.requires_grad, bias.requires_grad
+    xd = x.data if kernel.requires_grad else None   # the kernel gradient's
     out = np.empty_like(x.data)
     (_, o, i), s0 = taps[0], W - 1 - w0
     out[slice(L - s0, None) if reverse else slice(None, s0)] = 0.0
@@ -511,16 +551,16 @@ def conv1d_depthwise(x: Tensor, kernel: Tensor, bias: Tensor,
 
     def vjp(g):
         gx = None
-        if x.requires_grad:
+        if x_grad:
             gx = np.zeros_like(g)
             for w, o, i in taps:
                 gx[i] += taps_k[w] * g[o]
         gk = None
-        if kernel.requires_grad:
-            gk = np.zeros_like(kernel.data)
+        if xd is not None:
+            gk = np.zeros((E, W), dtype=g.dtype)
             for w, o, i in taps:
-                gk[:, w] = _channel_sum(g[o] * x.data[i])
-        gb = _channel_sum(g) if bias.requires_grad else None
+                gk[:, w] = _channel_sum(g[o] * xd[i])
+        gb = _channel_sum(g) if bias_grad else None
         return gx, gk, gb
 
     return primitive(out, (x, kernel, bias), vjp, "conv1d_depthwise")
@@ -542,19 +582,22 @@ def rmsnorm(x: Tensor, gain: Tensor) -> Tensor:
     D = x.shape[-1]
     if gain.shape != (D,):
         raise NumericsError(f"rmsnorm: gain {gain.shape} does not match D={D}")
-    r = np.sqrt(np.mean(x.data * x.data, axis=-1, keepdims=True) + NORM_EPS)
-    xhat = x.data / r
-    out = xhat * gain.data
+    xd, gd = x.data, gain.data
+    x_grad, gain_grad = x.requires_grad, gain.requires_grad
+    r = np.sqrt(np.mean(xd * xd, axis=-1, keepdims=True) + NORM_EPS)
 
+    # the VJP keeps x and r and recomputes xhat = x / r, not a third array
     def vjp(g):
         gx = None
-        if x.requires_grad:
-            u = g * gain.data
-            dot = np.sum(u * x.data, axis=-1, keepdims=True)
-            gx = u / r - x.data * dot / (D * r**3)
-        gg = _channel_sum(g * xhat) if gain.requires_grad else None
+        if x_grad:
+            u = g * gd
+            dot = np.sum(u * xd, axis=-1, keepdims=True)
+            gx = u / r - xd * dot / (D * r**3)
+        gg = _channel_sum(g * (xd / r)) if gain_grad else None
         return gx, gg
 
+    out = xd / r
+    out *= gd
     return primitive(out, (x, gain), vjp, "rmsnorm")
 
 
@@ -565,24 +608,28 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         raise NumericsError(
             f"layernorm: gain {gain.shape} / bias {bias.shape} do not match D={D}"
         )
-    mu = np.mean(x.data, axis=-1, keepdims=True)
-    xc = x.data - mu
+    xd, gd = x.data, gain.data
+    x_grad, gain_grad, bias_grad = (x.requires_grad, gain.requires_grad,
+                                    bias.requires_grad)
+    mu = np.mean(xd, axis=-1, keepdims=True)
+    xc = xd - mu
     sigma = np.sqrt(np.mean(xc * xc, axis=-1, keepdims=True) + NORM_EPS)
-    xhat = xc / sigma
-    out = xhat * gain.data + bias.data
 
+    # the VJP keeps x, mu and sigma and recomputes xhat = (x - mu) / sigma
     def vjp(g):
+        xhat = (xd - mu) / sigma
         gx = None
-        if x.requires_grad:
-            u = g * gain.data
+        if x_grad:
+            u = g * gd
             gx = (
                 u
                 - np.mean(u, axis=-1, keepdims=True)
                 - xhat * np.mean(u * xhat, axis=-1, keepdims=True)
             ) / sigma
-        gg = _channel_sum(g * xhat) if gain.requires_grad else None
-        gb = _channel_sum(g) if bias.requires_grad else None
+        gg = _channel_sum(g * xhat) if gain_grad else None
+        gb = _channel_sum(g) if bias_grad else None
         return gx, gg, gb
 
-    return primitive(out, (x, gain, bias), vjp, "layernorm")
+    xc /= sigma
+    return primitive(xc * gd + bias.data, (x, gain, bias), vjp, "layernorm")
 

@@ -388,18 +388,21 @@ def _run_scan(x: Tensor, params: SsmParams, forward_fn, op_name: str,
     if skip is not None:
         s += skip * x.data
     out = s if gate is None else np.multiply(s, gate.data, out=None if taped else s)
+    # the VJP reads these arrays (xs is a view of x's), and s only for the gate
+    ad, xd = a.data, x.data
+    zd, s = (None, None) if gate is None else (gate.data, s)
 
     def vjp(g):
-        gs = g if gate is None else g * gate.data
-        gx, gd, ga, gb, gc = _scan_backward(xs, ds, bias, a.data, bs, cs, exact,
+        gs = g if zd is None else g * zd
+        gx, gd, ga, gb, gc = _scan_backward(xs, ds, bias, ad, bs, cs, exact,
                                             ck, lift(gs))
         grads = [back(gx), back(gd), ga, back(gb), back(gc)]
         if bias is not None:
             grads.append(nm._channel_sum(grads[1]))
         if skip is not None:
             grads[0] += gs * skip
-            grads.append(nm._channel_sum(gs * x.data))
-        if gate is not None:
+            grads.append(nm._channel_sum(gs * xd))
+        if zd is not None:
             grads.append(g * s)
         return grads
 

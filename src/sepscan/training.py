@@ -74,20 +74,21 @@ def si_snr(est: Tensor, ref: Tensor) -> Tensor:
     if not np.any(ref.data - ref.data.mean()):
         raise NumericsError("si_snr: reference is constant (zero energy)")
     val, (e, r, k, rr, s, n, p, q) = _si_snr_terms(est.data, ref.data)
+    dtype = est.dtype
 
     def vjp(g):
         if not val < SI_SNR_CAP_DB:
-            return np.zeros_like(est.data), None
+            return np.zeros(e.shape, dtype=dtype), None
         # d val / d u, then back through u = k e and the mean-centring
         c = float(g) * 10.0 / _LOG10
         big_r = rr + SI_SNR_EPS
         gu = c * ((2.0 * s * rr / (big_r * p)) * r
                   - (2.0 / q) * (n - (s * SI_SNR_EPS / big_r) * r))
         ge = k * gu - (k ** 3 / e.size) * float(e @ gu) * e
-        return (ge - ge.mean()).astype(est.dtype, copy=False), None
+        return (ge - ge.mean()).astype(dtype, copy=False), None
 
     # np.minimum propagates a NaN, so a NaN estimate is not scored as the cap
-    out = np.asarray(np.minimum(val, SI_SNR_CAP_DB), dtype=est.dtype)
+    out = np.asarray(np.minimum(val, SI_SNR_CAP_DB), dtype=dtype)
     return nm.primitive(out, (est, ref), vjp, "si_snr")
 
 

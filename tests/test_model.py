@@ -472,7 +472,7 @@ class TestInferenceModel:
                    for _, p in mdl.named_parameters())
         for est in mdl.separate(self.mix(0.1)):
             assert est.dtype == np.float32
-            assert est.requires_grad is False and est._parents == ()
+            assert est.requires_grad is False and est._node is None
 
     def test_matches_float64_model_with_the_same_weights(self, saved):
         x = self.mix(0.25)

@@ -1,5 +1,7 @@
 """Engine contracts: shapes, graph mechanics, and primitive gradients."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,56 @@ class TestBackward:
         np.testing.assert_allclose(x.grad, expect, rtol=1e-12)
 
 
+def _gated_scan(x):
+    L, E = x.shape
+    rng = np.random.default_rng(0)
+    return ssm.scan_sequential(x, ssm.SsmParams(
+        a=t(-rng.uniform(0.5, 1.5, (E, 2))), delta=t(rng.uniform(0.1, 0.5, (L, E))),
+        b=t(rng.normal(size=(L, 2))), c=t(rng.normal(size=(L, 2))),
+        d_skip=t(np.ones(E)), gate=t(rng.normal(size=(L, E)))))
+
+
+# producers whose output no VJP reads, neither their own nor the consumer's
+UNREAD_OUTPUTS = {
+    "add": lambda x: nm.add(x, x),
+    "silu": nm.silu,
+    "rmsnorm": lambda x: nm.rmsnorm(x, t(np.ones(3))),
+    "layernorm": lambda x: nm.layernorm(x, t(np.ones(3)), t(np.zeros(3))),
+    "permute": lambda x: nm.permute(nm.permute(x, 1, 0), 1, 0),
+    "gated_scan": _gated_scan,
+}
+
+
+class TestGraphHoldsOnlyWhatVjpsRead:
+    @pytest.mark.parametrize("op", sorted(UNREAD_OUTPUTS))
+    def test_an_unread_output_is_freed_while_the_graph_lives(self, op):
+        x = t(np.random.default_rng(1).normal(size=(4, 3)), grad=True)
+        mid = UNREAD_OUTPUTS[op](x)
+        out = weakref.ref(mid.data)
+        loss = nm.tsum(nm.mean_pair(mid, x))
+        del mid
+        assert out() is None
+        loss.backward()
+        want, x.grad = x.grad, None
+        # the gradient is the one taken with the output held
+        mid = UNREAD_OUTPUTS[op](x)
+        nm.tsum(nm.mean_pair(mid, x)).backward()
+        assert np.array_equal(x.grad, want)
+
+    def test_a_node_holds_no_tensor_but_leaves(self):
+        x = t(np.ones((4, 3)), grad=True)
+        loss = nm.tsum(nm.silu(nm.add(x, x)))
+        vertices = nm._topo_order(loss._node)
+        assert [v.op for v in vertices if isinstance(v, nm._Node)] \
+            == ["add", "silu", "sum"]
+        assert [v for v in vertices if not isinstance(v, nm._Node)] == [x]
+        assert x._node is None and "op=sum" in repr(loss)
+
+    def test_a_constant_input_gets_no_vertex(self):
+        x, c = t(np.ones(3), grad=True), t(np.full(3, 2.0))
+        assert nm.mul(x, c)._node.parents == (x, None)
+
+
 class TestDebugMode:
     def test_nonfinite_flagged_with_op_name(self):
         nm.set_debug(True)
@@ -166,6 +218,20 @@ class TestDebugMode:
 
 
 class TestOpSemantics:
+    def test_narrow_slices_and_scatters_back(self):
+        x = t(np.arange(10.0).reshape(5, 2), grad=True)
+        y = nm.narrow(x, 0, 1, 3)
+        assert np.array_equal(y.data, x.data[1:4])
+        nm.tsum(y).backward()
+        assert np.array_equal(x.grad, [[0, 0], [1, 1], [1, 1], [1, 1], [0, 0]])
+        assert nm.narrow(x, -1, 2, 0).shape == (5, 0)
+
+    @pytest.mark.parametrize("start, length", [(0, -1), (3, -2), (-1, 2), (4, 2),
+                                               (0, 6)])
+    def test_narrow_out_of_range_rejected(self, start, length):
+        with pytest.raises(NumericsError, match="narrow"):
+            nm.narrow(t(np.zeros(5)), 0, start, length)
+
     def test_sigmoid_extreme_inputs_finite(self):
         y = nm.sigmoid(t([-1e4, 0.0, 1e4]))
         assert np.all(np.isfinite(y.data))
