@@ -540,7 +540,7 @@ def conv1d_depthwise(x: Tensor, kernel: Tensor, bias: Tensor,
         taps.append((w, early, late) if reverse else (w, late, early))
     taps_k = kernel.data.T  # [W, E]: tap w's weights broadcast over the rows
     x_grad, bias_grad = x.requires_grad, bias.requires_grad
-    xd = x.data if kernel.requires_grad else None   # the kernel gradient's
+    xd = x.data if kernel.requires_grad else None    # read by the kernel gradient
     out = np.empty_like(x.data)
     (_, o, i), s0 = taps[0], W - 1 - w0
     out[slice(L - s0, None) if reverse else slice(None, s0)] = 0.0
