@@ -60,9 +60,13 @@ print(f"worst case {worst:.3e}: the reordering is exact up to roundoff.\n")
 
 # On numpy the parallel scan wins by vectorization, not by extra cores:
 # O(log L) full-array sweeps replace L interpreter-dispatched step
-# updates. The win is largest when each step is small (here one channel,
-# as inside a model that scans channels independently); once E*H makes
-# every step heavy array work on its own, the two evaluations converge.
+# updates. That pays only while each step is tiny, as here with one
+# channel: parallel / sequential is about 0.05 at this shape. The sweeps
+# do O(L log L) work on the whole state, so once B*E*H makes each step
+# real array work the parallel scan loses, and by far: it is about 8-12x
+# slower at model widths (float32, one BLAS thread: 8.5x at
+# [L, B, E, H] = [1000, 4, 64, 16], 12x at the xs intra-chunk scan's
+# [250, 7, 256, 16]). The model's blocks therefore scan sequentially.
 L, E, H = 8000, 1, 8
 x, params = random_case(L, E, H, seed=0)
 

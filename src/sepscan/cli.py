@@ -210,13 +210,9 @@ def _cmd_eval(args) -> int:
     model = model_mod.SeparationModel.from_checkpoint(args.ckpt)
     rng = np.random.default_rng(args.seed)
     examples = _corpus_pairs(args.manifest, args.pairs, rng)
-    si_vals, sd_vals = [], []
-    for ex in examples:
-        est = tuple(e.data for e in model.separate(ex.mix))
-        si_vals.append(training.si_snri(est, ex.sources, ex.mix))
-        sd_vals.append(training.sdri(est, ex.sources, ex.mix))
-    print(f"si_snri {np.mean(si_vals):.2f} dB")
-    print(f"sdri {np.mean(sd_vals):.2f} dB")
+    si_snri, sdri = training.evaluate(model, examples)
+    print(f"si_snri {si_snri:.2f} dB")
+    print(f"sdri {sdri:.2f} dB")
     return EXIT_OK
 
 

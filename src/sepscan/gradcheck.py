@@ -1,8 +1,9 @@
 """Central finite-difference checking of every hand-written backward pass.
 
-The checker perturbs one input element at a time by +-STEP (1e-5), reruns
-the forward in float64, and compares (f+ - f-) / (2 STEP) against the
-analytic gradient.  Reported error is
+``gradcheck(fn, inputs)`` perturbs one element of each input that requires
+a gradient at a time by +-STEP (1e-5), reruns the forward in float64, and
+compares (f+ - f-) / (2 STEP) against the analytic gradient.  It returns
+the worst error over those inputs, each input's error being
 
     max|analytic - numeric| / max(1, max|numeric|)
 
@@ -10,11 +11,12 @@ so it reads as a relative error for O(1) gradients without blowing up when
 a gradient is legitimately tiny.
 
 Every check is one row of ``CHECKS``: its suite tag, a ``make(rng)`` that
-draws its inputs, and its tolerance.  ``run_suite`` is the one runner: it
-runs the rows of one suite, or all of them, each on its own generator
-seeded from (seed, check name), so adding, removing or resizing a check
-moves no other check's inputs.  The command-line ``gradcheck`` subcommand
-and the acceptance tests both run it.
+returns ``(fn, inputs)``, and its tolerance.  ``run_suite`` is the one
+runner: it runs the rows of one suite, or all of them, each on its own
+generator seeded from (seed, check name), so adding, removing or resizing
+a check moves no other check's inputs, and pairs each check's name and
+tolerance with its error in a ``GradcheckResult``.  The command-line
+``gradcheck`` subcommand and the acceptance tests both run it.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ FULL_MODEL_TOL = 1e-4
 class GradcheckResult:
     name: str
     tol: float
-    max_rel_err: float = 0.0
+    max_rel_err: float
 
     @property
     def ok(self) -> bool:
@@ -59,15 +61,9 @@ def _numeric_grad(fn: Callable[[], Tensor], param: Tensor) -> np.ndarray:
     return out.reshape(param.data.shape)
 
 
-def gradcheck(
-    fn: Callable[..., Tensor],
-    inputs: Sequence[Tensor],
-    *,
-    name: str,
-    tol: float,
-    input_names: Sequence[str],
-) -> GradcheckResult:
-    """Compare analytic gradients of a scalar-valued fn against central FD.
+def gradcheck(fn: Callable[..., Tensor], inputs: Sequence[Tensor]) -> float:
+    """The worst relative error of a scalar-valued fn's analytic gradients
+    against central FD.
 
     Every input with requires_grad=True is checked elementwise.  Inputs must
     be float64; finite differences in single precision are meaningless at
@@ -82,17 +78,17 @@ def gradcheck(
     loss = fn(*inputs)
     loss.backward()
 
-    result = GradcheckResult(name=name, tol=tol)
+    worst = 0.0
     closure = lambda: fn(*inputs)
-    for label, t in zip(input_names, inputs):
+    for t in inputs:
         if not t.requires_grad:
             continue
         analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
         numeric = _numeric_grad(closure, t)
         scale = max(1.0, float(np.max(np.abs(numeric))) if numeric.size else 0.0)
         err = float(np.max(np.abs(analytic - numeric))) / scale if numeric.size else 0.0
-        result.max_rel_err = max(result.max_rel_err, err)
-    return result
+        worst = max(worst, err)
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -124,11 +120,11 @@ def _si_snr_inputs(rng):
             Tensor(ref)]
 
 
-def _primitive(fn, draw, names, tol=PRIMITIVE_TOL):
+def _primitive(fn, draw, tol=PRIMITIVE_TOL):
     """A numerics row: draw(rng) returns fn's inputs; one without
     requires_grad is a constant (a weight on fn's output, or si_snr's
     reference) and is not checked."""
-    return "numerics", lambda rng: (fn, draw(rng), names), tol
+    return "numerics", lambda rng: (fn, draw(rng)), tol
 
 
 def _scan_check(exact_zoh, batched, reverse, fused):
@@ -152,8 +148,7 @@ def _scan_check(exact_zoh, batched, reverse, fused):
             params = ssm.SsmParams(av, dv, bv, cv, exact_zoh, *fv)
             return ssm.scan_sequential(xv, params, reverse=reverse).sum()
 
-        names = ["x", "delta", "a", "b", "c", "delta_bias", "d_skip", "gate"]
-        return fn, [x, delta, a, bmat, cmat, *extra], names[:5 + len(extra)]
+        return fn, [x, delta, a, bmat, cmat, *extra]
     return "ssm", make, PRIMITIVE_TOL
 
 
@@ -164,9 +159,8 @@ def _block_check(suite, prefix, d, x_shape, forward):
     def make(rng):
         w = blocks.scope(model.init_parameters(model.ModelConfig(d=d, r=1, h=2), rng),
                          prefix)
-        names, params = zip(*w.items())
         x = _rand(rng, x_shape, -1.0, 1.0)
-        return lambda *_args: forward(x, w, False).sum(), [x, *params], ["x", *names]
+        return lambda *_args: forward(x, w, False).sum(), [x, *w.values()]
     return suite, make, COMPOSITE_TOL
 
 
@@ -174,92 +168,80 @@ def _model_check(rng):
     """End-to-end: separation forward + permutation-invariant loss, tiny model."""
     net = model.SeparationModel(model.ModelConfig(d=4, r=1, h=2, chunk_len=4), rng=rng)
     mix, ref1, ref2 = (Tensor(rng.standard_normal(64) * 0.1) for _ in range(3))
-    names, params = zip(*net.named_parameters())
 
     def fn(*_args):
         return training.pit_loss(net.separate(mix), (ref1, ref2))[0]
 
-    return fn, params, names
+    return fn, list(net.params.values())
 
 
-# name -> (suite, make, tol); make(rng) returns (fn, inputs, input names)
+# name -> (suite, make, tol); make(rng) returns (fn, inputs)
 CHECKS = {
-    "add": _primitive(lambda x, y: nm.add(x, y).sum(), _pair, ["a", "b"]),
-    "mul": _primitive(lambda x, y: nm.mul(x, y).sum(), _pair, ["a", "b"]),
-    "neg": _primitive(lambda x: nm.neg(x).sum(), lambda g: [_rand(g, (5,))], ["x"]),
-    "mean_pair": _primitive(lambda x, y: nm.mean_pair(x, y).sum(), _pair, ["a", "b"]),
-    "sigmoid": _primitive(lambda x: nm.sigmoid(x).sum(),
-                          lambda g: [_rand(g, (4, 3))], ["x"]),
-    "silu": _primitive(lambda x: nm.silu(x).sum(), lambda g: [_rand(g, (4, 3))], ["x"]),
-    "tanh": _primitive(lambda x: nm.tanh(x).sum(), lambda g: [_rand(g, (4, 3))], ["x"]),
+    "add": _primitive(lambda x, y: nm.add(x, y).sum(), _pair),
+    "mul": _primitive(lambda x, y: nm.mul(x, y).sum(), _pair),
+    "neg": _primitive(lambda x: nm.neg(x).sum(), lambda g: [_rand(g, (5,))]),
+    "mean_pair": _primitive(lambda x, y: nm.mean_pair(x, y).sum(), _pair),
+    "sigmoid": _primitive(lambda x: nm.sigmoid(x).sum(), lambda g: [_rand(g, (4, 3))]),
+    "silu": _primitive(lambda x: nm.silu(x).sum(), lambda g: [_rand(g, (4, 3))]),
+    "tanh": _primitive(lambda x: nm.tanh(x).sum(), lambda g: [_rand(g, (4, 3))]),
     # relu probes stay away from the kink at 0
     "relu": _primitive(lambda x: nm.relu(x).sum(),
                        lambda g: [Tensor(g.uniform(0.25, 2.0, size=(4, 3))
                                          * g.choice([-1.0, 1.0], size=(4, 3)),
-                                         requires_grad=True)],
-                       ["x"]),
-    "exp": _primitive(lambda x: nm.exp(x).sum(), lambda g: [_rand(g, (4, 3))], ["x"]),
+                                         requires_grad=True)]),
+    "exp": _primitive(lambda x: nm.exp(x).sum(), lambda g: [_rand(g, (4, 3))]),
     "permute": _primitive(lambda x, y: nm.mul(nm.permute(x, 2, 0, 1), y).sum(),
-                          lambda g: [_rand(g, (2, 3, 4)), _rand(g, (4, 2, 3))],
-                          ["x", "w"]),
-    "sum": _primitive(lambda x: nm.tsum(x), lambda g: [_rand(g, (7,))], ["x"]),
+                          lambda g: [_rand(g, (2, 3, 4)), _rand(g, (4, 2, 3))]),
+    "sum": _primitive(lambda x: nm.tsum(x), lambda g: [_rand(g, (7,))]),
     # 9 rows frame into 4 windows of 4 at hop 2, padded to 10, trimmed to 9
     "frame_unaligned": _primitive(
         lambda x, y, wf: nm.mul(nm.overlap_add(nm.mul(nm.frame(x, 4, 2), wf), 2, 9),
                                 y).sum(),
         lambda g: [_rand(g, (9, 2)), _rand(g, (9, 2)),
-                   Tensor(g.uniform(-1, 1, (4, 4, 2)))],
-        ["x", "w", "window"]),
+                   Tensor(g.uniform(-1, 1, (4, 4, 2)))]),
     "frame": _primitive(lambda x, y: nm.mul(nm.frame(x, 4, 2), y).sum(),
-                        lambda g: [_rand(g, (10, 2)), _rand(g, (4, 4, 2))], ["x", "w"]),
+                        lambda g: [_rand(g, (10, 2)), _rand(g, (4, 4, 2))]),
     "overlap_add": _primitive(lambda x, y: nm.mul(nm.overlap_add(x, 2, 10), y).sum(),
-                              lambda g: [_rand(g, (4, 4, 2)), _rand(g, (10, 2))],
-                              ["x", "w"]),
+                              lambda g: [_rand(g, (4, 4, 2)), _rand(g, (10, 2))]),
     "matmul": _primitive(lambda x, y: nm.matmul(x, y).sum(),
-                         lambda g: [_rand(g, (3, 4)), _rand(g, (2, 4))], ["a", "b"]),
+                         lambda g: [_rand(g, (3, 4)), _rand(g, (2, 4))]),
     # B == L: a weight gradient pairing g's batch axis with b's time axis fails
     "matmul_batched": _primitive(
         lambda x, y, wm: nm.mul(nm.matmul(x, y), wm).sum(),
         lambda g: [_rand(g, (3, 4)), _rand(g, (3, 3, 4)),
-                   Tensor(g.uniform(-1, 1, (3, 3, 3)))],
-        ["a", "b", "w"]),
+                   Tensor(g.uniform(-1, 1, (3, 3, 3)))]),
     "matmul_bias": _primitive(
         lambda x, y, c, wm: nm.mul(nm.matmul(x, y, c), wm).sum(),
         lambda g: [_rand(g, (3, 4)), _rand(g, (3, 3, 4)), _rand(g, (3,)),
-                   Tensor(g.uniform(-1, 1, (3, 3, 3)))],
-        ["a", "b", "bias", "w"]),
+                   Tensor(g.uniform(-1, 1, (3, 3, 3)))]),
     "conv1d_depthwise": _primitive(lambda x, k, c: nm.conv1d_depthwise(x, k, c).sum(),
-                                   lambda g: _conv_inputs(g, (8, 3)),
-                                   ["x", "kernel", "bias"]),
+                                   lambda g: _conv_inputs(g, (8, 3))),
     "conv1d_depthwise_batched": _primitive(
         lambda x, k, c: nm.conv1d_depthwise(x, k, c).sum(),
-        lambda g: _conv_inputs(g, (8, 2, 3)), ["x", "kernel", "bias"]),
+        lambda g: _conv_inputs(g, (8, 2, 3))),
     "rmsnorm": _primitive(lambda x, gn, wn: nm.mul(nm.rmsnorm(x, gn), wn).sum(),
                           lambda g: [_rand(g, (2, 4, 3)), _rand(g, (3,)),
                                      Tensor(g.standard_normal((2, 4, 3)))],
-                          ["x", "gain", "w"], COMPOSITE_TOL),
+                          COMPOSITE_TOL),
     "layernorm": _primitive(
         lambda x, gn, c, wn: nm.mul(nm.layernorm(x, gn, c), wn).sum(),
         lambda g: [_rand(g, (2, 4, 3)), _rand(g, (3,)), _rand(g, (3,)),
                    Tensor(g.standard_normal((2, 4, 3)))],
-        ["x", "gain", "bias", "w"], COMPOSITE_TOL),
+        COMPOSITE_TOL),
     # an input shorter than the kernel: the first taps see only padding,
     # so their kernel gradient is zero
     "conv1d_depthwise_short": _primitive(
         lambda x, k, c, wc: nm.mul(nm.conv1d_depthwise(x, k, c), wc).sum(),
-        lambda g: [*_conv_inputs(g, (2, 3)), Tensor(g.standard_normal((2, 3)))],
-        ["x", "kernel", "bias", "w"]),
+        lambda g: [*_conv_inputs(g, (2, 3)), Tensor(g.standard_normal((2, 3)))]),
     "conv1d_depthwise_short_batched": _primitive(
         lambda x, k, c, wc: nm.mul(nm.conv1d_depthwise(x, k, c), wc).sum(),
-        lambda g: [*_conv_inputs(g, (2, 2, 3)), Tensor(g.standard_normal((2, 2, 3)))],
-        ["x", "kernel", "bias", "w"]),
+        lambda g: [*_conv_inputs(g, (2, 2, 3)), Tensor(g.standard_normal((2, 2, 3)))]),
     "conv1d_depthwise_reverse": _primitive(
         lambda x, k, c, wr: nm.mul(nm.conv1d_depthwise(x, k, c, reverse=True),
                                    wr).sum(),
-        lambda g: [*_conv_inputs(g, (8, 2, 3)), Tensor(g.standard_normal((8, 2, 3)))],
-        ["x", "kernel", "bias", "w"]),
+        lambda g: [*_conv_inputs(g, (8, 2, 3)), Tensor(g.standard_normal((8, 2, 3)))]),
     # the reference is a constant; ref + noise stays well below the 80 dB cap
-    "si_snr": _primitive(training.si_snr, _si_snr_inputs, ["est", "ref"]),
+    "si_snr": _primitive(training.si_snr, _si_snr_inputs),
     # _scan_check(exact_zoh, batched, reverse, fused)
     "selective_scan_euler": _scan_check(False, False, False, False),
     "selective_scan_euler_batched": _scan_check(False, True, False, False),
@@ -287,6 +269,6 @@ def run_suite(name: str, seed: int = 0) -> list[GradcheckResult]:
     results = []
     for key, (suite, make, tol) in CHECKS.items():
         if name in (suite, "all"):
-            fn, inputs, names = make(_entry_rng(seed, key))
-            results.append(gradcheck(fn, inputs, name=key, tol=tol, input_names=names))
+            fn, inputs = make(_entry_rng(seed, key))
+            results.append(GradcheckResult(key, tol, gradcheck(fn, inputs)))
     return results

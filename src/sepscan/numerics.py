@@ -374,6 +374,8 @@ def _channel_sum(g: np.ndarray) -> np.ndarray:
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     """Slice `length` entries from `start` along `axis`."""
+    if not -x.ndim <= axis < x.ndim:
+        raise NumericsError(f"narrow: axis {axis} out of range for {x.shape}")
     axis = axis % x.ndim
     if start < 0 or length < 0 or start + length > x.shape[axis]:
         raise NumericsError(

@@ -140,8 +140,7 @@ def best_permutation(est: tuple, ref: tuple) -> tuple[int, ...]:
     return best_perm
 
 
-def _improvement(metric, est: tuple, ref: tuple, mix: np.ndarray) -> float:
-    perm = best_permutation(est, ref)
+def _improvement(metric, perm: tuple, est: tuple, ref: tuple, mix: np.ndarray) -> float:
     score = sum(metric(est[i], ref[j]) for i, j in enumerate(perm)) / len(ref)
     base = sum(metric(mix, r) for r in ref) / len(ref)
     return score - base
@@ -149,12 +148,12 @@ def _improvement(metric, est: tuple, ref: tuple, mix: np.ndarray) -> float:
 
 def si_snri(est: tuple, ref: tuple, mix: np.ndarray) -> float:
     """SI-SNR improvement over the mixture, under the PIT-optimal assignment."""
-    return _improvement(si_snr_value, est, ref, mix)
+    return _improvement(si_snr_value, best_permutation(est, ref), est, ref, mix)
 
 
 def sdri(est: tuple, ref: tuple, mix: np.ndarray) -> float:
     """Scale-fitted SDR improvement, sharing the SI-SNR-optimal assignment."""
-    return _improvement(sdr_value, est, ref, mix)
+    return _improvement(sdr_value, best_permutation(est, ref), est, ref, mix)
 
 
 # ---------------------------------------------------------------------------
@@ -272,20 +271,24 @@ class TrainResult:
     history: list[dict] = field(repr=False, default_factory=list)
 
 
-def _eval_si_snri(model, examples: list[MixExample]) -> float:
+def evaluate(model, examples: list[MixExample]) -> tuple[float, float]:
+    """Mean SI-SNR and SDR improvements of model over examples; both score
+    each example under its one SI-SNR-optimal assignment."""
     # with requires_grad cleared no op records a tape; the values are the same
     params = [p for _, p in model.named_parameters() if p.requires_grad]
     for p in params:
         p.requires_grad = False
     try:
-        vals = []
+        si_vals, sd_vals = [], []
         for ex in examples:
-            est = model.separate(ex.mix)
-            vals.append(si_snri(tuple(e.data for e in est), ex.sources, ex.mix))
+            est = tuple(e.data for e in model.separate(ex.mix))
+            perm = best_permutation(est, ex.sources)
+            si_vals.append(_improvement(si_snr_value, perm, est, ex.sources, ex.mix))
+            sd_vals.append(_improvement(sdr_value, perm, est, ex.sources, ex.mix))
     finally:
         for p in params:
             p.requires_grad = True
-    return float(np.mean(vals))
+    return float(np.mean(si_vals)), float(np.mean(sd_vals))
 
 
 def train_toy(model, examples: list[MixExample], schedule: TrainSchedule,
@@ -349,7 +352,7 @@ def train_toy(model, examples: list[MixExample], schedule: TrainSchedule,
 
             is_val_step = (step % val_every == val_every - 1) or step == total - 1
             if is_val_step:
-                val = _eval_si_snri(model, examples)
+                val = evaluate(model, examples)[0]
             row = {"step": step, "lr": lr, "loss": loss_val,
                    "si_snri": val if is_val_step else ""}
             history.append(row)
@@ -370,6 +373,6 @@ def train_toy(model, examples: list[MixExample], schedule: TrainSchedule,
     # the time budget can stop training between validation steps: score
     # the weights that are returned, not the ones the last validation saw
     if not history or history[-1]["si_snri"] == "":
-        val = _eval_si_snri(model, examples)
+        val = evaluate(model, examples)[0]
     return TrainResult(steps_run=len(history), final_loss=loss_val,
                        final_si_snri=val, history=history)

@@ -624,6 +624,18 @@ class TestEvalCommand:
         assert r.returncode == 0, r.stderr
         assert "si_snri" in r.stdout and "sdri" in r.stdout
 
+    def test_prints_the_scores_of_the_seeded_examples(self, workspace, capsys):
+        manifest = workspace["corpus"] / "manifest.txt"
+        assert cli.main(["eval", "--ckpt", str(workspace["ckpt"]), "--manifest",
+                         str(manifest), "--pairs", "2", "--seed", "5"]) == 0
+        model = M.SeparationModel.from_checkpoint(workspace["ckpt"])
+        examples = cli._corpus_pairs(manifest, 2, np.random.default_rng(5))
+        ests = [tuple(e.data for e in model.separate(ex.mix)) for ex in examples]
+        si, sd = (np.mean([score(est, ex.sources, ex.mix)
+                           for est, ex in zip(ests, examples)])
+                  for score in (T.si_snri, T.sdri))
+        assert capsys.readouterr().out == f"si_snri {si:.2f} dB\nsdri {sd:.2f} dB\n"
+
     def test_deterministic_given_seed(self, workspace):
         args = ("eval", "--ckpt", str(workspace["ckpt"]),
                 "--manifest", str(workspace["corpus"] / "manifest.txt"),

@@ -229,6 +229,11 @@ class TestOpSemantics:
         with pytest.raises(NumericsError, match="narrow"):
             nm.narrow(t(np.zeros(5)), 0, start, length)
 
+    @pytest.mark.parametrize("axis", [2, 5, -3])
+    def test_narrow_axis_out_of_range_rejected(self, axis):
+        with pytest.raises(NumericsError, match="narrow: axis"):
+            nm.narrow(t(np.zeros((3, 4))), axis, 0, 2)
+
     def test_sigmoid_extreme_inputs_finite(self):
         y = nm.sigmoid(t([-1e4, 0.0, 1e4]))
         assert np.all(np.isfinite(y.data))
@@ -359,6 +364,28 @@ def test_every_primitive_gradient():
     results = run_suite("numerics")
     bad = [f"{r.name}: {r.max_rel_err:.2e}" for r in results if not r.ok]
     assert not bad, f"primitive gradchecks failed: {bad}"
+
+
+def test_gradcheck_flags_a_wrong_gradient_past_a_constant_input():
+    # sum(x * c * y) with c a constant: a VJP wrong only in y, the last
+    # input, fails, so the checker reaches every input that needs a gradient
+    def probe(y_scale):
+        def fn(x, c, y):
+            xd, cd, yd = x.data, c.data, y.data
+
+            def vjp(g):
+                return g * cd * yd, None, y_scale * g * xd * cd
+
+            return nm.primitive(np.asarray((xd * cd * yd).sum()), (x, c, y), vjp,
+                                "probe")
+        return fn
+
+    rng = np.random.default_rng(0)
+    x, c, y = (rng.uniform(-2.0, 2.0, (3, 4)) for _ in range(3))
+    inputs = [t(x, grad=True), t(c), t(y, grad=True)]
+    assert gc.gradcheck(probe(1.5), inputs) > max(gc.PRIMITIVE_TOL, gc.COMPOSITE_TOL,
+                                                  gc.FULL_MODEL_TOL)
+    assert gc.gradcheck(probe(1.0), inputs) < gc.PRIMITIVE_TOL
 
 
 def test_removing_a_check_leaves_the_others_inputs_unchanged(monkeypatch):

@@ -423,11 +423,12 @@ class TestTrainToy:
         assert all(p.requires_grad for _, p in model.named_parameters())
 
         def taped(model, examples):
-            vals = [T.si_snri(tuple(e.data for e in model.separate(ex.mix)),
-                              ex.sources, ex.mix) for ex in examples]
-            return float(np.mean(vals))
+            ests = [tuple(e.data for e in model.separate(ex.mix)) for ex in examples]
+            return tuple(float(np.mean([score(est, ex.sources, ex.mix)
+                                        for est, ex in zip(ests, examples)]))
+                         for score in (T.si_snri, T.sdri))
 
-        monkeypatch.setattr(T, "_eval_si_snri", taped)
+        monkeypatch.setattr(T, "evaluate", taped)
         ref = T.train_toy(self._model(seed=5), self._examples(), sched,
                           val_every=1)
         assert res.history == ref.history
@@ -444,7 +445,7 @@ class TestTrainToy:
         res = T.train_toy(model, self._examples(), sched, val_every=5,
                           time_budget_s=7.5)
         assert res.steps_run == 8
-        assert res.final_si_snri == T._eval_si_snri(model, self._examples())
+        assert res.final_si_snri == T.evaluate(model, self._examples())[0]
 
     def test_frozen_model_rejected(self, tmp_path):
         ckpt = tmp_path / "m.ckpt"
