@@ -51,6 +51,7 @@ CHECKPOINT_MAGIC = "sepscan-checkpoint"
 CHECKPOINT_VERSION = 3
 HEADER_LINE_MAX = 4096          # bytes; a config line is under 30
 CONFIG_LINES_MAX = 64           # a saved config is 8 lines
+CHUNK_LEN_MAX = 4096            # frames; the presets use 250
 
 # the SepFormer front end that DPMamba keeps: never varied, so not config
 ENC_KERNEL = 16
@@ -79,9 +80,10 @@ class ModelConfig:
         if self.d < 1 or self.r < 1 or self.h < 1:
             raise DataFormatError(f"config: d/r/h must be positive, got "
                                   f"{self.d}/{self.r}/{self.h}")
-        if self.chunk_len < 2 or self.chunk_len % 2:
-            raise DataFormatError(f"config: chunk_len must be even and >= 2 "
-                                  f"(chunks overlap by half), got {self.chunk_len}")
+        if not 2 <= self.chunk_len <= CHUNK_LEN_MAX or self.chunk_len % 2:
+            raise DataFormatError(f"config: chunk_len must be even and in [2, "
+                                  f"{CHUNK_LEN_MAX}] (chunks overlap by half), "
+                                  f"got {self.chunk_len}")
         if self.norm_kind not in NORM_KINDS:
             raise DataFormatError(f"config: norm_kind must be one of {NORM_KINDS}")
 

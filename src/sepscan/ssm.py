@@ -32,10 +32,14 @@ Both scans differentiate through a fused adjoint that does not store the
 hidden-state trajectory.  A scan on the gradient tape keeps h_{t0-1} at
 each block start t0 > 0, one state per _BLOCK steps (the parallel scan
 reads them off its prefix states); the adjoint walks the blocks once, in
-reverse, rebuilding each block's states from its checkpoint one step at a
-time with the forward's own per-step _zoh call, so its states are the
-forward's bit for bit and its input term Bbar x needs one state-sized
-buffer, not a block of them.  An untaped (inference) scan keeps none.
+reverse.  It rebuilds each block's states from its checkpoint with one
+_zoh call, which writes the block's Bbar x into its state buffer, then
+steps h_t = Bbar_t x_t + Abar_t h_{t-1}: the forward's sum with its terms
+swapped, so the states are the forward's bit for bit.  Its reverse loop
+keeps only the recurrence lambda_t, which overwrites h_t once gc has read
+it, W_t = Abar_t lambda_t h_{t-1}, which overwrites Abar_t, and ga's term;
+the sums over H and E behind gdelta, gx and gb then take the whole block
+in one call each.  An untaped (inference) scan keeps no checkpoints.
 _zoh is the one copy of the discretization arithmetic, which both scans
 and the adjoint call.
 
@@ -44,25 +48,40 @@ layout the graph already holds them: x, delta (and the adjoint's g) are
 time-major [L, B, E] and b and c [L, B, H], so each step reads
 contiguous slices, every broadcast runs over E in its inner loop, and no
 operand is relaid out on entry; only a goes to [H, E].  The state is one
-[B, H, E] buffer updated in place (h *= Abar; h += Bbar x), with the
-step's Abar and Bbar x (and the exact hold's p) written into reused
-buffers through _zoh's out=, so an untaped scan's live state stays
-O(B*E*H) whatever L is; the contractions over H (y_t = c_t h_t, and the
-adjoint's b_t lambda_t and its h_t g_t, one per block) are matmuls.
-Under Euler the input term Bbar_t x_t = b_t (delta_t x_t) takes one
-state-sized multiply per step, with delta x formed once per tile.
+[B, H, E] buffer updated in place (h *= Abar; h += Bbar x), so an
+untaped scan's live state stays O(B*E*H) whatever L is; the contractions
+over H (y_t = c_t h_t, and the adjoint's b_t lambda_t and h_t g_t) are
+matmuls.  Under Euler the input term is Bbar_t x_t = b_t u_t with
+u = delta x.
+
+The forward discretizes a group of G steps per _zoh call, into reused
+[G, B, H, E] buffers of Abar and Bbar x (and the exact hold's p) through
+_zoh's out=, and forms Euler's u per group; each step then makes only
+h *= Abar_t, h += Bbar_t x_t and the c_t h_t matmul.  A numpy call holds
+the GIL while it is set up, and separate's worker threads share one
+model, so on a short, narrow scan (a 250-step intra-chunk scan of 3
+chunks) the threads queue on those set-ups rather than on the arithmetic:
+six calls a step became 3 + 4/G.  G = min(_GROUP, _TILE_BYTES // the
+tile's state bytes), at least 1, so each buffer stays within _TILE_BYTES:
+a narrow tile takes several steps per call (5 for the CLI's intra-chunk
+scans at E = 256, H = 16), a wide tile, whose state fills _TILE_BYTES,
+takes one, and the cap keeps the buffers of a tiny state, a fixed cost,
+small next to a short scan's O(L) arrays.
+The per-step products stay plain ufunc calls, not np.einsum: its Python
+wrapper holds the GIL longer per call (2.4 against 0.6 us for a tiny
+np.multiply), so under two threads it loses more than it saves on one.
 
 Both kernels run over contiguous tiles of the batch axis, each a full scan
-of its rows from its own step sizes and delta x, so those arrays exist a
-tile at a time.  The forward allocates its state and step buffers once per
-call, sized by the first (largest) tile; each tile steps in leading views
-of them, its state zeroed first.  A state is touched several times per
-step, so it should stay in cache from one step to the next: the tile is
-sized in bytes, from H*E*itemsize against _TILE_BYTES, so the same rule
-serves every (E, H, dtype) and a batch whose whole state fits is one tile.  The inter-chunk
-scans of a wide model are where this matters: at E = 256, H = 16 a batch
-of 250 chunks is a 4 MB float32 state, which untiled streams through
-memory at every step.
+of its rows from its own step sizes, so those exist a tile at a time.  The
+forward allocates its state and step buffers once per call, sized by the
+first (largest) tile once its step sizes' temporaries are freed; each
+tile steps in leading views of them, its state zeroed first.  A state is
+touched several times per step, so it should stay in cache from one step
+to the next: the tile is sized in bytes, from H*E*itemsize against
+_TILE_BYTES, so the same rule serves every (E, H, dtype) and a batch
+whose whole state fits is one tile.  The inter-chunk scans of a wide
+model are where this matters: at E = 256, H = 16 a batch of 250 chunks is
+a 4 MB float32 state, which untiled streams through memory at every step.
 """
 
 from __future__ import annotations
@@ -79,9 +98,14 @@ from .numerics import NumericsError, Tensor
 # buffers at _BLOCK * B * E * H regardless of sequence length
 _BLOCK = 64
 
-# bytes of one batch tile's [B, H, E] state in the sequential kernels, so
-# the state and its two step buffers stay in L2 from one step to the next
+# bytes of one batch tile's [B, H, E] state in the sequential kernels, and
+# the most one of the forward's step-group buffers holds, so the state and
+# its step buffers stay in L2 from one step to the next
 _TILE_BYTES = 256 * 1024
+
+# the most steps one _zoh call discretizes in the forward, so that a tiny
+# state's step-group buffers stay small
+_GROUP = 8
 
 # the dense oracle is a correctness instrument, not a compute path
 MAX_ORACLE_H = 32
@@ -195,8 +219,9 @@ def _tiles(B, H, E, itemsize):
 
 def _scan_forward(x, d, bias, a, b, c, exact_zoh, taped):
     """The sequential kernel: steps h_t = Abar_t h_{t-1} + Bbar_t x_t per
-    batch tile and reads y_t = c_t h_t, one matmul over H per step.  Returns
-    (y, ck): a taped scan's ck holds h_{t0-1} for each block start t0 > 0,
+    batch tile and reads y_t = c_t h_t, one matmul over H per step; one
+    _zoh call discretizes a group of G steps.  Returns (y, ck): a taped
+    scan's ck holds h_{t0-1} for each block start t0 > 0,
     [(L - 1) // _BLOCK, B, H, E], for the adjoint; an untaped one's is None.
     """
     aT = np.ascontiguousarray(a.T)
@@ -204,26 +229,37 @@ def _scan_forward(x, d, bias, a, b, c, exact_zoh, taped):
     H = aT.shape[0]
     y = np.empty(x.shape, dtype=x.dtype)
     ck = np.empty((max(L - 1, 0) // _BLOCK, B, H, E), x.dtype) if taped else None
-    tiles = _tiles(B, H, E, x.itemsize)
-    # the first tile is the largest; every tile steps in leading views
-    state = (tiles[0].stop if tiles else 0, H, E)
-    h_all, abar_all, bx_all = (np.empty(state, x.dtype) for _ in range(3))
-    p_all = np.empty(state, x.dtype) if exact_zoh else None
-    for k in tiles:
+    h_all = None
+    for k in _tiles(B, H, E, x.itemsize):
         dk = _step_sizes(d[:, k], bias)
-        uk = x[:, k] if exact_zoh else dk * x[:, k]
         n = k.stop - k.start
-        h, abar, bx = h_all[:n], abar_all[:n], bx_all[:n]
-        p = p_all[:n] if exact_zoh else None
+        if h_all is None:
+            # the first tile is the largest; every tile steps in leading
+            # views of its buffers, made once its step sizes' temporaries
+            # are gone
+            G = max(1, min(_GROUP, _TILE_BYTES // (n * H * E * x.itemsize)))
+            h_all = np.empty((n, H, E), x.dtype)
+            abar_all, bx_all = (np.empty((G, n, H, E), x.dtype) for _ in range(2))
+            p_all = np.empty_like(abar_all) if exact_zoh else None
+            u_all = None if exact_zoh else np.empty((G, n, E), x.dtype)
+        h = h_all[:n]
         h.fill(0)
-        for t in range(L):
-            _zoh(dk[t, :, None, :], aT, b[t, k, :, None], exact_zoh,
-                 uk[t, :, None, :], out=(abar, bx, p))
-            h *= abar
-            h += bx
-            np.matmul(c[t, k, None, :], h, out=y[t, k, None, :])
-            if taped and (t + 1) % _BLOCK == 0 and t + 1 < L:
-                ck[t // _BLOCK, k] = h
+        xk, bk = x[:, k], b[:, k, :, None]
+        ct, yt = c[:, k, None, :], y[:, k, None, :]
+        for t0 in range(0, L, G):
+            grp = slice(t0, min(t0 + G, L))
+            g = grp.stop - t0
+            u = xk[grp] if exact_zoh else np.multiply(dk[grp], xk[grp], out=u_all[:g, :n])
+            abar, bx, _ = _zoh(dk[grp, :, None, :], aT, bk[grp], exact_zoh, u[:, :, None, :],
+                               out=(abar_all[:g, :n], bx_all[:g, :n],
+                                    p_all[:g, :n] if exact_zoh else None))
+            for i in range(g):
+                t = t0 + i
+                h *= abar[i]
+                h += bx[i]
+                np.matmul(ct[t], h, out=yt[t])
+                if taped and (t + 1) % _BLOCK == 0 and t + 1 < L:
+                    ck[t // _BLOCK, k] = h
     return y, ck
 
 
@@ -233,9 +269,9 @@ def _scan_backward(x, d, bias, a, b, c, exact_zoh, ck, g):
     Hidden states are not kept from the forward pass, only the block
     checkpoints ck it returned.  Per batch tile, one sweep walks the blocks
     in reverse, rebuilds each block's states from its checkpoint (from
-    zeros for block 0) one step at a time with the forward's own _zoh
-    calls, takes the c-gradient gc_t = h_t g_t of the whole block in one
-    matmul and runs the adjoint recurrence
+    zeros for block 0) with the forward's own _zoh arithmetic, takes the
+    c-gradient gc_t = h_t g_t of the whole block in one matmul and runs the
+    adjoint recurrence
 
         lambda_t = g_t c_t + Abar_{t+1} lambda_{t+1}
 
@@ -257,76 +293,76 @@ def _scan_backward(x, d, bias, a, b, c, exact_zoh, ck, g):
 
 def _adjoint(x, u, d, b, c, ck, g, gx, gdelta, gb, gc, aT, ga, exact_zoh):
     """_scan_backward on one batch tile: writes its rows of gx, gdelta, gb
-    and gc and adds its share of the [H, E] ga."""
+    and gc and adds its share of the [H, E] ga, which it sums step by step
+    in reverse time order; the other sums take a block per call (module
+    docstring)."""
     L, B, E = x.shape
     H = aT.shape[0]
     dtype = x.dtype
 
-    # blocks in reverse; lam_carry = Abar_{t+1} lambda_{t+1}.  The reverse
-    # loop needs each step's Abar (and p under the exact hold) again, so
-    # those are kept for a block; the input term is consumed as it is made
+    # blocks in reverse; lam_carry = Abar_{t+1} lambda_{t+1}
     n_max = min(_BLOCK, L)
     abar_b = np.empty((n_max, B, H, E), dtype=dtype)
     hbuf = np.empty((n_max + 1, B, H, E), dtype=dtype)
-    lam = np.empty((B, H, E), dtype=dtype)
-    bx = np.empty_like(lam)
-    lam_carry = np.zeros_like(lam)
-    w = np.empty_like(lam)
-    wa = np.empty_like(lam)
-    s = np.empty((B, 1, E), dtype=dtype)
+    lam_carry = np.zeros((B, H, E), dtype=dtype)
+    wa = np.empty_like(lam_carry)
     if exact_zoh:
         p_b = np.empty_like(abar_b)
-        dbbar, dp, tmp = (np.empty_like(lam) for _ in range(3))
+        dbbar, dp, tmp = (np.empty_like(lam_carry) for _ in range(3))
     for blk in range(len(ck), -1, -1):
         t0 = blk * _BLOCK
-        t1 = min(t0 + _BLOCK, L)
-        n = t1 - t0
-        # rebuild states h_{t0-1} .. h_{t1-1} for this block, step by step
-        # with the forward's own _zoh call and update, so they are
-        # bit-identical to the ones it stepped and checkpointed
+        blk_t = slice(t0, min(t0 + _BLOCK, L))
+        n = blk_t.stop - t0
+        # rebuild states h_{t0-1} .. h_{t0+n-1} for this block: one _zoh
+        # call puts each step's Bbar x in hbuf, then h_t = Bbar_t x_t +
+        # Abar_t h_{t-1}, the forward's sum with its terms swapped
         hbuf[0] = ck[blk - 1] if blk else 0
+        _zoh(d[blk_t, :, None, :], aT, b[blk_t, :, :, None], exact_zoh,
+             u[blk_t, :, None, :], out=(abar_b[:n], hbuf[1:n + 1],
+                                        p_b[:n] if exact_zoh else None))
         for i in range(n):
-            t = t0 + i
-            _zoh(d[t, :, None, :], aT, b[t, :, :, None], exact_zoh, u[t, :, None, :],
-                 out=(abar_b[i], bx, p_b[i] if exact_zoh else None))
-            np.multiply(abar_b[i], hbuf[i], out=hbuf[i + 1])
-            hbuf[i + 1] += bx
-        np.matmul(hbuf[1:n + 1], g[t0:t1, :, :, None], out=gc[t0:t1, :, :, None])
+            hbuf[i + 1] += np.multiply(abar_b[i], hbuf[i], out=wa)
+        lam, w = hbuf[1:n + 1], abar_b[:n]
+        np.matmul(lam, g[blk_t, :, :, None], out=gc[blk_t, :, :, None])
         for i in range(n - 1, -1, -1):
             t = t0 + i
             at = abar_b[i]
-            np.multiply(c[t, :, :, None], g[t, :, None, :], out=lam)
-            lam += lam_carry
-            np.multiply(at, lam, out=lam_carry)
-            # w = dL/dAbar * Abar; dAbar/ddelta = Abar a, dAbar/da = Abar delta
-            np.multiply(lam_carry, hbuf[i], out=w)
-            np.multiply(w, aT, out=wa)
-            wa.sum(axis=1, out=gdelta[t])
-            w *= d[t, :, None, :]
-            ga += w.sum(axis=0)
+            np.multiply(c[t, :, :, None], g[t, :, None, :], out=lam[i])
+            lam[i] += lam_carry
+            np.multiply(at, lam[i], out=lam_carry)
             if exact_zoh:
                 # p = expm1(delta a) / a: dp/ddelta = Abar and
                 # dp/da = (delta Abar - p) / a; dL/dp = lambda x_t b_t
-                np.multiply(lam, x[t, :, None, :], out=dbbar)
+                np.multiply(lam[i], x[t, :, None, :], out=dbbar)
                 np.multiply(dbbar, b[t, :, :, None], out=dp)
-                gdelta[t] += np.multiply(dp, at, out=tmp).sum(axis=1)
+                np.multiply(dp, at, out=tmp).sum(axis=1, out=gdelta[t])
+                gb[t] = np.multiply(dbbar, p_b[i], out=tmp).sum(axis=-1)
+                np.multiply(lam[i], p_b[i], out=tmp)
+                tmp *= b[t, :, :, None]
+                gx[t] = tmp.sum(axis=1)
                 np.multiply(d[t, :, None, :], at, out=tmp)
                 tmp -= p_b[i]
                 tmp *= dp
                 tmp /= aT
+            # W_t = dL/dAbar_t Abar_t replaces Abar_t; dAbar/ddelta = Abar a,
+            # dAbar/da = Abar delta
+            np.multiply(lam_carry, hbuf[i], out=at)
+            ga += np.multiply(at, d[t, :, None, :], out=wa).sum(axis=0)
+            if exact_zoh:
                 ga += tmp.sum(axis=0)
-                gb[t] = np.multiply(dbbar, p_b[i], out=tmp).sum(axis=-1)
-                np.multiply(lam, p_b[i], out=tmp)
-                tmp *= b[t, :, :, None]
-                gx[t] = tmp.sum(axis=1)
-            else:
-                # Euler: Bbar = delta b, so with s = b_t lambda_t the x- and
-                # delta-gradients are delta_t s and x_t s, and gb sums
-                # lambda_t over E against u_t = delta_t x_t
-                np.matmul(b[t, :, None, :], lam, out=s)
-                np.multiply(d[t], s[:, 0], out=gx[t])
-                gdelta[t] += x[t] * s[:, 0]
-                np.matmul(lam, u[t, :, :, None], out=gb[t, :, :, None])
+        w *= aT
+        if exact_zoh:
+            gdelta[blk_t] += w.sum(axis=2)
+        else:
+            w.sum(axis=2, out=gdelta[blk_t])
+            # Euler: Bbar = delta b, so with s = b_t lambda_t the x- and
+            # delta-gradients are delta_t s and x_t s, and gb sums lambda_t
+            # over E against u_t = delta_t x_t; s goes into the dead w
+            s = np.matmul(b[blk_t, :, None, :], lam, out=w[:, :, :1])[:, :, 0]
+            np.multiply(d[blk_t], s, out=gx[blk_t])
+            s *= x[blk_t]
+            gdelta[blk_t] += s
+            np.matmul(lam, u[blk_t, :, :, None], out=gb[blk_t, :, :, None])
 
 
 def _scan_parallel_forward(x, d, bias, a, b, c, exact_zoh, taped):

@@ -261,6 +261,21 @@ class TestSeparateCommand:
         assert r.returncode == 3
         assert "error" in r.stderr and "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize("chunk_len", [2_000_000_000, 10**200],
+                             ids=["2e9", "1e200"])
+    def test_oversized_chunk_len_checkpoint_is_data_error(self, workspace,
+                                                          chunk_len):
+        blob = workspace["ckpt"].read_bytes()
+        bad = workspace["root"] / "long_chunks.ckpt"
+        bad.write_bytes(blob.replace(b"\nchunk_len = 8\n",
+                                     f"\nchunk_len = {chunk_len}\n".encode(), 1))
+        out = workspace["root"] / "long_chunks_out"
+        r = run_cli("separate", "--ckpt", str(bad),
+                    "--in", str(workspace["mix"]), "--out", str(out))
+        assert r.returncode == 3
+        assert "chunk_len" in r.stderr and "Traceback" not in r.stderr
+        assert not out.exists()
+
     def test_version_2_checkpoint_is_data_error(self, workspace,
                                                 old_format_checkpoint):
         model = M.SeparationModel(M.config_from_text(TINY_CFG))

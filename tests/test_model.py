@@ -1,6 +1,8 @@
 """Model shapes, parameter accounting, checkpoint format, config parsing."""
 
 import gc
+import sys
+import threading
 import time
 import tracemalloc
 from dataclasses import replace
@@ -517,6 +519,37 @@ class TestInferenceModel:
         one = peak(1.0)
         assert peak(2.0) <= 2.3 * one
 
+    def test_threads_sharing_the_model_match_one_thread_calls(self, saved):
+        # the scans' step buffers belong to each call, so threads that share
+        # one frozen model and switch every few microseconds get the stems
+        # of one-thread calls bit for bit; more threads than cores, and
+        # inputs of one length, so every scan shape is common to them
+        mdl = M.SeparationModel.from_checkpoint(saved)
+        inputs = [np.random.default_rng(20 + i).standard_normal(4000) * 0.3
+                  for i in range(4)]
+        want = [[est.data for est in mdl.separate(x)] for x in inputs]
+        got = [None] * len(inputs)
+        start = threading.Barrier(len(inputs))
+
+        def run(i):
+            start.wait(timeout=60)
+            got[i] = [est.data for est in mdl.separate(inputs[i])]
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(inputs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for stems, ref in zip(got, want, strict=True):
+            assert stems is not None
+            assert all(np.array_equal(a, b) for a, b in zip(stems, ref, strict=True))
+
     def test_load_state_stays_float64_and_trainable(self, saved):
         mdl = self.trainable(saved)
         params = mdl.named_parameters()
@@ -580,6 +613,16 @@ class TestConfig:
         assert sorted(f.stem for f in configs.glob("*.cfg")) == sorted(M.PRESETS)
         for name in M.PRESETS:
             assert M.load_config(configs / f"{name}.cfg") == M.preset(name)
+
+    @pytest.mark.parametrize("chunk_len", [M.CHUNK_LEN_MAX + 2, 2_000_000_000, 10**200],
+                             ids=["max+2", "2e9", "1e200"])
+    def test_oversized_chunk_len_rejected(self, chunk_len):
+        # before any allocation: 10**200 made np.pad raise TypeError and
+        # 2e9 asked for a 954 GiB array
+        with pytest.raises(DataFormatError, match="chunk_len"):
+            M.config_from_text(f"d = 4\nr = 1\nchunk_len = {chunk_len}\n")
+        assert M.config_from_text(f"d = 4\nr = 1\nchunk_len = {M.CHUNK_LEN_MAX}\n"
+                                  ).chunk_len == M.CHUNK_LEN_MAX
 
     def test_invalid_field_values_rejected(self):
         with pytest.raises(DataFormatError):

@@ -286,9 +286,10 @@ class TestBlockReplay:
     def test_replay_holds_two_block_buffers(self, L, B):
         """At the train intra and inter shapes, the Euler adjoint's peak
         past its outputs is two [n, B, H, E] buffers, n = min(L, _BLOCK):
-        each step's Abar and the block's states.  The rest is state-sized or
-        [L, B, E], 1/H of one (2.5x and 2.8x in all); a block-wide input
-        term Bbar x would add a third (3.5x and 3.7x)."""
+        each step's Abar, later W and then the block-wide scratch, and the
+        block's states, which first hold Bbar x and later lambda.  The rest
+        is state-sized or [L, B, E], 1/H of one (2.43x and 2.57x in all); a
+        third buffer of Bbar x would make it about 3.5x."""
         E, H = 64, 8
         rng = np.random.default_rng(L)
         x, d, g = (rng.standard_normal((L, B, E)) for _ in range(3))
@@ -306,6 +307,55 @@ class TestBlockReplay:
         past_outputs = peak - sum(arr.nbytes for arr in (gx, gdelta, gb, gc_))
         block = min(L, ssm._BLOCK) * B * H * E * x.itemsize
         assert past_outputs <= 3.0 * block, past_outputs / block
+
+
+class TestStepGroups:
+    """The forward discretizes up to _GROUP steps per _zoh call."""
+
+    @pytest.mark.parametrize("exact_zoh", [False, True])
+    @pytest.mark.parametrize("taped", [False, True])
+    @pytest.mark.parametrize("B", [2, 7])
+    def test_groups_match_one_step_per_call(self, exact_zoh, taped, B,
+                                            monkeypatch):
+        # L = 2 blocks + 5 steps, so groups of 3 end on a partial group and
+        # straddle block ends; B = 7 runs as tiles of 3 + 3 + 1 rows, the
+        # last one in a shorter view of the group buffers
+        L, E, H = 2 * ssm._BLOCK + 5, 3, 4
+        x, d, a, b, c = _random_scan(np.random.default_rng(18), B, E, L, H)
+        bias = np.random.default_rng(19).uniform(-1, 1, E)
+        if B == 7:
+            tiles = [slice(0, 3), slice(3, 6), slice(6, 7)]
+            monkeypatch.setattr(ssm, "_tiles", lambda *shape: tiles)
+        monkeypatch.setattr(ssm, "_GROUP", 1)
+        y_one, ck_one = ssm._scan_forward(x, d, bias, a, b, c, exact_zoh, taped)
+        monkeypatch.setattr(ssm, "_GROUP", 3)
+        y, ck = ssm._scan_forward(x, d, bias, a, b, c, exact_zoh, taped)
+        assert np.array_equal(y, y_one)
+        assert np.array_equal(ck, ck_one) if taped else ck is None
+
+    def test_step_buffers_come_after_the_step_sizes(self):
+        """An untaped scan at the CLI's intra-chunk shape ([L, n, E] =
+        [250, 3, 256] float32, H = 16, one tile of G = 5 steps) peaks past
+        its output at the step sizes and their softplus temporary, two
+        [L, n, E] arrays (2.02x measured).  The step buffers, Abar and Bbar x
+        of G steps, each at most _TILE_BYTES, are made after that
+        temporary is freed; made before it, or with Euler's u = delta x
+        formed for the whole tile, they would add to it (2.30x at the
+        step-per-call kernel, which did both for one state each)."""
+        L, B, E, H = 250, 3, 256, 16
+        rng = np.random.default_rng(20)
+        x, d, a, b, c = (arr.astype(np.float32) for arr in _random_scan(rng, B, E, L, H))
+        bias = rng.uniform(-3, -1, E).astype(np.float32)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            y, _ = ssm._scan_forward(x, d, bias, a, b, c, False, False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        steps = L * B * E * x.itemsize
+        bound = max(2 * steps, steps + 2 * ssm._TILE_BYTES) + ssm._TILE_BYTES // 4
+        assert peak - y.nbytes <= bound, (peak - y.nbytes) / steps
 
 
 def _oracle(x, delta, a, b, c, exact_zoh):
