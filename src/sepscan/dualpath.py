@@ -22,8 +22,6 @@ inter_scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import blocks
@@ -36,13 +34,7 @@ from .numerics import NumericsError, Tensor
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ChunkedFeature:
-    data: Tensor          # [S, K, D], hop K // 2
-    original_len: int     # N before alignment padding
-
-
-def chunk(h: Tensor, chunk_len: int) -> ChunkedFeature:
+def chunk(h: Tensor, chunk_len: int) -> Tensor:
     """Fold [N, D] into 50%-overlapping chunks [S, K, D], hop = K // 2.
 
     nm.frame zero-pads N up to K plus a whole number of hops, so
@@ -53,17 +45,17 @@ def chunk(h: Tensor, chunk_len: int) -> ChunkedFeature:
     if chunk_len % 2:
         raise NumericsError(
             f"chunk_len must be even for 50% overlap, got {chunk_len}")
-    framed = nm.frame(h, chunk_len, chunk_len // 2)
-    return ChunkedFeature(data=framed, original_len=h.shape[0])
+    return nm.frame(h, chunk_len, chunk_len // 2)
 
 
-def dechunk(cf: ChunkedFeature) -> Tensor:
-    """Invert chunk: overlap-add the first N frames, normalize by coverage."""
-    S, K, D = cf.data.shape
-    hop, N = K // 2, cf.original_len
-    summed = nm.overlap_add(cf.data, hop, N)               # [N, D]
-    coverage = nm._overlap_add_array(np.ones((S, K), cf.data.dtype), hop, N)
-    inv = Tensor(np.broadcast_to((1.0 / coverage)[:, None], (N, D)))
+def dechunk(x: Tensor, n: int) -> Tensor:
+    """Invert chunk of an [n, D] input: overlap-add the first n frames of
+    the chunks x [S, K, D], normalize by coverage."""
+    S, K, D = x.shape
+    hop = K // 2
+    summed = nm.overlap_add(x, hop, n)                     # [n, D]
+    coverage = nm._overlap_add_array(np.ones((S, K), x.dtype), hop, n)
+    inv = nm.as_tensor(np.broadcast_to((1.0 / coverage)[:, None], (n, D)))
     return nm.mul(summed, inv)
 
 

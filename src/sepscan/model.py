@@ -351,13 +351,13 @@ class SeparationModel:
         w = self.params
         cfg = self.config
         # the projection goes straight into chunk, so only the chunks outlive it
-        cf = dp.chunk(nm.matmul(w["input_proj"],
-                                dp.apply_norm(feats, blocks_mod.scope(w, "pre_norm"))),
-                      cfg.chunk_len)
+        h = dp.chunk(nm.matmul(w["input_proj"],
+                               dp.apply_norm(feats, blocks_mod.scope(w, "pre_norm"))),
+                     cfg.chunk_len)
         for i in range(cfg.r):
-            cf.data = dp.dp_block(cf.data, blocks_mod.scope(w, f"blocks.{i}"),
-                                  cfg.exact_zoh)
-        merged = nm.matmul(w["mask_head_w"], dp.dechunk(cf), w["mask_head_b"])
+            h = dp.dp_block(h, blocks_mod.scope(w, f"blocks.{i}"), cfg.exact_zoh)
+        merged = nm.matmul(w["mask_head_w"], dp.dechunk(h, feats.shape[0]),
+                           w["mask_head_b"])
         out = []
         for i in range(SPEAKERS):
             sl = nm.narrow(merged, 1, i * cfg.d, cfg.d)

@@ -18,8 +18,10 @@ Rules the engine enforces rather than glosses over:
   * Tensor() and permute materialize C-ordered copies, never aliased views;
     the exceptions are untaped: a frozen checkpoint model, whose weights
     are views of the float32 payload it was loaded from
-    (model.from_checkpoint), and the batch tiles of an inference block
-    (blocks.bi_scan_forward), which as_tensor wraps;
+    (model.from_checkpoint), the batch tiles of an inference block
+    (blocks.bi_scan_forward) and dechunk's coverage reciprocal, a
+    broadcast [N, D] view of its [N] values (dualpath.dechunk), which
+    as_tensor wraps;
   * gradients accumulate additively on the leaves (the tensors with no
     VJP) across fan-out and across repeated backward() calls; callers
     reset explicitly with zero_grad().  No other tensor keeps a gradient.

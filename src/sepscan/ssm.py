@@ -41,7 +41,8 @@ it, W_t = Abar_t lambda_t h_{t-1}, which overwrites Abar_t, and ga's term;
 the sums over H and E behind gdelta, gx and gb then take the whole block
 in one call each.  An untaped (inference) scan keeps no checkpoints.
 _zoh is the one copy of the discretization arithmetic, which both scans
-and the adjoint call.
+and the adjoint call with x itself: it alone forms the input term Bbar x,
+so no kernel knows Euler's delta x.
 
 The sequential loop and the adjoint step through the operands in the
 layout the graph already holds them: x, delta (and the adjoint's g) are
@@ -51,17 +52,15 @@ operand is relaid out on entry; only a goes to [H, E].  The state is one
 [B, H, E] buffer updated in place (h *= Abar; h += Bbar x), so an
 untaped scan's live state stays O(B*E*H) whatever L is; the contractions
 over H (y_t = c_t h_t, and the adjoint's b_t lambda_t and h_t g_t) are
-matmuls.  Under Euler the input term is Bbar_t x_t = b_t u_t with
-u = delta x.
+matmuls.
 
 The forward discretizes a group of G steps per _zoh call, into reused
-[G, B, H, E] buffers of Abar and Bbar x (and the exact hold's p) through
-_zoh's out=, and forms Euler's u per group; each step then makes only
-h *= Abar_t, h += Bbar_t x_t and the c_t h_t matmul.  A numpy call holds
-the GIL while it is set up, and separate's worker threads share one
-model, so on a short, narrow scan (a 250-step intra-chunk scan of 3
-chunks) the threads queue on those set-ups rather than on the arithmetic:
-six calls a step became 3 + 4/G.  G = min(_GROUP, _TILE_BYTES // the
+[G, B, H, E] buffers of Abar and Bbar x through _zoh's out=; each step
+then makes only h *= Abar_t, h += Bbar_t x_t and the c_t h_t matmul.  A
+numpy call holds the GIL while it is set up, and separate's worker
+threads share one model, so on a short, narrow scan (a 250-step
+intra-chunk scan of 3 chunks) the threads queue on those set-ups rather
+than on the arithmetic: six calls a step became 3 + 4/G under Euler.  G = min(_GROUP, _TILE_BYTES // the
 tile's state bytes), at least 1, so each buffer stays within _TILE_BYTES:
 a narrow tile takes several steps per call (5 for the CLI's intra-chunk
 scans at E = 256, H = 16), a wide tile, whose state fills _TILE_BYTES,
@@ -72,10 +71,10 @@ wrapper holds the GIL longer per call (2.4 against 0.6 us for a tiny
 np.multiply), so under two threads it loses more than it saves on one.
 
 Both kernels run over contiguous tiles of the batch axis, each a full scan
-of its rows from its own step sizes, so those exist a tile at a time.  The
-forward allocates its state and step buffers once per call, sized by the
-first (largest) tile once its step sizes' temporaries are freed; each
-tile steps in leading views of them, its state zeroed first.  A state is
+of its rows from its own step sizes, so those exist a tile at a time.
+Each kernel allocates its state and step buffers once per call, sized by
+the first (largest) tile once its step sizes' temporaries are freed; each
+tile steps in leading views of them, its states zeroed first.  A state is
 touched several times per step, so it should stay in cache from one step
 to the next: the tile is sized in bytes, from H*E*itemsize against
 _TILE_BYTES, so the same rule serves every (E, H, dtype) and a batch
@@ -89,7 +88,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import numerics as nm
 from .numerics import NumericsError, Tensor
@@ -183,14 +181,15 @@ def _step_sizes(delta, bias):
     return delta
 
 
-def _zoh(dt, a, b, exact_zoh, u, out=(None, None, None)):
+def _zoh(dt, a, b, x, exact_zoh, out=(None, None, None)):
     """Discretize broadcastable ndarrays: (Abar, Bbar x, p) with Bbar = p * b.
 
     p = expm1(dt a) / a under the exact hold and dt under Euler; it is
-    also dBbar/db, which the adjoint reuses.  u is x under the exact hold
-    and dt x under Euler, where Bbar x = b (dt x) is one multiply once u is
-    formed.  out = (abar, bx, p) writes the results into those arrays in
-    place of fresh ones; Euler's p is dt itself and ignores its buffer.
+    also dBbar/db, which the adjoint reuses.  Bbar x is (p b) x under the
+    exact hold and b (dt x) under Euler, whose E-wide dt x is the cheaper
+    product to take first.  out = (abar, bx, p) writes the results into
+    those arrays in place of fresh ones; Euler's p is dt itself and
+    ignores its buffer.
     """
     abar, bx, p = out
     z = np.multiply(dt, a, out=abar)
@@ -198,10 +197,10 @@ def _zoh(dt, a, b, exact_zoh, u, out=(None, None, None)):
         p = np.expm1(z, out=p)
         p /= a
         bx = np.multiply(p, b, out=bx)
-        bx *= u
+        bx *= x
     else:
         p = dt
-        bx = np.multiply(u, b, out=bx)
+        bx = np.multiply(np.multiply(dt, x), b, out=bx)
     return np.exp(z, out=z), bx, p
 
 
@@ -240,19 +239,15 @@ def _scan_forward(x, d, bias, a, b, c, exact_zoh, taped):
             G = max(1, min(_GROUP, _TILE_BYTES // (n * H * E * x.itemsize)))
             h_all = np.empty((n, H, E), x.dtype)
             abar_all, bx_all = (np.empty((G, n, H, E), x.dtype) for _ in range(2))
-            p_all = np.empty_like(abar_all) if exact_zoh else None
-            u_all = None if exact_zoh else np.empty((G, n, E), x.dtype)
         h = h_all[:n]
         h.fill(0)
-        xk, bk = x[:, k], b[:, k, :, None]
+        xk, bk = x[:, k, None, :], b[:, k, :, None]
         ct, yt = c[:, k, None, :], y[:, k, None, :]
         for t0 in range(0, L, G):
             grp = slice(t0, min(t0 + G, L))
             g = grp.stop - t0
-            u = xk[grp] if exact_zoh else np.multiply(dk[grp], xk[grp], out=u_all[:g, :n])
-            abar, bx, _ = _zoh(dk[grp, :, None, :], aT, bk[grp], exact_zoh, u[:, :, None, :],
-                               out=(abar_all[:g, :n], bx_all[:g, :n],
-                                    p_all[:g, :n] if exact_zoh else None))
+            abar, bx, _ = _zoh(dk[grp, :, None, :], aT, bk[grp], xk[grp], exact_zoh,
+                               out=(abar_all[:g, :n], bx_all[:g, :n], None))
             for i in range(g):
                 t = t0 + i
                 h *= abar[i]
@@ -275,94 +270,94 @@ def _scan_backward(x, d, bias, a, b, c, exact_zoh, ck, g):
 
         lambda_t = g_t c_t + Abar_{t+1} lambda_{t+1}
 
-    It runs time-major with [B, H, E] states, like the forward.
+    It runs time-major with [B, H, E] states, like the forward.  The [H, E]
+    ga sums step by step in reverse time order; the other sums take a block
+    per call (module docstring).
     """
     aT = np.ascontiguousarray(a.T)
+    L, B, E = x.shape
+    H = aT.shape[0]
     gx, gdelta, gb, gc = (np.empty(arr.shape, dtype=arr.dtype)
                           for arr in (x, d, b, c))
     ga = np.zeros(aT.shape, dtype=x.dtype)
-    for k in _tiles(x.shape[1], *aT.shape, x.itemsize):
+    hbuf_all = None
+    for k in _tiles(B, H, E, x.itemsize):
         dk = _step_sizes(d[:, k], bias)
-        uk = x[:, k] if exact_zoh else dk * x[:, k]
-        _adjoint(x[:, k], uk, dk, *(arr[:, k] for arr in (b, c, ck, g, gx, gdelta, gb, gc)),
-                 aT, ga, exact_zoh)
+        m = k.stop - k.start
+        if hbuf_all is None:
+            # the first tile is the largest; every tile works in leading
+            # views of these buffers, made once its step sizes' temporaries
+            # are gone
+            n_max = min(_BLOCK, L)
+            abar_all = np.empty((n_max, m, H, E), x.dtype)
+            hbuf_all = np.empty((n_max + 1, m, H, E), x.dtype)
+            p_all = np.empty_like(abar_all) if exact_zoh else None
+            states = np.empty((5 if exact_zoh else 2, m, H, E), x.dtype)
+        abar_b, hbuf = abar_all[:, :m], hbuf_all[:, :m]
+        # blocks in reverse; lam_carry = Abar_{t+1} lambda_{t+1}
+        lam_carry, wa, *scratch = states[:, :m]
+        lam_carry.fill(0)
+        for blk in range(len(ck), -1, -1):
+            t0 = blk * _BLOCK
+            blk_t = slice(t0, min(t0 + _BLOCK, L))
+            n = blk_t.stop - t0
+            # rebuild states h_{t0-1} .. h_{t0+n-1} for this block: one _zoh
+            # call puts each step's Bbar x in hbuf, then h_t = Bbar_t x_t +
+            # Abar_t h_{t-1}, the forward's sum with its terms swapped
+            hbuf[0] = ck[blk - 1, k] if blk else 0
+            p_b = p_all[:n, :m] if exact_zoh else None
+            _zoh(dk[blk_t, :, None, :], aT, b[blk_t, k, :, None], x[blk_t, k, None, :],
+                 exact_zoh, out=(abar_b[:n], hbuf[1:n + 1], p_b))
+            for i in range(n):
+                hbuf[i + 1] += np.multiply(abar_b[i], hbuf[i], out=wa)
+            lam, w = hbuf[1:n + 1], abar_b[:n]
+            np.matmul(lam, g[blk_t, k, :, None], out=gc[blk_t, k, :, None])
+            for i in range(n - 1, -1, -1):
+                t = t0 + i
+                at = abar_b[i]
+                np.multiply(c[t, k, :, None], g[t, k, None, :], out=lam[i])
+                lam[i] += lam_carry
+                np.multiply(at, lam[i], out=lam_carry)
+                if exact_zoh:
+                    # p = expm1(delta a) / a: dp/ddelta = Abar and
+                    # dp/da = (delta Abar - p) / a; dL/dp = lambda x_t b_t
+                    dbbar, dp, tmp = scratch
+                    np.multiply(lam[i], x[t, k, None, :], out=dbbar)
+                    np.multiply(dbbar, b[t, k, :, None], out=dp)
+                    np.multiply(dp, at, out=tmp).sum(axis=1, out=gdelta[t, k])
+                    gb[t, k] = np.multiply(dbbar, p_b[i], out=tmp).sum(axis=-1)
+                    np.multiply(lam[i], p_b[i], out=tmp)
+                    tmp *= b[t, k, :, None]
+                    gx[t, k] = tmp.sum(axis=1)
+                    np.multiply(dk[t, :, None, :], at, out=tmp)
+                    tmp -= p_b[i]
+                    tmp *= dp
+                    tmp /= aT
+                # W_t = dL/dAbar_t Abar_t replaces Abar_t; dAbar/ddelta = Abar a,
+                # dAbar/da = Abar delta
+                np.multiply(lam_carry, hbuf[i], out=at)
+                ga += np.multiply(at, dk[t, :, None, :], out=wa).sum(axis=0)
+                if exact_zoh:
+                    ga += tmp.sum(axis=0)
+            w *= aT
+            if exact_zoh:
+                gdelta[blk_t, k] += w.sum(axis=2)
+            else:
+                w.sum(axis=2, out=gdelta[blk_t, k])
+                # Euler: Bbar = delta b, so with s = b_t lambda_t the x- and
+                # delta-gradients are delta_t s and x_t s, and gb sums
+                # lambda_t over E against delta_t x_t; s goes into the dead w
+                s = np.matmul(b[blk_t, k, None, :], lam, out=w[:, :, :1])[:, :, 0]
+                np.multiply(dk[blk_t], s, out=gx[blk_t, k])
+                s *= x[blk_t, k]
+                gdelta[blk_t, k] += s
+                np.matmul(lam, (dk[blk_t] * x[blk_t, k])[..., None],
+                          out=gb[blk_t, k, :, None])
         if bias is not None:
-            gdelta[:, k] *= -np.expm1(-dk)      # sigmoid(z) = 1 - exp(-softplus(z))
+            # sigmoid(z) = 1 - exp(-softplus(z)), formed in the dead dk so
+            # that no [L, B, E] temporary joins the block buffers
+            gdelta[:, k] *= np.negative(np.expm1(np.negative(dk, out=dk), out=dk), out=dk)
     return gx, gdelta, ga.T, gb, gc
-
-
-def _adjoint(x, u, d, b, c, ck, g, gx, gdelta, gb, gc, aT, ga, exact_zoh):
-    """_scan_backward on one batch tile: writes its rows of gx, gdelta, gb
-    and gc and adds its share of the [H, E] ga, which it sums step by step
-    in reverse time order; the other sums take a block per call (module
-    docstring)."""
-    L, B, E = x.shape
-    H = aT.shape[0]
-    dtype = x.dtype
-
-    # blocks in reverse; lam_carry = Abar_{t+1} lambda_{t+1}
-    n_max = min(_BLOCK, L)
-    abar_b = np.empty((n_max, B, H, E), dtype=dtype)
-    hbuf = np.empty((n_max + 1, B, H, E), dtype=dtype)
-    lam_carry = np.zeros((B, H, E), dtype=dtype)
-    wa = np.empty_like(lam_carry)
-    if exact_zoh:
-        p_b = np.empty_like(abar_b)
-        dbbar, dp, tmp = (np.empty_like(lam_carry) for _ in range(3))
-    for blk in range(len(ck), -1, -1):
-        t0 = blk * _BLOCK
-        blk_t = slice(t0, min(t0 + _BLOCK, L))
-        n = blk_t.stop - t0
-        # rebuild states h_{t0-1} .. h_{t0+n-1} for this block: one _zoh
-        # call puts each step's Bbar x in hbuf, then h_t = Bbar_t x_t +
-        # Abar_t h_{t-1}, the forward's sum with its terms swapped
-        hbuf[0] = ck[blk - 1] if blk else 0
-        _zoh(d[blk_t, :, None, :], aT, b[blk_t, :, :, None], exact_zoh,
-             u[blk_t, :, None, :], out=(abar_b[:n], hbuf[1:n + 1],
-                                        p_b[:n] if exact_zoh else None))
-        for i in range(n):
-            hbuf[i + 1] += np.multiply(abar_b[i], hbuf[i], out=wa)
-        lam, w = hbuf[1:n + 1], abar_b[:n]
-        np.matmul(lam, g[blk_t, :, :, None], out=gc[blk_t, :, :, None])
-        for i in range(n - 1, -1, -1):
-            t = t0 + i
-            at = abar_b[i]
-            np.multiply(c[t, :, :, None], g[t, :, None, :], out=lam[i])
-            lam[i] += lam_carry
-            np.multiply(at, lam[i], out=lam_carry)
-            if exact_zoh:
-                # p = expm1(delta a) / a: dp/ddelta = Abar and
-                # dp/da = (delta Abar - p) / a; dL/dp = lambda x_t b_t
-                np.multiply(lam[i], x[t, :, None, :], out=dbbar)
-                np.multiply(dbbar, b[t, :, :, None], out=dp)
-                np.multiply(dp, at, out=tmp).sum(axis=1, out=gdelta[t])
-                gb[t] = np.multiply(dbbar, p_b[i], out=tmp).sum(axis=-1)
-                np.multiply(lam[i], p_b[i], out=tmp)
-                tmp *= b[t, :, :, None]
-                gx[t] = tmp.sum(axis=1)
-                np.multiply(d[t, :, None, :], at, out=tmp)
-                tmp -= p_b[i]
-                tmp *= dp
-                tmp /= aT
-            # W_t = dL/dAbar_t Abar_t replaces Abar_t; dAbar/ddelta = Abar a,
-            # dAbar/da = Abar delta
-            np.multiply(lam_carry, hbuf[i], out=at)
-            ga += np.multiply(at, d[t, :, None, :], out=wa).sum(axis=0)
-            if exact_zoh:
-                ga += tmp.sum(axis=0)
-        w *= aT
-        if exact_zoh:
-            gdelta[blk_t] += w.sum(axis=2)
-        else:
-            w.sum(axis=2, out=gdelta[blk_t])
-            # Euler: Bbar = delta b, so with s = b_t lambda_t the x- and
-            # delta-gradients are delta_t s and x_t s, and gb sums lambda_t
-            # over E against u_t = delta_t x_t; s goes into the dead w
-            s = np.matmul(b[blk_t, :, None, :], lam, out=w[:, :, :1])[:, :, 0]
-            np.multiply(d[blk_t], s, out=gx[blk_t])
-            s *= x[blk_t]
-            gdelta[blk_t] += s
-            np.matmul(lam, u[blk_t, :, :, None], out=gb[blk_t, :, :, None])
 
 
 def _scan_parallel_forward(x, d, bias, a, b, c, exact_zoh, taped):
@@ -377,8 +372,8 @@ def _scan_parallel_forward(x, d, bias, a, b, c, exact_zoh, taped):
     """
     L = x.shape[0]
     d = _step_sizes(d, bias)
-    ea, eu, _ = _zoh(d[:, :, None, :], a.T, b[..., None], exact_zoh,
-                     (x if exact_zoh else d * x)[:, :, None, :])   # [L, B, H, E]
+    ea, eu, _ = _zoh(d[:, :, None, :], a.T, b[..., None], x[:, :, None, :],
+                     exact_zoh)                                     # [L, B, H, E]
     # in place: numpy buffers the overlapping operands of each op, so every
     # pass reads the previous pass's values; eu goes first, as it needs the
     # ea from before this pass
@@ -507,6 +502,8 @@ class DenseSsm:
                 f"DenseSsm shapes must be [H,H],[H,1],[1,H]; got "
                 f"{self.a.shape}, {self.b.shape}, {self.c.shape}"
             )
+        import scipy.linalg     # only the oracle needs it; a cold import is slow
+
         abar = scipy.linalg.expm(self.delta * self.a)
         bbar = np.linalg.solve(self.a, (abar - np.eye(H)) @ self.b)
         return abar, bbar

@@ -139,7 +139,7 @@ def test_criterion_5_chunk_roundtrip():
         n = int(rng.integers(1, 4000))
         d = int(rng.integers(1, 5))
         x = rng.standard_normal((d, n)).T
-        back = dp.dechunk(dp.chunk(Tensor(x), 250)).data
+        back = dp.dechunk(dp.chunk(Tensor(x), 250), n).data
         if not np.array_equal(back, x):
             bad += 1
     _report(5, "chunk round-trip", bad == 0,

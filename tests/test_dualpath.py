@@ -16,15 +16,15 @@ class TestChunk:
         # N=6, K=4, hop=2 -> two frames [0..3] and [2..5]
         x = Tensor(np.arange(6.0)[:, None])
         cf = dp.chunk(x, 4)
-        assert cf.data.shape == (2, 4, 1)
-        np.testing.assert_array_equal(cf.data.data[0, :, 0], [0, 1, 2, 3])
-        np.testing.assert_array_equal(cf.data.data[1, :, 0], [2, 3, 4, 5])
+        assert cf.shape == (2, 4, 1)
+        np.testing.assert_array_equal(cf.data[0, :, 0], [0, 1, 2, 3])
+        np.testing.assert_array_equal(cf.data[1, :, 0], [2, 3, 4, 5])
 
     def test_short_input_zero_padded(self):
         x = Tensor(np.arange(3.0)[:, None])
         cf = dp.chunk(x, 4)
-        assert cf.data.shape == (1, 4, 1)
-        np.testing.assert_array_equal(cf.data.data[0, :, 0], [0, 1, 2, 0])
+        assert cf.shape == (1, 4, 1)
+        np.testing.assert_array_equal(cf.data[0, :, 0], [0, 1, 2, 0])
 
     def test_frame_count_formula(self):
         for n in (1, 5, 63, 64, 65, 250, 999):
@@ -32,7 +32,7 @@ class TestChunk:
             cf = dp.chunk(x, 64)
             hop = 32
             expect = max(0, -(-(n - 64) // hop)) + 1 if n > 64 else 1
-            assert cf.data.shape[0] == expect, n
+            assert cf.shape[0] == expect, n
 
     def test_roundtrip_exact(self):
         rng = np.random.default_rng(0)
@@ -41,7 +41,7 @@ class TestChunk:
             k = int(rng.integers(2, 80)) * 2
             x = rng.standard_normal((3, n)).T
             cf = dp.chunk(Tensor(x), k)
-            back = dp.dechunk(cf).data
+            back = dp.dechunk(cf, n).data
             assert back.shape == (n, 3)
             assert np.array_equal(back, x), (n, k)
 
@@ -50,12 +50,12 @@ class TestChunk:
         for _ in range(20):
             n = int(rng.integers(1, 3000))
             x = rng.standard_normal((2, n)).T
-            assert np.array_equal(dp.dechunk(dp.chunk(Tensor(x), 250)).data, x)
+            assert np.array_equal(dp.dechunk(dp.chunk(Tensor(x), 250), n).data, x)
 
     def test_all_ones_normalization(self):
         # overlap regions see double coverage; dechunk must divide it out
         x = Tensor(np.ones((1, 20)).T)
-        out = dp.dechunk(dp.chunk(x, 8)).data
+        out = dp.dechunk(dp.chunk(x, 8), 20).data
         np.testing.assert_array_equal(out, np.ones((1, 20)).T)
 
     def test_frame_affine_map_commutes_with_dechunk(self):
@@ -69,9 +69,9 @@ class TestChunk:
             w = rng.standard_normal((2 * d, d))
             bias = rng.standard_normal(2 * d)
             cf = dp.chunk(Tensor(rng.standard_normal((d, n)).T), k)
-            after = dp.dechunk(cf).data @ w.T + bias
-            cf.data = Tensor(np.einsum("od,skd->sko", w, cf.data.data) + bias)
-            before = dp.dechunk(cf).data
+            after = dp.dechunk(cf, n).data @ w.T + bias
+            cf = Tensor(np.einsum("od,skd->sko", w, cf.data) + bias)
+            before = dp.dechunk(cf, n).data
             np.testing.assert_allclose(before, after, rtol=0, atol=1e-12)
 
     def test_odd_chunk_rejected(self):

@@ -1,6 +1,11 @@
-"""Source hygiene: no local name in src/sepscan is bound and never read."""
+"""Source hygiene: no local name in src/sepscan is bound and never read,
+no module-level name goes unreferenced, and importing the package leaves
+scipy unloaded."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -72,3 +77,102 @@ def f(xs, acc):
     return lambda: used_by_inner + inner()
 """
     assert _unread_in(source) == [(4, "label"), (6, "fh"), (8, "i")]
+
+
+# public names that only README and the tests call
+UNREFERENCED_API = {
+    "audio.synth_corpus",           # README's corpus one-liner
+    "model.SeparationModel.load_state",   # README's float64 fine-tuning
+    "ssm.DenseSsm.scan",            # the dense oracle's own recurrence
+}
+
+
+def _definitions(tree, module):
+    """(qualified name, name) of each module-level function, class and
+    constant and each method; dunder names are exempt."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield f"{module}.{node.name}", node.name
+            if isinstance(node, ast.ClassDef):
+                yield from ((f"{module}.{node.name}.{sub.name}", sub.name)
+                            for sub in node.body
+                            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((f"{module}.{n.id}", n.id) for t in targets
+                        for n in ast.walk(t) if isinstance(n, ast.Name))
+
+
+def _references(tree):
+    """Every name tree refers to: a Name it does not bind, an Attribute, an
+    import alias or an __all__ string."""
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name.rpartition(".")[2]
+        elif isinstance(n, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in n.targets):
+            yield from (c.value for c in ast.walk(n.value)
+                        if isinstance(c, ast.Constant) and isinstance(c.value, str))
+
+
+def _unreferenced(sources: dict[str, str]) -> set[str]:
+    """The definitions in sources (module name -> source) that no source
+    refers to by name."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    refs = {r for tree in trees.values() for r in _references(tree)}
+    return {qual for module, tree in trees.items()
+            for qual, name in _definitions(tree, module)
+            if name not in refs and not (name.startswith("__") and name.endswith("__"))}
+
+
+def test_every_definition_is_referenced_in_src():
+    assert _unreferenced({p.stem: p.read_text() for p in SOURCES}) == UNREFERENCED_API
+
+
+def test_the_scan_flags_only_unreferenced_definitions():
+    a = """
+__all__ = ["exported"]
+LIMIT = 3
+UNUSED: int = 4
+
+
+def exported():
+    pass
+
+
+def helper():
+    return LIMIT
+
+
+def dead():
+    return helper()
+
+
+class Box:
+    def __init__(self):
+        self.n = helper()
+
+    def used(self):
+        return self.n
+
+    def unused(self):
+        pass
+"""
+    b = """
+from .a import Box
+Box().used()
+"""
+    assert _unreferenced({"a": a, "b": b}) == {"a.UNUSED", "a.dead", "a.Box.unused"}
+
+
+def test_importing_the_package_leaves_scipy_unloaded():
+    # only the dense oracle (ssm.DenseSsm) imports scipy, when it runs
+    code = "import sys, sepscan, sepscan.cli; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(sepscan.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"

@@ -38,7 +38,7 @@ class TestDiscretize:
         a = np.array([[-1.0]])
         delta = np.array([[0.1]])
         b = np.array([[1.0]])
-        abar, bbar, _ = ssm._zoh(delta, a, b, exact_zoh=True, u=1)
+        abar, bbar, _ = ssm._zoh(delta, a, b, 1, exact_zoh=True)
         assert abs(abar[0, 0] - ABAR_ONE_POLE) < 1e-15
         assert abs(bbar[0, 0] - BBAR_ZOH_ONE_POLE) < 1e-15
 
@@ -46,7 +46,7 @@ class TestDiscretize:
         a = np.array([[-1.0]])
         delta = np.array([[0.1]])
         b = np.array([[2.0]])
-        abar, bbar, _ = ssm._zoh(delta, a, b, exact_zoh=False, u=delta)
+        abar, bbar, _ = ssm._zoh(delta, a, b, 1, exact_zoh=False)
         assert abs(abar[0, 0] - ABAR_ONE_POLE) < 1e-15
         assert abs(bbar[0, 0] - 0.2) < 1e-15
 
@@ -54,9 +54,22 @@ class TestDiscretize:
         a = np.array([[-2.0]])
         delta = np.array([[1e-7]])
         b = np.array([[1.0]])
-        _, bz, _ = ssm._zoh(delta, a, b, exact_zoh=True, u=1)
-        _, be, _ = ssm._zoh(delta, a, b, exact_zoh=False, u=delta)
+        _, bz, _ = ssm._zoh(delta, a, b, 1, exact_zoh=True)
+        _, be, _ = ssm._zoh(delta, a, b, 1, exact_zoh=False)
         assert abs(bz[0, 0] - be[0, 0]) < 1e-13
+
+    @pytest.mark.parametrize("exact_zoh", [False, True])
+    def test_zoh_forms_the_input_term_from_x(self, exact_zoh):
+        # the kernels' broadcast: dt and x [L, B, 1, E], a [H, E], b [L, B, H, 1]
+        rng = np.random.default_rng(12)
+        dt = rng.uniform(0.05, 0.5, (3, 2, 1, 5))
+        x = rng.standard_normal((3, 2, 1, 5))
+        a = -np.exp(rng.uniform(-1, 1, (4, 5)))
+        b = rng.standard_normal((3, 2, 4, 1))
+        abar, bx, _ = ssm._zoh(dt, a, b, x, exact_zoh)
+        want = np.expm1(dt * a) / a * b * x if exact_zoh else b * (dt * x)
+        assert np.array_equal(abar, np.exp(dt * a))
+        assert np.array_equal(bx, want)
 
 
 class TestScanClosedForms:
@@ -453,10 +466,9 @@ class TestKernelParity:
         dt = rng.uniform(0.05, 0.5, (2, 1, 5))
         a = -np.exp(rng.uniform(-1, 1, (4, 5)))
         b = rng.standard_normal((2, 4, 1))
-        u = 1 if exact_zoh else dt          # Bbar x at x = 1
-        fresh = ssm._zoh(dt, a, b, exact_zoh, u)
+        fresh = ssm._zoh(dt, a, b, 1, exact_zoh)       # Bbar x at x = 1
         out = tuple(np.empty((2, 4, 5)) for _ in range(3))
-        into = ssm._zoh(dt, a, b, exact_zoh, u, out=out)
+        into = ssm._zoh(dt, a, b, 1, exact_zoh, out=out)
         assert into[0] is out[0] and into[1] is out[1]
         # Euler's p is dt itself; the exact hold writes p into its buffer
         assert into[2] is (out[2] if exact_zoh else dt)
