@@ -19,6 +19,14 @@ of separate or train-toy that would overwrite an input), 4
 numeric/training failure (failed gradcheck, count mismatch, divergence,
 non-finite separated stems).  When separate fails on any input it removes every
 stem it wrote, so a nonzero exit leaves no partial output behind.
+
+separate runs several inputs in forked child processes, at most one per
+CPU, forked once the checkpoint is loaded so that they share its weights
+copy-on-write; one input, or a platform without os.fork, runs in process.
+A child sends the parent each stem path before it opens the file, and its
+error, which the parent raises as the same class.  The parent reaps every
+child whatever the outcome; on an error or an interrupt it first kills
+the children still running, then removes every stem reported.
 """
 
 from __future__ import annotations
@@ -26,10 +34,13 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import signal
 import sys
+import traceback
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from multiprocessing.connection import Pipe, wait
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -108,6 +119,92 @@ def _corpus_pairs(manifest, count: int,
 # ---------------------------------------------------------------------------
 
 
+def _separate_one(model, path, outs, report) -> None:
+    """Separate one input and write its stems, calling report(dest) before
+    each stem file is opened; both stems are checked before either is."""
+    mix = _load_wav_checked(path)
+    stems = [est.data for est in model.separate(mix)]
+    if not all(np.isfinite(s).all() for s in stems):
+        raise NumericsError(f"{path}: separation produced non-finite samples")
+    for dest, stem in zip(outs, stems, strict=True):
+        report(dest)
+        audio.wav_write(dest, stem, model_mod.SAMPLE_RATE)
+
+
+def _work(model, jobs, conn) -> NoReturn:
+    """A forked child's whole life: separate its (input, stems) jobs, send
+    each stem path before opening it and its error if it fails, exit."""
+    code = 1
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)    # the parent decides
+        for path, outs in jobs:
+            _separate_one(model, path, outs, lambda dest: conn.send(("stem", dest)))
+        code = 0
+    except (DataFormatError, OSError, NumericsError) as exc:
+        conn.send(("error", type(exc), str(exc)))
+    except BaseException:
+        conn.send(("error", RuntimeError, traceback.format_exc()))
+    finally:
+        os._exit(code)        # never back into the caller's stack
+
+
+def _drain(reader, started: list[Path]) -> None:
+    """Take the stems a reaped child reported that were not yet read."""
+    try:
+        while reader.poll():
+            kind, *what = reader.recv()
+            if kind == "stem":
+                started.append(what[0])
+    except EOFError:
+        pass
+    reader.close()
+
+
+def _fork_workers(model, shares, started: list[Path]) -> None:
+    """Run each share of (input, stems) jobs in a forked child.
+
+    The children share the model's pages copy-on-write.  Each reports on
+    its own pipe, and the parent appends every reported stem to started
+    and raises a child's error as its class.  Every child is reaped on
+    every path; on an error or an interrupt the running ones are killed
+    first.  A child that ends without reporting, by a signal say, fails.
+    """
+    children = {}       # read end of each child's pipe -> the child's pid
+    ended = set()       # the read ends at end of file: their child has exited
+    statuses = []
+    try:
+        for jobs in shares:
+            reader, writer = Pipe(duplex=False)
+            pid = os.fork()
+            if pid == 0:
+                _work(model, jobs, writer)
+            children[reader] = pid
+            writer.close()
+        while len(ended) < len(children):
+            for reader in wait(children.keys() - ended):
+                try:
+                    kind, *what = reader.recv()
+                except EOFError:
+                    ended.add(reader)
+                    continue
+                if kind == "error":
+                    cls, message = what
+                    raise cls(message)
+                started.append(what[0])
+    finally:
+        for reader, pid in children.items():
+            if reader not in ended:
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitpid(pid, 0)[1])
+            _drain(reader, started)
+    for status, jobs in zip(statuses, shares, strict=True):
+        if status:
+            code = os.waitstatus_to_exitcode(status)
+            how = f"was killed by signal {-code}" if code < 0 else f"exited {code}"
+            names = ", ".join(str(p) for p, _ in jobs)
+            raise RuntimeError(f"the worker separating {names} {how} without reporting")
+
+
 def _cmd_separate(args) -> int:
     inputs = getattr(args, "in")
     out_dir = Path(args.out)
@@ -120,33 +217,24 @@ def _cmd_separate(args) -> int:
     speakers = range(1, model_mod.SPEAKERS + 1)
     prefixes = [""] if len(inputs) == 1 else [f"{Path(p).stem}_" for p in inputs]
     dests = [[out_dir / f"{pre}s{i}.wav" for i in speakers] for pre in prefixes]
-    _refuse_overwrite([d for ds in dests for d in ds], inputs)
+    outputs = [d for ds in dests for d in ds]
+    _refuse_overwrite(outputs, inputs)
     model = model_mod.SeparationModel.from_checkpoint(args.ckpt)
     out_dir.mkdir(parents=True, exist_ok=True)
     started: list[Path] = []      # every stem file this invocation opened
-
-    def one(path, outs) -> list[Path]:
-        # weights are read-only here, so workers can share the model
-        mix = _load_wav_checked(path)
-        stems = [est.data for est in model.separate(mix)]
-        if not all(np.isfinite(s).all() for s in stems):
-            raise NumericsError(f"{path}: separation produced non-finite samples")
-        for dest, stem in zip(outs, stems, strict=True):
-            started.append(dest)
-            audio.wav_write(dest, stem, model_mod.SAMPLE_RATE)
-        return outs
-
+    jobs = list(zip(inputs, dests, strict=True))
+    workers = min(len(jobs), os.cpu_count() or 1)
     try:
-        # map cancels the inputs not yet started once one fails; the pool's
-        # exit waits for the running ones, so nothing writes later
-        workers = min(len(inputs), os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            written = [p for chunk in pool.map(one, inputs, dests) for p in chunk]
+        if workers > 1 and hasattr(os, "fork"):
+            _fork_workers(model, [jobs[w::workers] for w in range(workers)], started)
+        else:
+            for path, outs in jobs:
+                _separate_one(model, path, outs, started.append)
     except BaseException:
         for p in started:
             p.unlink(missing_ok=True)
         raise
-    for p in written:
+    for p in outputs:
         print(f"wrote {p}")
     return EXIT_OK
 
@@ -246,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("separate", help="separate mixture WAVs")
     s.add_argument("--ckpt", required=True)
     s.add_argument("--in", required=True, nargs="+",
-                   help="mixture WAV path(s); several fan out to threads")
+                   help="mixture WAV path(s); several fan out to forked "
+                        "processes, one per CPU at most")
     s.add_argument("--out", required=True, help="output directory")
     s.set_defaults(fn=_cmd_separate)
 

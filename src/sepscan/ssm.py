@@ -57,15 +57,16 @@ matmuls.
 The forward discretizes a group of G steps per _zoh call, into reused
 [G, B, H, E] buffers of Abar and Bbar x through _zoh's out=; each step
 then makes only h *= Abar_t, h += Bbar_t x_t and the c_t h_t matmul.  A
-numpy call holds the GIL while it is set up, and separate's worker
-threads share one model, so on a short, narrow scan (a 250-step
-intra-chunk scan of 3 chunks) the threads queue on those set-ups rather
-than on the arithmetic: six calls a step became 3 + 4/G under Euler.  G = min(_GROUP, _TILE_BYTES // the
-tile's state bytes), at least 1, so each buffer stays within _TILE_BYTES:
-a narrow tile takes several steps per call (5 for the CLI's intra-chunk
-scans at E = 256, H = 16), a wide tile, whose state fills _TILE_BYTES,
-takes one, and the cap keeps the buffers of a tiny state, a fixed cost,
-small next to a short scan's O(L) arrays.
+numpy call holds the GIL while it is set up, and threads may share one
+model, so on a short, narrow scan (a 250-step intra-chunk scan of 3
+chunks) the threads queue on those set-ups rather than on the
+arithmetic: six calls a step became 3 + 4/G under Euler.
+G = min(_GROUP, _TILE_BYTES // the tile's state bytes), at least 1, so
+each buffer stays within _TILE_BYTES: a narrow tile takes several steps
+per call (5 for the CLI's intra-chunk scans at E = 256, H = 16), a wide
+tile, whose state fills _TILE_BYTES, takes one, and the cap keeps the
+buffers of a tiny state, a fixed cost, small next to a short scan's O(L)
+arrays.
 The per-step products stay plain ufunc calls, not np.einsum: its Python
 wrapper holds the GIL longer per call (2.4 against 0.6 us for a tiny
 np.multiply), so under two threads it loses more than it saves on one.
@@ -182,14 +183,14 @@ def _step_sizes(delta, bias):
 
 
 def _zoh(dt, a, b, x, exact_zoh, out=(None, None, None)):
-    """Discretize broadcastable ndarrays: (Abar, Bbar x, p) with Bbar = p * b.
+    """Discretize broadcastable ndarrays: (Abar, Bbar x) with Bbar = p * b.
 
     p = expm1(dt a) / a under the exact hold and dt under Euler; it is
     also dBbar/db, which the adjoint reuses.  Bbar x is (p b) x under the
     exact hold and b (dt x) under Euler, whose E-wide dt x is the cheaper
     product to take first.  out = (abar, bx, p) writes the results into
-    those arrays in place of fresh ones; Euler's p is dt itself and
-    ignores its buffer.
+    those arrays in place of fresh ones; the exact hold writes p into the
+    third, where the adjoint reads it, and Euler ignores that buffer.
     """
     abar, bx, p = out
     z = np.multiply(dt, a, out=abar)
@@ -199,9 +200,8 @@ def _zoh(dt, a, b, x, exact_zoh, out=(None, None, None)):
         bx = np.multiply(p, b, out=bx)
         bx *= x
     else:
-        p = dt
         bx = np.multiply(np.multiply(dt, x), b, out=bx)
-    return np.exp(z, out=z), bx, p
+    return np.exp(z, out=z), bx
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +246,8 @@ def _scan_forward(x, d, bias, a, b, c, exact_zoh, taped):
         for t0 in range(0, L, G):
             grp = slice(t0, min(t0 + G, L))
             g = grp.stop - t0
-            abar, bx, _ = _zoh(dk[grp, :, None, :], aT, bk[grp], xk[grp], exact_zoh,
-                               out=(abar_all[:g, :n], bx_all[:g, :n], None))
+            abar, bx = _zoh(dk[grp, :, None, :], aT, bk[grp], xk[grp], exact_zoh,
+                            out=(abar_all[:g, :n], bx_all[:g, :n], None))
             for i in range(g):
                 t = t0 + i
                 h *= abar[i]
@@ -372,8 +372,8 @@ def _scan_parallel_forward(x, d, bias, a, b, c, exact_zoh, taped):
     """
     L = x.shape[0]
     d = _step_sizes(d, bias)
-    ea, eu, _ = _zoh(d[:, :, None, :], a.T, b[..., None], x[:, :, None, :],
-                     exact_zoh)                                     # [L, B, H, E]
+    ea, eu = _zoh(d[:, :, None, :], a.T, b[..., None], x[:, :, None, :],
+                  exact_zoh)                                        # [L, B, H, E]
     # in place: numpy buffers the overlapping operands of each op, so every
     # pass reads the previous pass's values; eu goes first, as it needs the
     # ea from before this pass

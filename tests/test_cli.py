@@ -1,10 +1,12 @@
 """CLI contracts: subcommands, exit codes, determinism, file outputs."""
 
 import gc
+import os
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,6 +19,12 @@ import sepscan.numerics as nm
 import sepscan.training as T
 
 TINY_CFG = "d = 4\nr = 1\nh = 2\nchunk_len = 8\n"
+
+
+def assert_no_children():
+    """Every child this process forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def run_cli(*args, timeout=120):
@@ -351,16 +359,18 @@ class TestSeparateCommand:
 
     # (os.cpu_count(), expected workers for two inputs); never many inputs
     @pytest.mark.parametrize("cpus,workers", [(1, 1), (None, 1), (4, 2)])
-    def test_pool_capped_at_cpu_count(self, workspace, tmp_path, monkeypatch,
-                                      cpus, workers):
-        seen = []
+    def test_workers_capped_at_cpu_count(self, workspace, tmp_path, monkeypatch,
+                                         cpus, workers):
+        forks = []
+        fork = os.fork
 
-        class Recording(ThreadPoolExecutor):
-            def __init__(self, max_workers=None, **kw):
-                seen.append(max_workers)
-                super().__init__(max_workers=max_workers, **kw)
+        def recording():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
 
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(cli.os, "fork", recording)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         ins = [tmp_path / "p.wav", tmp_path / "q.wav"]
         for path in ins:
@@ -368,8 +378,10 @@ class TestSeparateCommand:
         rc = cli.main(["separate", "--ckpt", str(workspace["ckpt"]),
                        "--in", *map(str, ins), "--out", str(tmp_path / "out")])
         assert rc == 0
-        assert seen == [workers]
+        # one worker separates in process and forks nothing
+        assert len(forks) == (workers if workers > 1 else 0)
         assert len(list((tmp_path / "out").glob("*.wav"))) == 4
+        assert_no_children()
 
     @pytest.mark.parametrize("missing_first", [False, True])
     def test_failed_input_leaves_no_stems(self, workspace, tmp_path, capsys,
@@ -397,6 +409,144 @@ class TestSeparateCommand:
                        "--in", str(workspace["mix"]), "--out", str(out)])
         assert rc == 4
         assert list(out.glob("*")) == []
+
+
+class TestForkedWorkers:
+    """Several inputs run in forked children; each failure removes every
+    stem and leaves no child behind."""
+
+    SLOW_LEN = 300          # an input of this length sets off the patched fault
+
+    @pytest.fixture
+    def inputs(self, workspace, tmp_path, monkeypatch):
+        """Forking forced on, and a writer of inputs cut from the mixture."""
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        mix, _ = audio.wav_read(workspace["mix"])
+
+        def make(*lengths):
+            paths = []
+            for k, n in enumerate(lengths):
+                paths.append(tmp_path / f"in{k}.wav")
+                audio.wav_write(paths[-1], mix[:n], 8000)
+            return paths
+        return make
+
+    @staticmethod
+    def fault_at(monkeypatch, n, fault):
+        """Patch separate to call fault(x) on an input of n samples."""
+        real = M.SeparationModel.separate
+
+        def separate(self, x):
+            return fault(x) if len(x) == n else real(self, x)
+        monkeypatch.setattr(M.SeparationModel, "separate", separate)
+
+    @staticmethod
+    def separate(workspace, ins, out):
+        return cli.main(["separate", "--ckpt", str(workspace["ckpt"]),
+                         "--in", *map(str, ins), "--out", str(out)])
+
+    def test_nonfinite_stems_in_a_child_are_numeric_error(self, workspace, tmp_path,
+                                                          inputs, monkeypatch,
+                                                          capsys):
+        self.fault_at(monkeypatch, self.SLOW_LEN, lambda x: (
+            nm.Tensor(np.full(len(x), np.nan)), nm.Tensor(np.zeros(len(x)))))
+        out = tmp_path / "out"
+        assert self.separate(workspace, inputs(480, self.SLOW_LEN), out) == 4
+        assert "non-finite" in capsys.readouterr().err
+        assert list(out.glob("*")) == []
+        assert_no_children()
+
+    def test_missing_wav_in_a_child_is_data_error(self, workspace, tmp_path,
+                                                  inputs, capsys):
+        out = tmp_path / "out"
+        ins = [*inputs(480, 400), tmp_path / "missing.wav"]
+        assert self.separate(workspace, ins, out) == 3
+        assert "missing.wav" in capsys.readouterr().err
+        assert list(out.glob("*")) == []
+        assert_no_children()
+
+    def test_other_error_in_a_child_carries_its_traceback(self, workspace, tmp_path,
+                                                           inputs, monkeypatch):
+        self.fault_at(monkeypatch, self.SLOW_LEN, lambda x: 1 / 0)
+        out = tmp_path / "out"
+        with pytest.raises(RuntimeError, match="(?s)Traceback.*ZeroDivisionError"):
+            self.separate(workspace, inputs(480, self.SLOW_LEN), out)
+        assert list(out.glob("*")) == []
+        assert_no_children()
+
+    def test_child_killed_mid_separation_fails(self, workspace, tmp_path, inputs,
+                                               monkeypatch):
+        parent = os.getpid()
+
+        def kill(x):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+        self.fault_at(monkeypatch, self.SLOW_LEN, kill)
+        out = tmp_path / "out"
+        # an uncaught error: the sepscan command exits 1 with its traceback
+        with pytest.raises(RuntimeError, match="killed by signal 9 without reporting"):
+            self.separate(workspace, inputs(480, self.SLOW_LEN, 400), out)
+        assert list(out.glob("*")) == []
+        assert_no_children()
+
+    def test_interrupt_kills_the_children_and_removes_every_stem(
+            self, workspace, tmp_path, inputs, monkeypatch):
+        # two workers: child 0 separates in0 and then holds on in2 for a
+        # minute; child 1 separates in1.  The parent is interrupted once the
+        # four stems of in0 and in1 exist.
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        self.fault_at(monkeypatch, self.SLOW_LEN, lambda x: time.sleep(60))
+        out = tmp_path / "out"
+        seen, deadline = [], time.monotonic() + 20
+
+        def interrupt(signum, frame):
+            stems = sorted(p.name for p in out.glob("*.wav"))
+            if len(stems) == 4 or time.monotonic() > deadline:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+                seen.extend([stems, time.monotonic()])
+                raise KeyboardInterrupt
+
+        old = signal.signal(signal.SIGALRM, interrupt)
+        signal.setitimer(signal.ITIMER_REAL, 0.02, 0.02)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                self.separate(workspace, inputs(480, 400, self.SLOW_LEN), out)
+            returned = time.monotonic()
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, old)
+        stems, interrupted = seen
+        assert stems == ["in0_s1.wav", "in0_s2.wav", "in1_s1.wav", "in1_s2.wav"]
+        assert returned - interrupted < 5          # not the held minute
+        assert list(out.glob("*")) == []
+        assert_no_children()
+
+    def test_without_fork_inputs_run_in_process(self, workspace, tmp_path, inputs,
+                                                monkeypatch):
+        monkeypatch.delattr(cli.os, "fork")
+        out = tmp_path / "out"
+        assert self.separate(workspace, inputs(480, 400), out) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "in0_s1.wav", "in0_s2.wav", "in1_s1.wav", "in1_s2.wav"]
+
+    @pytest.mark.parametrize("cpus", [2, 4])
+    def test_stems_match_one_input_at_a_time(self, workspace, tmp_path,
+                                             monkeypatch, cpus):
+        # two workers give child 0 two inputs; four give each input a child
+        rng = np.random.default_rng(7)
+        ins = []
+        for n in (4000, 4003, 7):
+            ins.append(tmp_path / f"len{n}.wav")
+            audio.wav_write(ins[-1], rng.uniform(-0.5, 0.5, n), 8000)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        assert self.separate(workspace, ins, tmp_path / "forked") == 0
+        assert_no_children()
+        for path in ins:
+            alone = tmp_path / f"alone_{path.stem}"
+            assert self.separate(workspace, [path], alone) == 0
+            for k in (1, 2):
+                forked = tmp_path / "forked" / f"{path.stem}_s{k}.wav"
+                assert forked.read_bytes() == (alone / f"s{k}.wav").read_bytes()
 
 
 _t = np.arange(400) / 8000

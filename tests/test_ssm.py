@@ -38,7 +38,7 @@ class TestDiscretize:
         a = np.array([[-1.0]])
         delta = np.array([[0.1]])
         b = np.array([[1.0]])
-        abar, bbar, _ = ssm._zoh(delta, a, b, 1, exact_zoh=True)
+        abar, bbar = ssm._zoh(delta, a, b, 1, exact_zoh=True)
         assert abs(abar[0, 0] - ABAR_ONE_POLE) < 1e-15
         assert abs(bbar[0, 0] - BBAR_ZOH_ONE_POLE) < 1e-15
 
@@ -46,7 +46,7 @@ class TestDiscretize:
         a = np.array([[-1.0]])
         delta = np.array([[0.1]])
         b = np.array([[2.0]])
-        abar, bbar, _ = ssm._zoh(delta, a, b, 1, exact_zoh=False)
+        abar, bbar = ssm._zoh(delta, a, b, 1, exact_zoh=False)
         assert abs(abar[0, 0] - ABAR_ONE_POLE) < 1e-15
         assert abs(bbar[0, 0] - 0.2) < 1e-15
 
@@ -54,8 +54,8 @@ class TestDiscretize:
         a = np.array([[-2.0]])
         delta = np.array([[1e-7]])
         b = np.array([[1.0]])
-        _, bz, _ = ssm._zoh(delta, a, b, 1, exact_zoh=True)
-        _, be, _ = ssm._zoh(delta, a, b, 1, exact_zoh=False)
+        _, bz = ssm._zoh(delta, a, b, 1, exact_zoh=True)
+        _, be = ssm._zoh(delta, a, b, 1, exact_zoh=False)
         assert abs(bz[0, 0] - be[0, 0]) < 1e-13
 
     @pytest.mark.parametrize("exact_zoh", [False, True])
@@ -66,7 +66,7 @@ class TestDiscretize:
         x = rng.standard_normal((3, 2, 1, 5))
         a = -np.exp(rng.uniform(-1, 1, (4, 5)))
         b = rng.standard_normal((3, 2, 4, 1))
-        abar, bx, _ = ssm._zoh(dt, a, b, x, exact_zoh)
+        abar, bx = ssm._zoh(dt, a, b, x, exact_zoh)
         want = np.expm1(dt * a) / a * b * x if exact_zoh else b * (dt * x)
         assert np.array_equal(abar, np.exp(dt * a))
         assert np.array_equal(bx, want)
@@ -470,10 +470,11 @@ class TestKernelParity:
         out = tuple(np.empty((2, 4, 5)) for _ in range(3))
         into = ssm._zoh(dt, a, b, 1, exact_zoh, out=out)
         assert into[0] is out[0] and into[1] is out[1]
-        # Euler's p is dt itself; the exact hold writes p into its buffer
-        assert into[2] is (out[2] if exact_zoh else dt)
-        for want, got in zip(fresh, into):
+        for want, got in zip(fresh, into, strict=True):
             assert np.array_equal(want, got)
+        # the exact hold leaves p in the third buffer for the adjoint
+        if exact_zoh:
+            assert np.array_equal(out[2], np.expm1(dt * a) / a)
 
 
 class TestReverseScan:
