@@ -17,16 +17,19 @@ is not model.SAMPLE_RATE, a path the operating system refuses, a constant
 corpus file, separate inputs whose outputs would collide, and an output
 of separate or train-toy that would overwrite an input), 4
 numeric/training failure (failed gradcheck, count mismatch, divergence,
-non-finite separated stems).  When separate fails on any input it removes every
-stem it wrote, so a nonzero exit leaves no partial output behind.
+non-finite separated stems).
 
-separate runs several inputs in forked child processes, at most one per
-CPU, forked once the checkpoint is loaded so that they share its weights
-copy-on-write; one input, or a platform without os.fork, runs in process.
-A child sends the parent each stem path before it opens the file, and its
-error, which the parent raises as the same class.  The parent reaps every
-child whatever the outcome; on an error or an interrupt it first kills
-the children still running, then removes every stem reported.
+separate writes its stems into a stage, a new .sepscan-* directory in the
+output directory, and renames them into place once every input has
+succeeded.  A failure or an interrupt removes the stage, so a nonzero exit
+leaves no partial output and the directory's earlier files as they were;
+a rename that fails part-way removes the stems already renamed (and so
+any file they replaced).  Several inputs run in forked child processes,
+at most one per CPU, forked once the checkpoint is loaded so that they
+share its weights copy-on-write; one input, or a platform without
+os.fork, runs in process.  A failing child sends its error, which the
+parent raises as the same class.  The parent reaps every child, killing
+the running ones on an error or an interrupt.
 """
 
 from __future__ import annotations
@@ -34,8 +37,10 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import shutil
 import signal
 import sys
+import tempfile
 import traceback
 from collections import Counter
 from multiprocessing.connection import Pipe, wait
@@ -62,11 +67,6 @@ def _wav_length_checked(path) -> int:
     if n == 0:
         raise DataFormatError(f"{path}: empty WAV")
     return n
-
-
-def _load_wav_checked(path) -> np.ndarray:
-    _wav_length_checked(path)
-    return audio.wav_read(path)[0]
 
 
 def _same_file(a, b) -> bool:
@@ -119,56 +119,41 @@ def _corpus_pairs(manifest, count: int,
 # ---------------------------------------------------------------------------
 
 
-def _separate_one(model, path, outs, report) -> None:
-    """Separate one input and write its stems, calling report(dest) before
-    each stem file is opened; both stems are checked before either is."""
-    mix = _load_wav_checked(path)
+def _separate_one(model, path, outs) -> None:
+    """Separate one input and write its stems; both are checked before
+    either is written."""
+    _wav_length_checked(path)
+    mix = audio.wav_read(path)[0]
     stems = [est.data for est in model.separate(mix)]
     if not all(np.isfinite(s).all() for s in stems):
         raise NumericsError(f"{path}: separation produced non-finite samples")
     for dest, stem in zip(outs, stems, strict=True):
-        report(dest)
         audio.wav_write(dest, stem, model_mod.SAMPLE_RATE)
 
 
 def _work(model, jobs, conn) -> NoReturn:
     """A forked child's whole life: separate its (input, stems) jobs, send
-    each stem path before opening it and its error if it fails, exit."""
+    its error if it fails, exit."""
     code = 1
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)    # the parent decides
         for path, outs in jobs:
-            _separate_one(model, path, outs, lambda dest: conn.send(("stem", dest)))
+            _separate_one(model, path, outs)
         code = 0
     except (DataFormatError, OSError, NumericsError) as exc:
-        conn.send(("error", type(exc), str(exc)))
+        conn.send((type(exc), str(exc)))
     except BaseException:
-        conn.send(("error", RuntimeError, traceback.format_exc()))
+        conn.send((RuntimeError, traceback.format_exc()))
     finally:
         os._exit(code)        # never back into the caller's stack
 
 
-def _drain(reader, started: list[Path]) -> None:
-    """Take the stems a reaped child reported that were not yet read."""
-    try:
-        while reader.poll():
-            kind, *what = reader.recv()
-            if kind == "stem":
-                started.append(what[0])
-    except EOFError:
-        pass
-    reader.close()
-
-
-def _fork_workers(model, shares, started: list[Path]) -> None:
-    """Run each share of (input, stems) jobs in a forked child.
-
-    The children share the model's pages copy-on-write.  Each reports on
-    its own pipe, and the parent appends every reported stem to started
-    and raises a child's error as its class.  Every child is reaped on
-    every path; on an error or an interrupt the running ones are killed
-    first.  A child that ends without reporting, by a signal say, fails.
-    """
+def _fork_workers(model, shares) -> None:
+    """Run each share of (input, stems) jobs in a forked child; the children
+    share the model's pages copy-on-write.  A child's error comes back on its
+    own pipe and is raised as its class.  Every child is reaped on every
+    path, the running ones killed first on an error or an interrupt; a child
+    that ends without reporting, by a signal say, fails."""
     children = {}       # read end of each child's pipe -> the child's pid
     ended = set()       # the read ends at end of file: their child has exited
     statuses = []
@@ -183,20 +168,17 @@ def _fork_workers(model, shares, started: list[Path]) -> None:
         while len(ended) < len(children):
             for reader in wait(children.keys() - ended):
                 try:
-                    kind, *what = reader.recv()
+                    cls, message = reader.recv()
                 except EOFError:
                     ended.add(reader)
                     continue
-                if kind == "error":
-                    cls, message = what
-                    raise cls(message)
-                started.append(what[0])
+                raise cls(message)
     finally:
         for reader, pid in children.items():
             if reader not in ended:
                 os.kill(pid, signal.SIGKILL)
             statuses.append(os.waitpid(pid, 0)[1])
-            _drain(reader, started)
+            reader.close()
     for status, jobs in zip(statuses, shares, strict=True):
         if status:
             code = os.waitstatus_to_exitcode(status)
@@ -216,24 +198,32 @@ def _cmd_separate(args) -> int:
             f"outputs in {out_dir} would overwrite each other")
     speakers = range(1, model_mod.SPEAKERS + 1)
     prefixes = [""] if len(inputs) == 1 else [f"{Path(p).stem}_" for p in inputs]
-    dests = [[out_dir / f"{pre}s{i}.wav" for i in speakers] for pre in prefixes]
-    outputs = [d for ds in dests for d in ds]
+    names = [[f"{pre}s{i}.wav" for i in speakers] for pre in prefixes]
+    outputs = [out_dir / n for ns in names for n in ns]
     _refuse_overwrite(outputs, inputs)
     model = model_mod.SeparationModel.from_checkpoint(args.ckpt)
     out_dir.mkdir(parents=True, exist_ok=True)
-    started: list[Path] = []      # every stem file this invocation opened
-    jobs = list(zip(inputs, dests, strict=True))
+    # in the output directory, so each stem's rename into place is atomic
+    stage = Path(tempfile.mkdtemp(prefix=".sepscan-", dir=out_dir))
+    jobs = [(path, [stage / n for n in ns])
+            for path, ns in zip(inputs, names, strict=True)]
     workers = min(len(jobs), os.cpu_count() or 1)
+    published = []
     try:
         if workers > 1 and hasattr(os, "fork"):
-            _fork_workers(model, [jobs[w::workers] for w in range(workers)], started)
+            _fork_workers(model, [jobs[w::workers] for w in range(workers)])
         else:
             for path, outs in jobs:
-                _separate_one(model, path, outs, started.append)
+                _separate_one(model, path, outs)
+        for dest in outputs:
+            os.replace(stage / dest.name, dest)
+            published.append(dest)
     except BaseException:
-        for p in started:
-            p.unlink(missing_ok=True)
+        for dest in published:
+            dest.unlink(missing_ok=True)
         raise
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
     for p in outputs:
         print(f"wrote {p}")
     return EXIT_OK

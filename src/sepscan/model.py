@@ -418,8 +418,9 @@ def save_model(path: str | Path, model: SeparationModel) -> None:
     """Text header + raw little-endian float32 payload; see load_checkpoint.
 
     The parameters must have the shapes of the model's config, else no
-    file is written.  They go to the file one at a time, so at most one of
-    them is held as float32 bytes.
+    file is written.  They are written one at a time, so at most one of
+    them is held as float32 bytes, into a file beside path that is renamed
+    onto path at the end: a save that fails leaves an older file as it was.
     """
     _check_shapes(model.config, model.params)
     header = "\n".join([
@@ -428,10 +429,16 @@ def save_model(path: str | Path, model: SeparationModel) -> None:
         config_to_text(model.config).rstrip("\n"),
         "[data]",
     ]) + "\n"
-    with open(path, "wb") as f:
-        f.write(header.encode("ascii"))
-        for name, _ in parameter_shapes(model.config):
-            f.write(np.ascontiguousarray(model.params[name].data, dtype="<f4").data)
+    path = Path(path)
+    part = path.with_name(f".{path.name}.{os.urandom(4).hex()}.part")
+    try:
+        with open(part, "xb") as f:
+            f.write(header.encode("ascii"))
+            for name, _ in parameter_shapes(model.config):
+                f.write(np.ascontiguousarray(model.params[name].data, dtype="<f4").data)
+        os.replace(part, path)
+    finally:
+        part.unlink(missing_ok=True)        # gone already once renamed
 
 
 def _header_line(f, path) -> str:

@@ -56,20 +56,21 @@ matmuls.
 
 The forward discretizes a group of G steps per _zoh call, into reused
 [G, B, H, E] buffers of Abar and Bbar x through _zoh's out=; each step
-then makes only h *= Abar_t, h += Bbar_t x_t and the c_t h_t matmul.  A
-numpy call holds the GIL while it is set up, and threads may share one
-model, so on a short, narrow scan (a 250-step intra-chunk scan of 3
-chunks) the threads queue on those set-ups rather than on the
-arithmetic: six calls a step became 3 + 4/G under Euler.
+then makes only h *= Abar_t, h += Bbar_t x_t and the c_t h_t matmul.
+A numpy call's fixed cost is a large part of a short, narrow scan's time,
+so the groups pay on one thread: one _zoh per step, bit-identical, takes
+1.12x as long at the CLI's intra-chunk shape (L = 250, 3 chunks, E = 256,
+H = 16, float32, Euler), 1.11x at a float64 training intra shape and 1.00x
+at the CLI's inter-chunk shape (one BLAS thread, medians of 30 runs).
 G = min(_GROUP, _TILE_BYTES // the tile's state bytes), at least 1, so
 each buffer stays within _TILE_BYTES: a narrow tile takes several steps
 per call (5 for the CLI's intra-chunk scans at E = 256, H = 16), a wide
 tile, whose state fills _TILE_BYTES, takes one, and the cap keeps the
 buffers of a tiny state, a fixed cost, small next to a short scan's O(L)
 arrays.
-The per-step products stay plain ufunc calls, not np.einsum: its Python
-wrapper holds the GIL longer per call (2.4 against 0.6 us for a tiny
-np.multiply), so under two threads it loses more than it saves on one.
+The per-step products stay plain ufunc calls, not np.einsum (2.4 against
+0.6 us a call): an einsum _zoh was 10-35% faster on one thread but slower
+end to end when the CLI ran two threads, and is not re-measured since.
 
 Both kernels run over contiguous tiles of the batch axis, each a full scan
 of its rows from its own step sizes, so those exist a tile at a time.

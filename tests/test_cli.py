@@ -17,6 +17,7 @@ import sepscan.gradcheck as gradcheck
 import sepscan.model as M
 import sepscan.numerics as nm
 import sepscan.training as T
+from sepscan.errors import DataFormatError
 
 TINY_CFG = "d = 4\nr = 1\nh = 2\nchunk_len = 8\n"
 
@@ -413,7 +414,7 @@ class TestSeparateCommand:
 
 class TestForkedWorkers:
     """Several inputs run in forked children; each failure removes every
-    stem and leaves no child behind."""
+    stem, leaves earlier files untouched and leaves no child behind."""
 
     SLOW_LEN = 300          # an input of this length sets off the patched fault
 
@@ -500,7 +501,7 @@ class TestForkedWorkers:
         seen, deadline = [], time.monotonic() + 20
 
         def interrupt(signum, frame):
-            stems = sorted(p.name for p in out.glob("*.wav"))
+            stems = sorted(p.name for p in out.glob("*/*.wav"))
             if len(stems) == 4 or time.monotonic() > deadline:
                 signal.setitimer(signal.ITIMER_REAL, 0)
                 seen.extend([stems, time.monotonic()])
@@ -519,6 +520,52 @@ class TestForkedWorkers:
         assert stems == ["in0_s1.wav", "in0_s2.wav", "in1_s1.wav", "in1_s2.wav"]
         assert returned - interrupted < 5          # not the held minute
         assert list(out.glob("*")) == []
+        assert_no_children()
+
+    def test_success_leaves_exactly_the_stems(self, workspace, tmp_path, inputs):
+        out = tmp_path / "out"
+        assert self.separate(workspace, inputs(480, 400), out) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "in0_s1.wav", "in0_s2.wav", "in1_s1.wav", "in1_s2.wav"]
+        assert_no_children()
+
+    @pytest.mark.parametrize("cpus", [1, 4], ids=["in_process", "forked"])
+    def test_failure_leaves_an_earlier_stem_untouched(self, workspace, tmp_path,
+                                                      inputs, monkeypatch, cpus):
+        # in1 fails late, once in0's stems are written, whatever the order
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+
+        def late(x):
+            time.sleep(0.5)
+            raise DataFormatError("in1: refused late")
+        self.fault_at(monkeypatch, self.SLOW_LEN, late)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "in0_s1.wav").write_bytes(b"an earlier run")
+        assert self.separate(workspace, inputs(480, self.SLOW_LEN), out) == 3
+        assert [p.name for p in out.iterdir()] == ["in0_s1.wav"]
+        assert (out / "in0_s1.wav").read_bytes() == b"an earlier run"
+        assert_no_children()
+
+    def test_directory_in_a_stems_place_publishes_nothing(self, workspace,
+                                                          tmp_path, inputs,
+                                                          capsys):
+        # the last of the four renames fails, after three stems are in place
+        out = tmp_path / "out"
+        (out / "in1_s2.wav").mkdir(parents=True)
+        assert self.separate(workspace, inputs(480, 400), out) == 3
+        assert "in1_s2.wav" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["in1_s2.wav"]
+        assert list((out / "in1_s2.wav").iterdir()) == []
+        assert_no_children()
+
+    def test_a_callers_own_child_keeps_its_status(self, workspace, tmp_path,
+                                                  inputs):
+        # the caller's child has exited, unreaped, before the workers fork
+        own = subprocess.Popen(["sh", "-c", "exit 7"])
+        os.waitid(os.P_PID, own.pid, os.WEXITED | os.WNOWAIT)
+        assert self.separate(workspace, inputs(480, 400), tmp_path / "out") == 0
+        assert own.wait(timeout=10) == 7
         assert_no_children()
 
     def test_without_fork_inputs_run_in_process(self, workspace, tmp_path, inputs,

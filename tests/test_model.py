@@ -439,6 +439,27 @@ class TestCheckpoint:
         with pytest.raises(DataFormatError, match="checkpoint|config"):
             M.load_checkpoint(p)
 
+    def test_failed_save_leaves_the_older_file_as_it_was(self, tmp_path,
+                                                         monkeypatch):
+        p = tmp_path / "m.ckpt"
+        M.save_model(p, tiny_model(seed=1))
+        older = p.read_bytes()
+        real, calls = np.ascontiguousarray, []
+
+        def full_disk(*args, **kwargs):      # the header and one parameter fit
+            calls.append(1)
+            if len(calls) == 2:
+                raise OSError(28, "No space left on device")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "ascontiguousarray", full_disk)
+        with pytest.raises(OSError, match="No space"):
+            M.save_model(p, tiny_model(seed=2))
+        monkeypatch.undo()
+        assert len(calls) == 2
+        assert p.read_bytes() == older
+        assert [q.name for q in tmp_path.iterdir()] == ["m.ckpt"]
+
     def test_save_refuses_a_reshaped_parameter(self, tmp_path):
         mdl = tiny_model()
         mdl.params["encoder"].data = mdl.params["encoder"].data.reshape(8, 8)
