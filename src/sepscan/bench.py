@@ -21,7 +21,6 @@ from . import ssm
 from .numerics import NumericsError, Tensor
 
 CSV_COLUMNS = ("impl", "L", "E", "H", "wall_ns", "peak_bytes")
-IMPLS = ("seq", "par", "oracle")
 
 
 def _selective_inputs(L: int, E: int, H: int, seed: int):
@@ -60,6 +59,7 @@ def _run_oracle(L: int, E: int, H: int, seed: int) -> None:
 
 
 _RUNNERS = {"seq": _run_seq, "par": _run_par, "oracle": _run_oracle}
+IMPLS = tuple(_RUNNERS)
 
 
 def measure(impl: str, L: int, E: int, H: int, seed: int = 0

@@ -27,10 +27,10 @@ Every op of the block is independent across the batch axis of [L, B, D]
 (chunks in the intra pass, positions in the inter pass).  So an untaped
 (inference) block runs over contiguous tiles of that axis and writes each
 tile's output into one [L, B, D] result: its E-wide temporaries (h_in,
-the gate, each branch's conv output x, raw delta, step sizes, delta x and
-s, the mean of the two directions and the gated mean) exist for one tile
-at a time, so the block's share of the peak is set by the tile, not by
-the input length.  Within a tile each lives only while it is read: both
+the gate, each branch's conv output x, raw delta, step sizes and s, the
+mean of the two directions and the gated mean) exist for one tile at a
+time, so the block's share of the peak is set by the tile, not by the
+input length.  Within a tile each lives only while it is read: both
 directions' x are formed from h_in before either scan runs, so h_in dies
 first, and each x dies once its scan has returned.  The tile is sized in
 bytes, from L*E*itemsize against _TILE_BYTES, like the scan kernels'
@@ -106,7 +106,7 @@ def bi_scan_forward(h: Tensor, w: dict[str, Tensor], exact_zoh: bool) -> Tensor:
     if taped or h.ndim != 3:
         return _bi_scan(h, w, exact_zoh)
     L, B, _ = h.shape
-    n = max(1, _TILE_BYTES // (L * w["w_in"].shape[0] * h.data.itemsize))
+    n = max(1, _TILE_BYTES // max(1, L * w["w_in"].shape[0] * h.data.itemsize))
     if n >= B:
         return _bi_scan(h, w, exact_zoh)
     out = np.empty((L, B, w["w_out"].shape[0]), dtype=h.dtype)

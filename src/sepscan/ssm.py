@@ -35,11 +35,12 @@ reads them off its prefix states); the adjoint walks the blocks once, in
 reverse.  It rebuilds each block's states from its checkpoint with one
 _zoh call, which writes the block's Bbar x into its state buffer, then
 steps h_t = Bbar_t x_t + Abar_t h_{t-1}: the forward's sum with its terms
-swapped, so the states are the forward's bit for bit.  Its reverse loop
-keeps only the recurrence lambda_t, which overwrites h_t once gc has read
-it, W_t = Abar_t lambda_t h_{t-1}, which overwrites Abar_t, and ga's term;
-the sums over H and E behind gdelta, gx and gb then take the whole block
-in one call each.  An untaped (inference) scan keeps no checkpoints.
+swapped, so the states are the forward's bit for bit.  Its reverse loop,
+the same under both holds, keeps only lambda_t, which overwrites h_t once
+gc has read it, and W_t = Abar_t lambda_t h_{t-1}, which overwrites
+Abar_t; one tail per block, for both holds, then takes the sums behind
+the other gradients in block-wide calls (_scan_backward).
+An untaped (inference) scan keeps no checkpoints.
 _zoh is the one copy of the discretization arithmetic, which both scans
 and the adjoint call with x itself: it alone forms the input term Bbar x,
 so no kernel knows Euler's delta x.
@@ -143,8 +144,8 @@ class SsmParams:
             raise NumericsError(
                 f"scan: delta {self.delta.shape} does not match input {x.shape}"
             )
-        if self.a.ndim != 2:
-            raise NumericsError(f"scan: a must be [E, H], got {self.a.shape}")
+        if self.a.ndim != 2 or self.a.size == 0:
+            raise NumericsError(f"scan: a must be a nonempty [E, H], got {self.a.shape}")
         E, H = self.a.shape
         if x.shape[-1] != E:
             raise NumericsError(
@@ -265,15 +266,18 @@ def _scan_backward(x, d, bias, a, b, c, exact_zoh, ck, g):
     Hidden states are not kept from the forward pass, only the block
     checkpoints ck it returned.  Per batch tile, one sweep walks the blocks
     in reverse, rebuilds each block's states from its checkpoint (from
-    zeros for block 0) with the forward's own _zoh arithmetic, takes the
-    c-gradient gc_t = h_t g_t of the whole block in one matmul and runs the
-    adjoint recurrence
+    zeros for block 0) with the forward's own _zoh arithmetic and takes
+    the c-gradient gc_t = h_t g_t of the whole block in one matmul.  Its
+    reverse loop runs only the recurrence both holds share,
 
-        lambda_t = g_t c_t + Abar_{t+1} lambda_{t+1}
+        lambda_t = g_t c_t + carry,  carry = Abar_t lambda_t,  W_t = carry h_{t-1}
 
-    It runs time-major with [B, H, E] states, like the forward.  The [H, E]
-    ga sums step by step in reverse time order; the other sums take a block
-    per call (module docstring).
+    and one tail per block takes the rest.  With p = dBbar/db (delta, or
+    the replayed expm1(delta a) / a under the exact hold) and q = lambda p,
+    gx = b q and gb = q x; gdelta sums W a over H in one einsum, and ga
+    sums W delta over the batch one step at a time, so that no gradient
+    depends on _BLOCK.  It runs time-major with [B, H, E] states, like the
+    forward.
     """
     aT = np.ascontiguousarray(a.T)
     L, B, E = x.shape
@@ -293,67 +297,61 @@ def _scan_backward(x, d, bias, a, b, c, exact_zoh, ck, g):
             abar_all = np.empty((n_max, m, H, E), x.dtype)
             hbuf_all = np.empty((n_max + 1, m, H, E), x.dtype)
             p_all = np.empty_like(abar_all) if exact_zoh else None
-            states = np.empty((5 if exact_zoh else 2, m, H, E), x.dtype)
+            states = np.empty((2, m, H, E), x.dtype)
         abar_b, hbuf = abar_all[:, :m], hbuf_all[:, :m]
         # blocks in reverse; lam_carry = Abar_{t+1} lambda_{t+1}
-        lam_carry, wa, *scratch = states[:, :m]
+        lam_carry, wa = states[:, :m]
         lam_carry.fill(0)
         for blk in range(len(ck), -1, -1):
             t0 = blk * _BLOCK
             blk_t = slice(t0, min(t0 + _BLOCK, L))
             n = blk_t.stop - t0
+            xe, bh = x[blk_t, k, None, :], b[blk_t, k, :, None]
+            dt = dk[blk_t, :, None, :]
+            p = p_all[:n, :m] if exact_zoh else dt
             # rebuild states h_{t0-1} .. h_{t0+n-1} for this block: one _zoh
             # call puts each step's Bbar x in hbuf, then h_t = Bbar_t x_t +
             # Abar_t h_{t-1}, the forward's sum with its terms swapped
             hbuf[0] = ck[blk - 1, k] if blk else 0
-            p_b = p_all[:n, :m] if exact_zoh else None
-            _zoh(dk[blk_t, :, None, :], aT, b[blk_t, k, :, None], x[blk_t, k, None, :],
-                 exact_zoh, out=(abar_b[:n], hbuf[1:n + 1], p_b))
+            _zoh(dt, aT, bh, xe, exact_zoh, out=(abar_b[:n], hbuf[1:n + 1], p))
             for i in range(n):
                 hbuf[i + 1] += np.multiply(abar_b[i], hbuf[i], out=wa)
             lam, w = hbuf[1:n + 1], abar_b[:n]
             np.matmul(lam, g[blk_t, k, :, None], out=gc[blk_t, k, :, None])
             for i in range(n - 1, -1, -1):
                 t = t0 + i
-                at = abar_b[i]
                 np.multiply(c[t, k, :, None], g[t, k, None, :], out=lam[i])
                 lam[i] += lam_carry
-                np.multiply(at, lam[i], out=lam_carry)
-                if exact_zoh:
-                    # p = expm1(delta a) / a: dp/ddelta = Abar and
-                    # dp/da = (delta Abar - p) / a; dL/dp = lambda x_t b_t
-                    dbbar, dp, tmp = scratch
-                    np.multiply(lam[i], x[t, k, None, :], out=dbbar)
-                    np.multiply(dbbar, b[t, k, :, None], out=dp)
-                    np.multiply(dp, at, out=tmp).sum(axis=1, out=gdelta[t, k])
-                    gb[t, k] = np.multiply(dbbar, p_b[i], out=tmp).sum(axis=-1)
-                    np.multiply(lam[i], p_b[i], out=tmp)
-                    tmp *= b[t, k, :, None]
-                    gx[t, k] = tmp.sum(axis=1)
-                    np.multiply(dk[t, :, None, :], at, out=tmp)
-                    tmp -= p_b[i]
-                    tmp *= dp
-                    tmp /= aT
-                # W_t = dL/dAbar_t Abar_t replaces Abar_t; dAbar/ddelta = Abar a,
-                # dAbar/da = Abar delta
-                np.multiply(lam_carry, hbuf[i], out=at)
-                ga += np.multiply(at, dk[t, :, None, :], out=wa).sum(axis=0)
-                if exact_zoh:
-                    ga += tmp.sum(axis=0)
-            w *= aT
+                np.multiply(abar_b[i], lam[i], out=lam_carry)
+                # W_t = dL/dAbar_t Abar_t replaces Abar_t
+                np.multiply(lam_carry, hbuf[i], out=abar_b[i])
+            # the input term p b x: q = lambda p gives gx = b q and gb = q x,
+            # and dL/dp = lambda b x times the 1 in dp/ddelta (all of Euler's)
+            # gives gdelta x (b lambda)
+            s = np.matmul(b[blk_t, k, None, :], lam)[:, :, 0]
+            q = np.multiply(lam, p, out=p if exact_zoh else lam)
+            np.matmul(b[blk_t, k, None, :], q, out=gx[blk_t, k, None, :])
+            np.matmul(q, x[blk_t, k, :, None], out=gb[blk_t, k, :, None])
             if exact_zoh:
-                gdelta[blk_t, k] += w.sum(axis=2)
-            else:
-                w.sum(axis=2, out=gdelta[blk_t, k])
-                # Euler: Bbar = delta b, so with s = b_t lambda_t the x- and
-                # delta-gradients are delta_t s and x_t s, and gb sums
-                # lambda_t over E against delta_t x_t; s goes into the dead w
-                s = np.matmul(b[blk_t, k, None, :], lam, out=w[:, :, :1])[:, :, 0]
-                np.multiply(dk[blk_t], s, out=gx[blk_t, k])
-                s *= x[blk_t, k]
-                gdelta[blk_t, k] += s
-                np.matmul(lam, (dk[blk_t] * x[blk_t, k])[..., None],
-                          out=gb[blk_t, k, :, None])
+                # dp/ddelta = 1 + a p and dp/da = p delta + (delta - p) / a:
+                # p dL/dp joins W, whose factors a and delta it shares, and
+                # lam keeps (delta - p) dL/dp / a for ga
+                lam *= bh
+                lam *= xe
+                q *= bh
+                q *= xe
+                w += q
+                lam *= dt
+                lam -= q
+                lam /= aT
+            # dAbar/ddelta = Abar a and dAbar/da = Abar delta
+            np.einsum("nmhe,he->nme", w, aT, out=gdelta[blk_t, k])
+            w *= dt
+            if exact_zoh:
+                w += lam
+            gdelta[blk_t, k] += np.multiply(s, x[blk_t, k], out=s)
+            for i in range(n - 1, -1, -1):
+                ga += w[i].sum(axis=0)
         if bias is not None:
             # sigmoid(z) = 1 - exp(-softplus(z)), formed in the dead dk so
             # that no [L, B, E] temporary joins the block buffers

@@ -164,6 +164,20 @@ class TestBatched:
             single = blocks.bi_scan_forward(Tensor(x[:, i].copy()), w, False).data
             np.testing.assert_allclose(batched[:, i], single, atol=1e-12)
 
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_empty_sequence(self, taped):
+        # L = 0: the untaped block's tile rule must not divide by the empty
+        # array's size; the taped block backpropagates zeros
+        w = {name: Tensor(p.data, requires_grad=taped)
+             for name, p in _block(3, 4, np.random.default_rng(11)).items()}
+        h = Tensor(np.zeros((0, 5, 3)), requires_grad=taped)
+        y = blocks.bi_scan_forward(h, w, False)
+        assert y.shape == (0, 5, 3)
+        if taped:
+            y.sum().backward()
+            for leaf in (h, *w.values()):
+                assert leaf.grad.shape == leaf.shape and not np.any(leaf.grad)
+
 
 class TestBatchTiles:
     """An untaped block runs over byte-sized tiles of its batch axis."""
