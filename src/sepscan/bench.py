@@ -14,6 +14,7 @@ from __future__ import annotations
 import gc
 import time
 import tracemalloc
+from functools import partial
 
 import numpy as np
 
@@ -35,14 +36,9 @@ def _selective_inputs(L: int, E: int, H: int, seed: int):
     return params, Tensor(x)
 
 
-def _run_seq(L: int, E: int, H: int, seed: int) -> None:
+def _run_scan(evaluator, L: int, E: int, H: int, seed: int) -> None:
     params, x = _selective_inputs(L, E, H, seed)
-    ssm.scan_sequential(x, params)
-
-
-def _run_par(L: int, E: int, H: int, seed: int) -> None:
-    params, x = _selective_inputs(L, E, H, seed)
-    ssm.scan_parallel(x, params)
+    evaluator(x, params)
 
 
 def _run_oracle(L: int, E: int, H: int, seed: int) -> None:
@@ -58,7 +54,8 @@ def _run_oracle(L: int, E: int, H: int, seed: int) -> None:
         ssm.kernel_convolve(x[:, e], sys)
 
 
-_RUNNERS = {"seq": _run_seq, "par": _run_par, "oracle": _run_oracle}
+_RUNNERS = {"seq": partial(_run_scan, ssm.scan_sequential),
+            "par": partial(_run_scan, ssm.scan_parallel), "oracle": _run_oracle}
 IMPLS = tuple(_RUNNERS)
 
 

@@ -7,14 +7,19 @@ VJP, taking gradients for the estimate only: the reference is a
 constant. Its arithmetic lives once, in ``_si_snr_terms``, which the
 numpy metrics call too; they add a scale-fitted SDR, and both are
 reported as improvement over using the mixture itself as the estimate.
+The loss takes its estimates' dtype, so a model trains in the dtype of
+its parameters, and validation separates with untaped views of them.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import math
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import permutations
 
 import numpy as np
@@ -106,7 +111,7 @@ def pit_loss(est: tuple[Tensor, ...], ref: tuple[Tensor, ...]
     total = si_snr(est[0], ref[perm[0]])
     for i in range(1, len(est)):
         total = nm.add(total, si_snr(est[i], ref[perm[i]]))
-    return nm.mul(total, Tensor(np.asarray(-1.0 / len(est)))), perm
+    return nm.mul(total, Tensor(-1.0 / len(est), dtype=total.dtype)), perm
 
 
 # ---------------------------------------------------------------------------
@@ -269,20 +274,18 @@ class TrainResult:
 def evaluate(model, examples: list[MixExample]) -> tuple[float, float]:
     """Mean SI-SNR and SDR improvements of model over examples; both score
     each example under its one SI-SNR-optimal assignment."""
-    # with requires_grad cleared no op records a tape; the values are the same
-    params = [p for _, p in model.named_parameters() if p.requires_grad]
-    for p in params:
-        p.requires_grad = False
-    try:
-        si_vals, sd_vals = [], []
-        for ex in examples:
-            est = tuple(e.data for e in model.separate(ex.mix))
-            perm = best_permutation(est, ex.sources)
-            si_vals.append(_improvement(si_snr_value, perm, est, ex.sources, ex.mix))
-            sd_vals.append(_improvement(sdr_value, perm, est, ex.sources, ex.mix))
-    finally:
-        for p in params:
-            p.requires_grad = True
+    if not examples:
+        raise NumericsError("evaluate: no examples")
+    # untaped views of the same weights: no op records a tape, the values
+    # are the same, and the caller's model is left as it is
+    view = copy.copy(model)
+    view.params = {name: nm.as_tensor(p.data) for name, p in model.params.items()}
+    si_vals, sd_vals = [], []
+    for ex in examples:
+        est = tuple(e.data for e in view.separate(ex.mix))
+        perm = best_permutation(est, ex.sources)
+        si_vals.append(_improvement(si_snr_value, perm, est, ex.sources, ex.mix))
+        sd_vals.append(_improvement(sdr_value, perm, est, ex.sources, ex.mix))
     return float(np.mean(si_vals)), float(np.mean(sd_vals))
 
 
@@ -299,41 +302,38 @@ def train_toy(model, examples: list[MixExample], schedule: TrainSchedule,
     every `val_every` steps; training stops early once it reaches
     `stop_at_si_snri` or the optional wall-clock budget runs out.
     Writes a CSV log with columns step,lr,loss,si_snri when `log_path`
-    is given. Raises TrainingDiverged on a non-finite loss or gradient.
+    is given. The loss and its references take the dtype of the model's
+    parameters, and validation runs on untaped views of them. Raises
+    TrainingDiverged on a non-finite loss or gradient.
     """
     if not examples:
         raise NumericsError("train_toy: no examples")
+    if val_every < 1:
+        raise NumericsError(f"train_toy: val_every must be at least 1, got {val_every}")
     if not all(p.requires_grad for _, p in model.named_parameters()):
         raise NumericsError(
             "train_toy: the model is frozen (from_checkpoint gives an inference "
             "model); to fine-tune, build SeparationModel(cfg) and load_state")
     opt = Adam(model.named_parameters())
     total = schedule.total_steps if steps is None else steps
-    refs = [tuple(Tensor(np.asarray(s, dtype=np.float64)) for s in ex.sources)
-            for ex in examples]
+    # the dtype separate() casts a waveform to
+    dtype = model.params["encoder"].dtype
+    refs = [tuple(Tensor(s, dtype=dtype) for s in ex.sources) for ex in examples]
     history: list[dict] = []
     t0 = time.monotonic()
     val = -math.inf
     loss_val = math.nan
-    writer = None
-    log_file = None
-    if log_path is not None:
-        log_file = open(log_path, "w", newline="")
-        writer = csv.writer(log_file)
-        writer.writerow(["step", "lr", "loss", "si_snri"])
-    try:
+    with ExitStack() as stack:
+        if log_path is not None:
+            writer = csv.writer(stack.enter_context(open(log_path, "w", newline="")))
+            writer.writerow(["step", "lr", "loss", "si_snri"])
         for step in range(total):
             lr = schedule.lr(step)
             opt.zero_grad()
             try:
-                total_loss: Tensor | None = None
-                for ex, ref in zip(examples, refs):
-                    est = model.separate(ex.mix)
-                    loss, _ = pit_loss(est, ref)
-                    total_loss = (loss if total_loss is None
-                                  else nm.add(total_loss, loss))
-                mean_loss = nm.mul(total_loss,
-                                   Tensor(np.asarray(1.0 / len(examples))))
+                total_loss = reduce(nm.add, (pit_loss(model.separate(ex.mix), ref)[0]
+                                             for ex, ref in zip(examples, refs)))
+                mean_loss = nm.mul(total_loss, Tensor(1.0 / len(examples), dtype=dtype))
                 loss_val = mean_loss.item()
                 if not math.isfinite(loss_val):
                     raise TrainingDiverged(f"loss became non-finite at step {step}")
@@ -351,7 +351,7 @@ def train_toy(model, examples: list[MixExample], schedule: TrainSchedule,
             row = {"step": step, "lr": lr, "loss": loss_val,
                    "si_snri": val if is_val_step else ""}
             history.append(row)
-            if writer is not None:
+            if log_path is not None:
                 writer.writerow([row["step"], f"{lr:.8g}", f"{loss_val:.6f}",
                                  f"{val:.4f}" if is_val_step else ""])
             if verbose and (is_val_step or step % val_every == 0):
@@ -362,9 +362,6 @@ def train_toy(model, examples: list[MixExample], schedule: TrainSchedule,
                 break
             if time_budget_s is not None and time.monotonic() - t0 > time_budget_s:
                 break
-    finally:
-        if log_file is not None:
-            log_file.close()
     # the time budget can stop training between validation steps: score
     # the weights that are returned, not the ones the last validation saw
     if not history or history[-1]["si_snri"] == "":
