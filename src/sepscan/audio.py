@@ -36,9 +36,6 @@ NUM_PARTIALS = 5
 # wave raises a bare RuntimeError when a chunk overruns its parent
 _WAVE_ERRORS = (wave.Error, EOFError, OSError, RuntimeError)
 
-# frames per read when wav_read skips the data past the frames it keeps
-_SKIP_FRAMES = 1 << 14
-
 
 def _pcm16_params(f, path) -> tuple[int, int]:
     """(sample count, rate) of an open WAV, refusing all but mono PCM16."""
@@ -64,24 +61,26 @@ def wav_info(path) -> tuple[int, int]:
 def wav_read(path, frames: int | None = None) -> tuple[np.ndarray, int]:
     """Read a mono PCM16 WAV into float64 in [-1, 1) plus its sample rate.
 
-    Given frames, only the first frames samples are decoded; the rest of
-    the data is read and dropped in blocks of _SKIP_FRAMES, so a file cut
-    short of its header's count is refused either way and memory is set
-    by frames, not by the file.
+    Only the samples returned are read: all, or given frames, the first
+    frames.  A prefix short of the header's count is followed by a seek to
+    the header's last sample, so a file cut short is refused either way and
+    memory is set by frames; a whole read never seeks, so a pipe works too.
     """
     try:
         with wave.open(str(path), "rb") as f:
             n, rate = _pcm16_params(f, path)
-            raw = f.readframes(n if frames is None else min(frames, n))
-            held = len(raw)
-            while held < n * 2 and (rest := f.readframes(_SKIP_FRAMES)):
-                held += len(rest)
+            want = n if frames is None else min(frames, n)
+            raw = f.readframes(want)
+            complete = len(raw) == 2 * want
+            if complete and want < n:
+                f.setpos(n - 1)
+                complete = len(f.readframes(1)) == 2
     except _WAVE_ERRORS as exc:
         raise DataFormatError(f"{path}: not a readable WAV file ({exc!r})") from exc
-    if held < n * 2:
+    if not complete:
         raise DataFormatError(
             f"{path}: truncated: the header promises {n} samples, the data "
-            f"holds {held} bytes")
+            f"ends before the last")
     data = np.frombuffer(raw, dtype="<i2").astype(np.float64) / _SCALE
     return data, rate
 

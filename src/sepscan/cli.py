@@ -58,9 +58,9 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-def _wav_length_checked(path) -> int:
-    """The sample count in the header of a WAV at the model's rate."""
-    n, rate = audio.wav_info(path)
+def _wav_length_checked(path, n: int, rate: int) -> int:
+    """n, the sample count of the WAV at path, once its rate is the model's
+    and n is not 0."""
     if rate != model_mod.SAMPLE_RATE:
         raise DataFormatError(f"{path}: sample rate {rate} does not match "
                               f"the model's {model_mod.SAMPLE_RATE}")
@@ -91,14 +91,14 @@ def _corpus_pairs(manifest, count: int,
 
     The draws do not depend on the audio, so they are made once the
     headers have given the shortest length; then each file's prefix of
-    that length is read and checked in turn (the rest only counted, for
-    the truncation check) and only the drawn prefixes are kept, so memory
-    is set by count, not by the number or the length of the files.
+    that length is read and checked in turn (and its last sample, for the
+    truncation check) and only the drawn prefixes are kept, so memory is
+    set by count, not by the number or the length of the files.
     """
     paths = audio.read_manifest(manifest)
     if len(paths) < 2:
         raise DataFormatError(f"{manifest}: need at least 2 corpus files")
-    shortest = min(_wav_length_checked(p) for p in paths)
+    shortest = min(_wav_length_checked(p, *audio.wav_info(p)) for p in paths)
     draws = [(rng.choice(len(paths), size=2, replace=False),
               training.sample_snr(rng)) for _ in range(count)]
     drawn = {int(k) for pair, _ in draws for k in pair}
@@ -122,8 +122,8 @@ def _corpus_pairs(manifest, count: int,
 def _separate_one(model, path, outs) -> None:
     """Separate one input and write its stems; both are checked before
     either is written."""
-    _wav_length_checked(path)
-    mix = audio.wav_read(path)[0]
+    mix, rate = audio.wav_read(path)
+    _wav_length_checked(path, mix.size, rate)
     stems = [est.data for est in model.separate(mix)]
     if not all(np.isfinite(s).all() for s in stems):
         raise NumericsError(f"{path}: separation produced non-finite samples")
@@ -324,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("separate", help="separate mixture WAVs")
     s.add_argument("--ckpt", required=True)
     s.add_argument("--in", required=True, nargs="+",
-                   help="mixture WAV path(s); several fan out to forked "
+                   help="mixture WAV path(s) or pipes; several fan out to forked "
                         "processes, one per CPU at most")
     s.add_argument("--out", required=True, help="output directory")
     s.set_defaults(fn=_cmd_separate)

@@ -145,11 +145,11 @@ def config_from_text(text: str) -> ModelConfig:
             raise DataFormatError(f"config line {lineno}: duplicate key '{key}'")
         ann = known[key]
         try:
-            if ann in ("bool", bool):
+            if ann == "bool":
                 if value.lower() not in _BOOL_WORDS:
                     raise ValueError(value)
                 seen[key] = _BOOL_WORDS[value.lower()]
-            elif ann in ("int", int):
+            elif ann == "int":
                 seen[key] = int(value)
             else:
                 seen[key] = value

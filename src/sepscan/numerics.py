@@ -16,12 +16,10 @@ Rules the engine enforces rather than glosses over:
     weight as one 2-D GEMM; the per-channel ops (the norms, matmul's
     bias) act on the last axis and conv1d_depthwise along axis 0;
   * Tensor() and permute materialize C-ordered copies, never aliased views;
-    the exceptions are untaped: a frozen checkpoint model, whose weights
-    are views of the float32 payload it was loaded from
-    (model.from_checkpoint), the batch tiles of an inference block
-    (blocks.bi_scan_forward) and dechunk's coverage reciprocal, a
-    broadcast [N, D] view of its [N] values (dualpath.dechunk), which
-    as_tensor wraps;
+    the one exception is as_tensor, which wraps an array as it is (a view,
+    a broadcast or a shared payload) in a leaf that requires no gradient,
+    so no backward pass reaches it, for an array no op writes into while
+    the leaf is in use;
   * gradients accumulate additively on the leaves (the tensors with no
     VJP) across fan-out and across repeated backward() calls; callers
     reset explicitly with zero_grad().  No other tensor keeps a gradient.

@@ -1,6 +1,7 @@
 """WAV round trips, format rejection, and synthetic-speaker properties."""
 
 import math
+import os
 import struct
 import wave
 
@@ -86,15 +87,41 @@ class TestWavRejection:
             audio.wav_read(p)
 
     def test_frames_reads_a_prefix_and_still_refuses_a_cut(self, tmp_path):
-        # longer than one skip block, so the rest is counted in several
+        # a cut past the prefix is found by a seek to the last sample
         p = tmp_path / "long.wav"
-        audio.wav_write(p, np.linspace(-0.5, 0.5, 3 * audio._SKIP_FRAMES + 5), 8000)
+        audio.wav_write(p, np.linspace(-0.5, 0.5, 3 * (1 << 14) + 5), 8000)
         whole = audio.wav_read(p)[0]
         for frames in (0, 7, whole.size, whole.size + 1):
             assert np.array_equal(audio.wav_read(p, frames)[0], whole[:frames])
         p.write_bytes(p.read_bytes()[:-2])      # the last sample, past the prefix
         with pytest.raises(DataFormatError, match="truncated"):
             audio.wav_read(p, 7)
+
+    def test_frames_reads_only_the_prefix_and_the_last_sample(self, tmp_path,
+                                                             monkeypatch):
+        p = tmp_path / "minute.wav"
+        audio.wav_write(p, np.zeros(60 * 8000), 8000)
+        got = []
+        real = wave.Wave_read.readframes
+        monkeypatch.setattr(wave.Wave_read, "readframes",
+                            lambda f, k: got.append(real(f, k)) or got[-1])
+        frames = 2 * 8000
+        assert audio.wav_read(p, frames)[0].size == frames
+        assert sum(map(len, got)) <= 2 * (frames + 1)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_pipe_cut_short_is_truncated_not_unreadable(self, tmp_path):
+        # a whole read never seeks, so a pipe cut short is reported as such
+        p = tmp_path / "cut.wav"
+        audio.wav_write(p, np.linspace(-0.5, 0.5, 20), 8000)
+        r, w = os.pipe()
+        try:
+            os.write(w, p.read_bytes()[:-2])
+            os.close(w)
+            with pytest.raises(DataFormatError, match="truncated"):
+                audio.wav_read(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
 
     def test_chunk_overrunning_the_file_rejected(self, tmp_path):
         # wave itself raises a bare RuntimeError when it skips this chunk

@@ -297,6 +297,24 @@ class TestSeparateCommand:
         assert "unsupported version 2" in r.stderr
         assert "Traceback" not in r.stderr and not out.exists()
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_pipe_input_gives_the_stems_of_the_file(self, workspace, tmp_path):
+        # the input is read once, front to back, so a pipe is enough
+        mix = tmp_path / "mix.wav"
+        audio.wav_write(mix, np.sin(np.arange(2000) / 7.0) * 0.3, 8000)
+        r, w = os.pipe()
+        try:
+            os.write(w, mix.read_bytes())       # 4 KB fits the pipe's buffer
+            os.close(w)
+            for src, out in ((f"/dev/fd/{r}", "piped"), (str(mix), "filed")):
+                assert cli.main(["separate", "--ckpt", str(workspace["ckpt"]),
+                                 "--in", src, "--out", str(tmp_path / out)]) == 0
+        finally:
+            os.close(r)
+        for stem in ("s1.wav", "s2.wav"):
+            assert (tmp_path / "piped" / stem).read_bytes() == \
+                (tmp_path / "filed" / stem).read_bytes()
+
     def test_truncated_wav_is_data_error(self, workspace, tmp_path):
         cut = tmp_path / "cut.wav"
         cut.write_bytes(workspace["mix"].read_bytes()[:-1])
@@ -832,8 +850,8 @@ class TestCorpusPairs:
 
     def test_peak_is_set_by_the_shortest_file_not_the_longest(self, tmp_path):
         """A 60 s file read whole would hold its 0.96 MB of PCM and 3.84 MB
-        of float64; past the shortest file's 2 s its data is only counted,
-        a block of audio._SKIP_FRAMES (32 KB) at a time."""
+        of float64; past the shortest file's 2 s only its last sample is
+        read, for the truncation check."""
         peaks = {name: self._peak(self._corpus(tmp_path / name, seconds))
                  for name, seconds in (("short", [2.0] * 3),
                                        ("long", [2.0, 2.0, 60.0]))}

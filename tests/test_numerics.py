@@ -22,6 +22,9 @@ def t(arr, grad=False):
 
 
 class TestOperandRules:
+    def test_integer_data_becomes_float64(self):
+        assert Tensor(np.arange(3)).dtype == np.float64
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(NumericsError):
             nm.add(t(np.zeros((2, 3))), t(np.zeros(3)))
@@ -138,6 +141,12 @@ class TestBackward:
         assert x.grad is not None
         x.zero_grad()
         assert x.grad is None
+
+    def test_vjp_may_return_none_for_a_parent_that_requires_grad(self):
+        a, b = t(3.0, grad=True), t(5.0, grad=True)
+        out = nm.primitive(2.0 * a.data, (a, b), lambda g: (g * 2, None), "twice_a")
+        out.backward()
+        assert a.grad == 2.0 and b.grad is None
 
     def test_branchy_graph_exact_chain(self):
         # f(x) = sum((x*x + x) * x) -> df/dx = 3x^2 + 2x

@@ -88,45 +88,51 @@ UNREFERENCED_API = {
 
 
 def _definitions(tree, module):
-    """(qualified name, name) of each module-level function, class and
-    constant and each method; dunder names are exempt."""
+    """(qualified name, name, whether a method) of each module-level
+    function, class and constant and each method."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield f"{module}.{node.name}", node.name
+            yield f"{module}.{node.name}", node.name, False
             if isinstance(node, ast.ClassDef):
-                yield from ((f"{module}.{node.name}.{sub.name}", sub.name)
+                yield from ((f"{module}.{node.name}.{sub.name}", sub.name, True)
                             for sub in node.body
                             if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            yield from ((f"{module}.{n.id}", n.id) for t in targets
+            yield from ((f"{module}.{n.id}", n.id, False) for t in targets
                         for n in ast.walk(t) if isinstance(n, ast.Name))
 
 
 def _references(tree):
-    """Every name tree refers to: a Name it does not bind, an Attribute, an
-    import alias or an __all__ string."""
+    """(whether a bare name, name) of every name tree refers to: a Name it
+    does not bind, or else an Attribute, an import alias or an __all__
+    string."""
     for n in ast.walk(tree):
         if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
-            yield n.id
+            yield True, n.id
         elif isinstance(n, ast.Attribute):
-            yield n.attr
+            yield False, n.attr
         elif isinstance(n, ast.alias):
-            yield n.name.rpartition(".")[2]
+            yield False, n.name.rpartition(".")[2]
         elif isinstance(n, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in n.targets):
-            yield from (c.value for c in ast.walk(n.value)
+            yield from ((False, c.value) for c in ast.walk(n.value)
                         if isinstance(c, ast.Constant) and isinstance(c.value, str))
 
 
 def _unreferenced(sources: dict[str, str]) -> set[str]:
     """The definitions in sources (module name -> source) that no source
-    refers to by name."""
+    refers to by name; dunder names are exempt.  A method counts as
+    referenced only through an attribute, an import alias or __all__: a
+    bare name of its spelling is a local or a parameter."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
-    refs = {r for tree in trees.values() for r in _references(tree)}
+    refs = [(bare, r) for tree in trees.values() for bare, r in _references(tree)]
+    named = {r for bare, r in refs if not bare}
+    anywhere = {r for _, r in refs}
     return {qual for module, tree in trees.items()
-            for qual, name in _definitions(tree, module)
-            if name not in refs and not (name.startswith("__") and name.endswith("__"))}
+            for qual, name, method in _definitions(tree, module)
+            if name not in (named if method else anywhere)
+            and not (name.startswith("__") and name.endswith("__"))}
 
 
 def test_every_definition_is_referenced_in_src():
@@ -161,12 +167,20 @@ class Box:
 
     def unused(self):
         pass
+
+    def scan(self):
+        pass
+
+
+def f(scan):
+    return scan
 """
     b = """
-from .a import Box
+from .a import Box, f
 Box().used()
 """
-    assert _unreferenced({"a": a, "b": b}) == {"a.UNUSED", "a.dead", "a.Box.unused"}
+    assert _unreferenced({"a": a, "b": b}) == {"a.UNUSED", "a.dead", "a.Box.unused",
+                                               "a.Box.scan"}
 
 
 def test_importing_the_package_leaves_scipy_unloaded():

@@ -54,6 +54,13 @@ class TestSiSnr:
         r = _ref(4)
         assert T.si_snr(Tensor(r.copy()), Tensor(r.copy())).item() == 80.0
 
+    def test_gradient_is_zero_at_the_cap(self):
+        # float32, so the zeros must come back in the estimate's dtype too
+        r = _ref(4).astype(np.float32)
+        e = Tensor(r, requires_grad=True)
+        T.si_snr(e, Tensor(r)).backward()
+        assert e.grad.dtype == np.float32 and not e.grad.any()
+
     def test_zero_energy_reference_rejected(self):
         with pytest.raises(NumericsError, match="zero energy"):
             T.si_snr(Tensor(_ref()), Tensor(np.full(400, 2.5)))

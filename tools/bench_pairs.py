@@ -22,6 +22,11 @@ parent's q3 - q1 is at most the bound times its median, or every change
 run beats every parent run; an unresolved metric is not shown unchanged),
 the fail fractions, the traced per-layer metrics of both sides, and run.py's
 environment block.
+
+A pair-win count on a workload whose medians drift over minutes says little
+alone. An A/A control is this script run on two clones of the parent
+(PARENT and CHANGE both at the parent's commit): the pairs one side wins and
+the gap of its medians there are what chance gives on that machine.
 """
 
 from __future__ import annotations
